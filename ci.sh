@@ -1,6 +1,6 @@
 #!/bin/sh
 # Tier-1 CI gate: everything here runs offline (no network, no external
-# crates — property tests and criterion benches are feature-gated off).
+# crates — property tests run on the in-repo xtuml-prop harness).
 set -eux
 
 cargo fmt --all -- --check

@@ -5,7 +5,7 @@
 //! E1–E6 (see DESIGN.md §6 and EXPERIMENTS.md for the index and recorded
 //! results). Each experiment is a pure function returning structured
 //! rows; the `experiments` binary prints them as the tables recorded in
-//! EXPERIMENTS.md, and the Criterion benches in `benches/` measure the
+//! EXPERIMENTS.md, and the self-timed binaries in `src/bin/` measure the
 //! hot paths behind the same runners.
 
 #![warn(missing_docs)]

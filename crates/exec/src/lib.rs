@@ -51,6 +51,7 @@
 
 #![warn(missing_docs)]
 #![warn(rustdoc::broken_intra_doc_links)]
+mod dispatch;
 pub mod sched;
 pub mod shard;
 pub mod sim;
@@ -58,9 +59,10 @@ pub mod snapshot;
 pub mod store;
 pub mod trace;
 
+pub use dispatch::Engine;
 pub use sched::SchedPolicy;
 pub use shard::{shard_safety, ShardedSimulation};
-pub use sim::{Engine, Simulation};
+pub use sim::Simulation;
 pub use snapshot::SnapError;
 pub use store::ObjectStore;
 pub use trace::{ObservableEvent, Trace, TraceEvent, TraceMode};

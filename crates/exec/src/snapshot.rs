@@ -9,11 +9,6 @@
 //!
 //! What is *not* captured, by design:
 //!
-//! * **Bridges** — boxed host closures have no serial form. A restored
-//!   simulation starts with no registered bridges; unregistered bridge
-//!   calls return the declared default value, exactly as in a fresh
-//!   simulation. Hosts that register bridges must re-register them after
-//!   restore.
 //! * **Wall-clock telemetry** (profile spans, `Timing`) — segregated
 //!   from the deterministic metrics precisely because it is not a pure
 //!   function of `(seed, shards)`.
@@ -26,16 +21,22 @@
 //! snapshot may only be restored into the *same* domain (the fingerprint
 //! check turns a mismatch into [`SnapError::DomainMismatch`], never into
 //! silent misinterpretation). Corrupt or truncated input always yields a
-//! structured [`SnapError`] — decoding never panics.
+//! structured [`SnapError`] — decoding never panics. Decoding also checks
+//! every class, state, event and instance id against the domain, so a
+//! snapshot whose fingerprint matches but whose ids are out of range is
+//! rejected as [`SnapError::Corrupt`] instead of reaching a table index.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use xtuml_core::ids::{ActorId, ClassId, EventId, InstId, StateId};
 use xtuml_core::model::Domain;
 use xtuml_core::value::Value;
-use xtuml_obs::{EpochRow, Hist, MetricsRaw, ShardLane, HIST_BUCKETS};
+use xtuml_obs::{EpochRow, Hist, Metrics, MetricsRaw, Recorder, ShardLane, HIST_BUCKETS};
 
-use crate::trace::TraceEvent;
+use crate::dispatch::Engine;
+use crate::sched::SchedPolicy;
+use crate::trace::{Trace, TraceEvent};
 
 /// Magic bytes opening every snapshot.
 pub const MAGIC: [u8; 4] = *b"XSNP";
@@ -510,6 +511,130 @@ pub fn read_trace_event(r: &mut Reader<'_>) -> SnapResult<TraceEvent> {
         },
         t => return Err(SnapError::Corrupt(format!("bad trace-event tag {t}"))),
     })
+}
+
+/// Encodes the scheduling policy and engine selection that open both
+/// snapshot kinds.
+pub(crate) fn write_policy(w: &mut Writer, p: &SchedPolicy, engine: Engine) {
+    w.u64(p.seed);
+    w.bool(p.self_priority);
+    w.bool(p.pair_order);
+    w.bool(p.strict);
+    w.u32(p.shards as u32);
+    w.u8(match engine {
+        Engine::Frames => 0,
+        Engine::Bc => 1,
+    });
+}
+
+/// Decodes what [`write_policy`] wrote.
+pub(crate) fn read_policy(r: &mut Reader<'_>) -> SnapResult<(SchedPolicy, Engine)> {
+    let policy = SchedPolicy {
+        seed: r.u64()?,
+        self_priority: r.bool()?,
+        pair_order: r.bool()?,
+        strict: r.bool()?,
+        shards: r.u32()? as usize,
+    };
+    let engine = match r.u8()? {
+        0 => Engine::Frames,
+        1 => Engine::Bc,
+        t => return Err(SnapError::Corrupt(format!("bad engine tag {t}"))),
+    };
+    Ok((policy, engine))
+}
+
+/// Encodes a whole trace.
+pub(crate) fn write_trace(w: &mut Writer, trace: &Trace) {
+    w.len(trace.len());
+    for e in trace.iter() {
+        write_trace_event(w, &e);
+    }
+}
+
+/// Decodes what [`write_trace`] wrote, checking every id against the
+/// domain exactly where [`Trace::render`] resolves it — a dispatch's
+/// event and states through the class of its instance's first creation
+/// record — so rendering a restored trace never indexes out of range.
+pub(crate) fn read_trace(r: &mut Reader<'_>, domain: &Domain) -> SnapResult<Trace> {
+    let corrupt = || SnapError::Corrupt("trace id out of range for the domain".into());
+    let n = r.len(13)?;
+    let mut trace = Trace::new();
+    trace.reserve(n);
+    let mut created: HashMap<InstId, ClassId> = HashMap::new();
+    let mut dispatches = Vec::new();
+    for _ in 0..n {
+        let e = read_trace_event(r)?;
+        let in_range = match &e {
+            TraceEvent::Create { inst, class, .. } => {
+                created.entry(*inst).or_insert(*class);
+                class.index() < domain.classes.len()
+            }
+            TraceEvent::Dispatch {
+                inst,
+                event,
+                from_state,
+                to_state,
+                ..
+            } => {
+                dispatches.push((*inst, *event, [*from_state, *to_state]));
+                true
+            }
+            TraceEvent::ActorSignal { actor, event, .. } => domain
+                .actors
+                .get(actor.index())
+                .is_some_and(|a| event.index() < a.events.len()),
+            TraceEvent::BridgeCall { actor, .. } => actor.index() < domain.actors.len(),
+            TraceEvent::Delete { .. } | TraceEvent::Ignored { .. } | TraceEvent::Dropped { .. } => {
+                true
+            }
+        };
+        if !in_range {
+            return Err(corrupt());
+        }
+        trace.push(e);
+    }
+    for (inst, event, states) in dispatches {
+        let Some(&class) = created.get(&inst) else {
+            continue; // rendered with raw ids
+        };
+        let c = domain.class(class);
+        let states_ok = c
+            .state_machine
+            .as_ref()
+            .is_none_or(|m| states.iter().all(|s| s.index() < m.states.len()));
+        if event.index() >= c.events.len() || !states_ok {
+            return Err(corrupt());
+        }
+    }
+    Ok(trace)
+}
+
+/// Encodes an optional recorder: track, epoch streaming flag and the
+/// deterministic metrics.
+pub(crate) fn write_recorder(w: &mut Writer, rec: Option<&Recorder>) {
+    match rec {
+        Some(rec) => {
+            w.bool(true);
+            w.u32(rec.track);
+            w.bool(rec.stream_epochs);
+            write_metrics(w, &rec.metrics.to_raw());
+        }
+        None => w.bool(false),
+    }
+}
+
+/// Decodes what [`write_recorder`] wrote: a recorder with its
+/// deterministic metrics only (no span buffer, zeroed wall-clock timing).
+pub(crate) fn read_recorder(r: &mut Reader<'_>) -> SnapResult<Option<Box<Recorder>>> {
+    if !r.bool()? {
+        return Ok(None);
+    }
+    let mut rec = Recorder::new();
+    rec.track = r.u32()?;
+    rec.stream_epochs = r.bool()?;
+    rec.metrics = Metrics::from_raw(read_metrics(r)?);
+    Ok(Some(Box::new(rec)))
 }
 
 /// Encodes raw deterministic metrics (counters, gauges, histograms,

@@ -7,7 +7,7 @@
 //! *their* classes only.
 
 use xtuml_core::error::{CoreError, Result};
-use xtuml_core::ids::{AssocId, AttrId, ClassId, InstId, StateId};
+use xtuml_core::ids::{AssocId, AttrId, ClassId, EventId, InstId, StateId};
 use xtuml_core::model::{Domain, Multiplicity};
 use xtuml_core::value::Value;
 
@@ -451,6 +451,70 @@ impl ObjectStore {
             links.push(pairs);
         }
         Ok(ObjectStore { instances, links })
+    }
+
+    /// Checks a decoded population against its domain: every class and
+    /// state id in range, live attributes shaped and typed as declared,
+    /// and every link inside the id space. Restore runs this so an
+    /// out-of-range id becomes a structured error instead of an index
+    /// panic at the next dispatch.
+    pub(crate) fn check(&self, domain: &Domain) -> std::result::Result<(), String> {
+        if self.links.len() != domain.associations.len() {
+            return Err(format!(
+                "{} link tables for {} associations",
+                self.links.len(),
+                domain.associations.len()
+            ));
+        }
+        for (k, i) in self.instances.iter().enumerate() {
+            let Some(c) = domain.classes.get(i.class.index()) else {
+                return Err(format!("instance {k} has out-of-range class {}", i.class));
+            };
+            let state_ok =
+                (c.state_machine.as_ref()).is_none_or(|m| i.state.index() < m.states.len());
+            let attrs_ok = !i.alive
+                || i.proxy
+                || (i.attrs.len() == c.attributes.len()
+                    && (i.attrs.iter().zip(&c.attributes)).all(|(v, a)| v.data_type() == a.ty));
+            if !state_ok || !attrs_ok {
+                return Err(format!("instance {k} does not fit class {}", c.name));
+            }
+        }
+        let n = self.instances.len();
+        if self
+            .links
+            .iter()
+            .flatten()
+            .any(|(a, b)| a.index() >= n || b.index() >= n)
+        {
+            return Err("link outside the id space".into());
+        }
+        Ok(())
+    }
+
+    /// Checks a pending signal for `to` against the domain: target inside
+    /// the id space, event declared on the target's class, arity as
+    /// declared. Assumes [`ObjectStore::check`] passed.
+    pub(crate) fn check_signal(
+        &self,
+        domain: &Domain,
+        to: InstId,
+        event: EventId,
+        args: &[Value],
+    ) -> std::result::Result<(), String> {
+        let Some(i) = self.instances.get(to.index()) else {
+            return Err(format!("target {to} outside the id space"));
+        };
+        match domain.class(i.class).events.get(event.index()) {
+            Some(e) if e.params.len() == args.len() => Ok(()),
+            Some(e) => Err(format!(
+                "event {} takes {} argument(s), got {}",
+                e.name,
+                e.params.len(),
+                args.len()
+            )),
+            None => Err(format!("out-of-range event {event} for {to}")),
+        }
     }
 
     /// Removes a link.

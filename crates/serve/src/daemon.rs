@@ -1,13 +1,13 @@
 //! The TCP daemon: accept loop, per-connection reader threads, and one
 //! manager thread that owns the session table.
 //!
-//! [`Simulation`](xtuml_exec::Simulation) is deliberately `!Send`, so
-//! concurrency lives at the edges: each connection gets a cheap thread
+//! Concurrency lives at the edges: each connection gets a cheap thread
 //! that reads frames and forwards them as jobs, and a single manager
 //! thread applies every request in arrival order against the
-//! [`Store`]. That serialization is a feature, not a compromise — it is
-//! what makes a multi-tenant transcript deterministic enough to diff
-//! byte-for-byte in the smoke test.
+//! [`Store`]. [`Simulation`](xtuml_exec::Simulation) is `Send`, so
+//! sessions could move between threads; the single owner is kept on
+//! purpose — that serialization is what makes a multi-tenant transcript
+//! deterministic enough to diff byte-for-byte in the smoke test.
 
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};

@@ -12,9 +12,11 @@
 //! * [`Simulation`] borrows its domain, so every distinct model text is
 //!   parsed once and leaked to `&'static Domain` (cached by content
 //!   hash — re-creating sessions on the same model costs nothing).
-//! * [`Simulation`] is deliberately `!Send`; the store never crosses a
-//!   thread boundary. Evicted sessions become snapshot files on disk
-//!   and are revived by `restore` on their next touch.
+//! * The store lives on the daemon's single manager thread. A
+//!   [`Simulation`] is `Send`, but one owner applying requests in order
+//!   is what keeps transcripts deterministic. Evicted sessions become
+//!   snapshot files on disk and are revived by `restore` on their next
+//!   touch.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;

@@ -155,6 +155,43 @@ fn request_level_errors_are_replies_not_disconnects() {
 }
 
 #[test]
+fn restoring_out_of_range_ids_is_an_error_reply() {
+    let (_server, mut c) = start(SessionCfg::default());
+    c.request(&create_req(3, None)).unwrap();
+    let snap = parsed(&c.request(r#"{"verb": "snapshot", "session": 1}"#).unwrap());
+    let mut bytes = xtuml_serve::proto::from_hex(get(&snap, "bytes").as_str().unwrap()).unwrap();
+
+    // Walk the sequential snapshot up to instance 0's state id.
+    let mut r = xtuml_exec::snapshot::Reader::new(&bytes);
+    let _header = (r.u32(), r.u32(), r.u8(), r.u64()); // magic, version, kind, fingerprint
+    let _policy = (r.u64(), r.u8(), r.u8(), r.u8(), r.u32(), r.u8());
+    let _clocks: Vec<_> = (0..5).map(|_| r.u64()).collect(); // now, seq, dropped, max_steps, rng
+    let _instance0 = (r.u32(), r.u32()); // instance count, class
+    let at = bytes.len() - r.remaining();
+    // Class C has two states; state 7 is out of range for the domain.
+    bytes[at..at + 4].copy_from_slice(&7u32.to_le_bytes());
+
+    let restore = format!(
+        r#"{{"verb": "restore", "session": 1, "bytes": "{}"}}"#,
+        xtuml_serve::proto::to_hex(&bytes)
+    );
+    let reply = parsed(&c.request(&restore).unwrap());
+    assert_eq!(get(&reply, "ok").as_bool(), Some(false));
+    assert!(
+        get(&reply, "error")
+            .as_str()
+            .unwrap()
+            .contains("corrupt snapshot"),
+        "{reply:?}"
+    );
+    // The session keeps its state and keeps stepping.
+    assert_eq!(
+        c.request(r#"{"verb": "step", "session": 1}"#).unwrap(),
+        r#"{"ok": true, "steps": 2, "quiescent": true, "now": 11, "fuel_left": 999998}"#
+    );
+}
+
+#[test]
 fn oversized_frames_get_one_error_then_the_connection_closes() {
     let (server, _keep) = start(SessionCfg::default());
     let mut raw = TcpStream::connect(server.addr()).unwrap();

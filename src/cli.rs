@@ -371,7 +371,7 @@ pub fn cmd_run(model_src: &str, script_src: &str) -> Result<String, CliError> {
 }
 
 /// `run` with explicit seed/jobs options. Runs go through the sharded
-/// engine, which delegates to the classic sequential scheduler when the
+/// engine, which runs its sequential simulation in place when the
 /// effective shard count is 1 — the default whenever `--shards` is not
 /// given, so unflagged runs reproduce historical output exactly on any
 /// host; `--jobs` is pure mechanism and only matters once `--shards`
