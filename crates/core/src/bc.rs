@@ -1,20 +1,21 @@
-//! Register-based bytecode for compiled actions: the flat, superinstruction
-//! form of [`code`](crate::code).
+//! Register-based bytecode for compiled actions, and the VM that runs
+//! them: the workspace's one action executor.
 //!
-//! [`CompiledProgram`](crate::code::CompiledProgram) frames are still walked
-//! AST-style by [`interp`](crate::interp); this module lowers each
-//! [`CAction`] once more, into a contiguous instruction stream executed by a
-//! `match`-threaded dispatch loop ([`run_bc`]). Registers are the existing
-//! frame slots (parameters, then locals) plus compiler temporaries above
-//! them, so the VM reuses the caller's recycled `Vec<Option<Value>>` frame.
+//! This module lowers each [`CAction`] of a [`CompiledProgram`] into a
+//! contiguous instruction stream executed by a `match`-threaded dispatch
+//! loop ([`run_bc`]). Registers are the frame slots (parameters, then locals)
+//! plus compiler temporaries above them, so the VM reuses the caller's
+//! recycled `Vec<Option<Value>>` frame.
 //!
-//! The lowering is **semantics-exact**, not merely trace-equivalent: every
-//! fuel unit the tree-walking interpreter burns is burned here in the same
-//! order relative to every fallible check and every host effect, so error
-//! identity (fuel exhaustion vs unbound slot vs runtime error) is preserved
-//! at exact fuel boundaries. Burns are merged into an instruction's entry
-//! `fuel` only when nothing fallible or effectful separates them;
-//! otherwise fused handlers burn internally between their checks.
+//! The lowering is **semantics-exact**: an action burns the fuel of its
+//! slot-resolved IR — one unit per statement and per expression node — in
+//! the same order relative to every fallible check and every host effect
+//! as a direct walk of that IR, so error identity (fuel exhaustion vs
+//! unbound slot vs runtime error) is preserved at exact fuel boundaries.
+//! Burns are merged into an instruction's entry `fuel` only when nothing
+//! fallible or effectful separates them; otherwise fused handlers burn
+//! internally between their checks. The unit tests hold the VM to a
+//! test-only tree walker of the IR at every fuel level.
 //!
 //! **Superinstructions** collapse the dominant traffic shapes measured on
 //! the pipeline/doorbell workloads: `self.a = self.a op <lit>`
@@ -23,17 +24,19 @@
 //! queue), slot/const binops, guard-and-branch fusions, and a
 //! navigate-then-`gen … to any(...)` peephole ([`Op::NavFirst`] +
 //! [`Op::SendFirstTo`]) that elides the per-dispatch `Vec` materialisation
-//! and dedup of the interpreter's navigation.
+//! and dedup of the navigation.
 //!
-//! A construct that cannot be encoded (e.g. a frame needing more than
-//! `u16::MAX` registers) is not an error: [`BcProgram::new`] records a
-//! structured fallback reason and the executor keeps using the
-//! compiled-frame interpreter for that action (diagnostic code X0016).
+//! A construct that cannot be encoded (a frame needing more than
+//! `u16::MAX` registers, or a pool outgrowing the 16-bit operands) is a
+//! model error: [`BcProgram::new`] stores it as diagnostic X0016
+//! (`bc-unsupported`) in that action's entry, and executors raise it when
+//! the pair is dispatched, exactly like a block that failed to compile.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::code::{CAction, CExpr, CStmt, CompiledProgram, FrameLayout, Slot};
+use crate::diag::Code;
 use crate::error::{CoreError, Result};
 use crate::ids::{ActorId, AssocId, AttrId, ClassId, EventId, InstId, StateId};
 use crate::interp::{ActionHost, ExecCtx, Outcome};
@@ -229,35 +232,10 @@ impl BcAction {
     }
 }
 
-/// One `(class, state, event)` entry of a [`BcProgram`].
-#[derive(Debug, Clone)]
-pub enum BcEntry {
-    /// Lowered successfully; execute with [`run_bc`]. Shared via `Arc`
-    /// so executors can pre-resolve dispatch tables holding direct,
-    /// thread-safe references to the action.
-    Vm(Arc<BcAction>),
-    /// Not encodable; the executor falls back to the frame interpreter
-    /// (diagnostic X0016, reason recorded in [`BcProgram::fallbacks`]).
-    Unsupported,
-}
-
-/// A recorded lowering fallback (surfaced as diagnostic X0016).
-#[derive(Debug, Clone)]
-pub struct BcFallback {
-    /// The class whose action could not be lowered.
-    pub class: ClassId,
-    /// The state entered.
-    pub state: StateId,
-    /// The triggering event.
-    pub event: EventId,
-    /// Why the lowering bailed.
-    pub reason: String,
-}
-
 #[derive(Debug, Clone, Default)]
 struct BcClass {
     n_events: usize,
-    entries: Vec<Option<BcEntry>>,
+    entries: Vec<Option<Result<Arc<BcAction>>>>,
 }
 
 /// All lowered actions of a domain, indexed like
@@ -266,23 +244,20 @@ struct BcClass {
 #[derive(Debug, Clone, Default)]
 pub struct BcProgram {
     classes: Vec<BcClass>,
-    /// Actions that fell back to the frame interpreter, with reasons.
-    pub fallbacks: Vec<BcFallback>,
 }
 
 impl BcProgram {
-    /// Lowers every compiled action of `program`. Never fails: entries
-    /// that cannot be encoded become [`BcEntry::Unsupported`] and are
-    /// recorded in [`BcProgram::fallbacks`]; entries whose frame
-    /// compilation already failed stay `None` (the frame path re-raises
-    /// lazily, exactly as before).
+    /// Lowers every compiled action of `program`. Construction is
+    /// infallible, like [`CompiledProgram::new`]: a pair whose block failed
+    /// to compile keeps that error, and a pair the lowering cannot encode
+    /// stores an X0016 error naming the action and the reason. Either is
+    /// raised when — and only when — the pair is dispatched.
     pub fn new(domain: &Domain, program: &CompiledProgram) -> BcProgram {
         // Whole-model constant-attribute facts from the effect analysis:
         // an attribute written nowhere always holds its declared default,
         // so `self.attr` reads of it lower to `Op::Const`.
         let empty = BTreeMap::new();
         let folds = const_fold_maps(domain);
-        let mut fallbacks = Vec::new();
         let classes = program
             .classes
             .iter()
@@ -293,23 +268,13 @@ impl BcProgram {
                     .actions
                     .iter()
                     .enumerate()
-                    .map(|(idx, slot)| match slot {
-                        Some(Ok(action)) => match lower_action_with(action, consts) {
-                            Ok(bca) => Some(BcEntry::Vm(Arc::new(bca))),
-                            Err(reason) => {
-                                let (state, event) = idx
-                                    .checked_div(cc.n_events)
-                                    .map_or((0, 0), |s| (s, idx % cc.n_events));
-                                fallbacks.push(BcFallback {
-                                    class: ClassId::new(ci as u32),
-                                    state: StateId::new(state as u32),
-                                    event: EventId::new(event as u32),
-                                    reason,
-                                });
-                                Some(BcEntry::Unsupported)
-                            }
-                        },
-                        Some(Err(_)) | None => None,
+                    .map(|(idx, slot)| {
+                        Some(match slot.as_ref()? {
+                            Ok(action) => lower_action_with(action, consts)
+                                .map(Arc::new)
+                                .map_err(|why| unsupported(domain, ci, idx, cc.n_events, &why)),
+                            Err(e) => Err(e.clone()),
+                        })
                     })
                     .collect();
                 BcClass {
@@ -318,17 +283,35 @@ impl BcProgram {
                 }
             })
             .collect();
-        BcProgram { classes, fallbacks }
+        BcProgram { classes }
     }
 
-    /// The lowered entry for `event` driving `class` into `state`, if the
-    /// pair has a compiled action at all.
+    /// The lowered action entered when `event` drives `class` into
+    /// `state`, or `None` if no transition produces that pair.
+    ///
+    /// # Errors
+    ///
+    /// Returns the compile or X0016 lowering error recorded for the pair.
     #[inline]
-    pub fn entry(&self, class: ClassId, state: StateId, event: EventId) -> Option<&BcEntry> {
+    pub fn entry(
+        &self,
+        class: ClassId,
+        state: StateId,
+        event: EventId,
+    ) -> Option<Result<&Arc<BcAction>>> {
         let cc = self.classes.get(class.index())?;
-        cc.entries
-            .get(state.index() * cc.n_events + event.index())?
-            .as_ref()
+        let entry = cc
+            .entries
+            .get(state.index() * cc.n_events + event.index())?;
+        entry.as_ref().map(|r| r.as_ref().map_err(CoreError::clone))
+    }
+
+    /// The errors recorded for pairs that have no lowered action.
+    pub fn errors(&self) -> impl Iterator<Item = &CoreError> {
+        self.classes
+            .iter()
+            .flat_map(|c| c.entries.iter())
+            .filter_map(|e| e.as_ref()?.as_ref().err())
     }
 
     /// Total lowered (VM-executable) entries.
@@ -336,7 +319,7 @@ impl BcProgram {
         self.classes
             .iter()
             .flat_map(|c| c.entries.iter())
-            .filter(|e| matches!(e, Some(BcEntry::Vm(_))))
+            .filter(|e| matches!(e, Some(Ok(_))))
             .count()
     }
 
@@ -346,12 +329,26 @@ impl BcProgram {
         self.classes
             .iter()
             .flat_map(|c| c.entries.iter())
-            .filter_map(|e| match e {
-                Some(BcEntry::Vm(a)) => Some(a.const_folds),
-                _ => None,
-            })
+            .filter_map(|e| Some(e.as_ref()?.as_ref().ok()?.const_folds))
             .sum()
     }
+}
+
+/// The X0016 error for the action at `idx` of class `ci`, which the
+/// lowering cannot encode for the reason `why`.
+fn unsupported(domain: &Domain, ci: usize, idx: usize, n_events: usize, why: &str) -> CoreError {
+    let class = &domain.classes[ci];
+    let state = class
+        .state_machine
+        .as_ref()
+        .map_or("?", |m| m.states[idx / n_events].name.as_str());
+    CoreError::validate(format!(
+        "{} {}: action {}.{state} on {} cannot be lowered to bytecode: {why}",
+        Code::BcUnsupported.as_str(),
+        Code::BcUnsupported.name(),
+        class.name,
+        class.events[idx % n_events].name
+    ))
 }
 
 /// Per-class maps from attribute index to declared default, restricted to
@@ -410,8 +407,8 @@ struct Lower {
 /// # Errors
 ///
 /// Returns a human-readable reason when the action cannot be encoded
-/// (operand-width overflow); the caller falls back to the frame
-/// interpreter for that action.
+/// (operand-width overflow); [`BcProgram::new`] turns it into an X0016
+/// error for that action.
 pub fn lower_action(action: &CAction) -> LRes<BcAction> {
     lower_action_with(action, &BTreeMap::new())
 }
@@ -1590,14 +1587,14 @@ fn set_item(frame: &[Option<Value>], r: usize, idx: usize) -> InstId {
 
 /// Executes a lowered action against `host`. The caller provides `ctx`
 /// with a frame sized to [`BcAction::n_regs`] and the parameter slots
-/// bound (exactly as for [`run_code`](crate::interp::run_code)); steps and
-/// fuel accounting match the frame interpreter unit for unit.
+/// bound ([`ExecCtx::bind_args`]); `ctx.steps` counts one unit per
+/// statement and expression node of the source [`CAction`].
 ///
 /// # Errors
 ///
-/// The same errors, with the same messages, in the same order, as
-/// [`run_code`](crate::interp::run_code) on the corresponding
-/// [`CAction`].
+/// Runtime errors ([`CoreError::Runtime`], including fuel exhaustion) and
+/// unbound-slot reads ([`CoreError::Unresolved`]) from the statements
+/// executed, in source order.
 pub fn run_bc<H: ActionHost>(host: &mut H, ctx: &mut ExecCtx, act: &BcAction) -> Result<Outcome> {
     let code = &act.code[..];
     let layout = &act.layout;
@@ -2130,8 +2127,9 @@ pub fn disasm_action(act: &BcAction) -> String {
     out
 }
 
-/// Renders every lowered entry of a program, with `Class · State ← Event`
-/// headers resolved against the domain, plus recorded fallbacks.
+/// Renders every entry of a program, with `Class · State ← Event`
+/// headers resolved against the domain: the annotated instruction listing
+/// of each lowered action, or the error of a pair that has none.
 pub fn disasm(domain: &Domain, program: &BcProgram) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -2141,46 +2139,24 @@ pub fn disasm(domain: &Domain, program: &BcProgram) -> String {
             continue;
         };
         for (idx, entry) in bcc.entries.iter().enumerate() {
-            let (state, event) = idx
-                .checked_div(bcc.n_events)
-                .map_or((0, 0), |s| (s, idx % bcc.n_events));
+            let Some(entry) = entry else {
+                continue;
+            };
+            let (state, event) = (idx / bcc.n_events, idx % bcc.n_events);
+            let _ = write!(
+                out,
+                "{} · {} <- {}:",
+                class.name, machine.states[state].name, class.events[event].name
+            );
             match entry {
-                Some(BcEntry::Vm(act)) => {
-                    let _ = writeln!(
-                        out,
-                        "{} · {} <- {}:",
-                        class.name, machine.states[state].name, class.events[event].name
-                    );
+                Ok(act) => {
+                    out.push('\n');
                     out.push_str(&disasm_action(act));
                 }
-                Some(BcEntry::Unsupported) => {
-                    let _ = writeln!(
-                        out,
-                        "{} · {} <- {}: (unsupported — frame-interpreter fallback)",
-                        class.name, machine.states[state].name, class.events[event].name
-                    );
+                Err(e) => {
+                    let _ = writeln!(out, " (not lowered — {e})");
                 }
-                None => {}
             }
-        }
-    }
-    if !program.fallbacks.is_empty() {
-        let _ = writeln!(out, "fallbacks:");
-        for f in &program.fallbacks {
-            let class = &domain.classes[f.class.index()];
-            let state = class
-                .state_machine
-                .as_ref()
-                .map(|m| m.states[f.state.index()].name.as_str())
-                .unwrap_or("?");
-            let _ = writeln!(
-                out,
-                "  {} · {} <- {}: {}",
-                class.name,
-                state,
-                class.events[f.event.index()].name,
-                f.reason
-            );
         }
     }
     out
@@ -2190,231 +2166,11 @@ pub fn disasm(domain: &Domain, program: &BcProgram) -> String {
 mod tests {
     use super::*;
     use crate::code::compile_block;
-    use crate::interp::{run_code, DEFAULT_FUEL};
-    use crate::model::{Actor, Attribute, Class, EventDecl};
+    use crate::interp::DEFAULT_FUEL;
     use crate::parse::parse_block;
+    use crate::testhost::{fresh, test_domain, Effects};
     use crate::value::DataType;
-
-    /// In-memory host mirroring the interpreter's own test fixture, with
-    /// observable state comparable across two executions.
-    #[derive(Debug, Clone, PartialEq)]
-    struct Effects {
-        instances: Vec<(ClassId, Vec<Value>, bool)>,
-        links: Vec<(AssocId, InstId, InstId)>,
-        sent: Vec<(InstId, InstId, EventId, Vec<Value>)>,
-        actor_sent: Vec<(ActorId, EventId, Vec<Value>)>,
-        delayed: Vec<(InstId, EventId, i64)>,
-        log: Vec<String>,
-    }
-
-    struct BcHost {
-        domain: Domain,
-        fx: Effects,
-    }
-
-    impl BcHost {
-        fn new(domain: Domain) -> BcHost {
-            BcHost {
-                domain,
-                fx: Effects {
-                    instances: Vec::new(),
-                    links: Vec::new(),
-                    sent: Vec::new(),
-                    actor_sent: Vec::new(),
-                    delayed: Vec::new(),
-                    log: Vec::new(),
-                },
-            }
-        }
-
-        fn check_live(&self, inst: InstId) -> Result<()> {
-            match self.fx.instances.get(inst.index()) {
-                Some((_, _, true)) => Ok(()),
-                _ => Err(CoreError::runtime(format!("dangling instance {inst}"))),
-            }
-        }
-    }
-
-    impl ActionHost for BcHost {
-        fn domain(&self) -> &Domain {
-            &self.domain
-        }
-        fn create(&mut self, class: ClassId) -> Result<InstId> {
-            let attrs = self
-                .domain
-                .class(class)
-                .attributes
-                .iter()
-                .map(|a| a.default.clone())
-                .collect();
-            self.fx.instances.push((class, attrs, true));
-            Ok(InstId::new(self.fx.instances.len() as u32 - 1))
-        }
-        fn delete(&mut self, inst: InstId) -> Result<()> {
-            self.check_live(inst)?;
-            self.fx.instances[inst.index()].2 = false;
-            Ok(())
-        }
-        fn class_of(&self, inst: InstId) -> Result<ClassId> {
-            self.check_live(inst)?;
-            Ok(self.fx.instances[inst.index()].0)
-        }
-        fn attr_read(&self, inst: InstId, attr: AttrId) -> Result<Value> {
-            self.check_live(inst)?;
-            Ok(self.fx.instances[inst.index()].1[attr.index()].clone())
-        }
-        fn attr_write(&mut self, inst: InstId, attr: AttrId, value: Value) -> Result<()> {
-            self.check_live(inst)?;
-            self.fx.instances[inst.index()].1[attr.index()] = value;
-            Ok(())
-        }
-        fn instances_of(&self, class: ClassId) -> Vec<InstId> {
-            self.fx
-                .instances
-                .iter()
-                .enumerate()
-                .filter(|(_, (c, _, alive))| *alive && *c == class)
-                .map(|(i, _)| InstId::new(i as u32))
-                .collect()
-        }
-        fn related(&self, inst: InstId, assoc: AssocId) -> Result<Vec<InstId>> {
-            self.check_live(inst)?;
-            Ok(self
-                .fx
-                .links
-                .iter()
-                .filter(|(a, x, y)| *a == assoc && (*x == inst || *y == inst))
-                .map(|(_, x, y)| if *x == inst { *y } else { *x })
-                .collect())
-        }
-        fn relate(&mut self, a: InstId, b: InstId, assoc: AssocId) -> Result<()> {
-            self.fx.links.push((assoc, a, b));
-            Ok(())
-        }
-        fn unrelate(&mut self, a: InstId, b: InstId, assoc: AssocId) -> Result<()> {
-            let before = self.fx.links.len();
-            self.fx.links.retain(|(x, p, q)| {
-                !(*x == assoc && ((*p == a && *q == b) || (*p == b && *q == a)))
-            });
-            if self.fx.links.len() == before {
-                return Err(CoreError::runtime("no such link"));
-            }
-            Ok(())
-        }
-        fn send(
-            &mut self,
-            from: InstId,
-            to: InstId,
-            event: EventId,
-            args: Vec<Value>,
-        ) -> Result<()> {
-            self.check_live(to)?;
-            self.fx.sent.push((from, to, event, args));
-            Ok(())
-        }
-        fn send_actor(
-            &mut self,
-            _from: InstId,
-            actor: ActorId,
-            event: EventId,
-            args: Vec<Value>,
-        ) -> Result<()> {
-            self.fx.actor_sent.push((actor, event, args));
-            Ok(())
-        }
-        fn send_delayed(
-            &mut self,
-            _from: InstId,
-            to: InstId,
-            event: EventId,
-            _args: Vec<Value>,
-            delay: i64,
-        ) -> Result<()> {
-            self.fx.delayed.push((to, event, delay));
-            Ok(())
-        }
-        fn cancel_delayed(&mut self, inst: InstId, event: EventId) -> Result<()> {
-            self.fx
-                .delayed
-                .retain(|(i, e, _)| !(*i == inst && *e == event));
-            Ok(())
-        }
-        fn bridge_call(&mut self, actor: ActorId, func: &str, args: Vec<Value>) -> Result<Value> {
-            let name = &self.domain.actor(actor).name;
-            self.fx.log.push(format!("{name}::{func}({args:?})"));
-            Ok(Value::Int(args.len() as i64))
-        }
-    }
-
-    fn test_domain() -> Domain {
-        let mut d = Domain::new("t");
-        d.classes.push(Class {
-            name: "Counter".into(),
-            attributes: vec![Attribute {
-                name: "n".into(),
-                ty: DataType::Int,
-                default: Value::Int(0),
-            }],
-            events: vec![
-                EventDecl {
-                    name: "Tick".into(),
-                    params: vec![],
-                },
-                EventDecl {
-                    name: "Set".into(),
-                    params: vec![("v".into(), DataType::Int)],
-                },
-            ],
-            state_machine: None,
-        });
-        d.classes.push(Class {
-            name: "Lamp".into(),
-            attributes: vec![Attribute {
-                name: "on".into(),
-                ty: DataType::Bool,
-                default: Value::Bool(false),
-            }],
-            events: vec![
-                EventDecl {
-                    name: "Ping".into(),
-                    params: vec![],
-                },
-                EventDecl {
-                    name: "Pulse".into(),
-                    params: vec![("v".into(), DataType::Int)],
-                },
-            ],
-            state_machine: None,
-        });
-        d.associations.push(crate::model::Association {
-            name: "R1".into(),
-            from: ClassId::new(0),
-            to: ClassId::new(1),
-            from_mult: crate::model::Multiplicity::One,
-            to_mult: crate::model::Multiplicity::Many,
-        });
-        d.actors.push(Actor {
-            name: "ENV".into(),
-            events: vec![EventDecl {
-                name: "done".into(),
-                params: vec![("code".into(), DataType::Int)],
-            }],
-            funcs: vec![crate::model::FuncDecl {
-                name: "info".into(),
-                params: vec![("msg".into(), DataType::Str)],
-                ret: None,
-            }],
-        });
-        d.reindex().unwrap();
-        d
-    }
-
-    /// Fresh host with one live Counter instance (`self`).
-    fn fresh() -> (BcHost, InstId) {
-        let mut h = BcHost::new(test_domain());
-        let i = h.create(ClassId::new(0)).unwrap();
-        (h, i)
-    }
+    use crate::walker::run_code;
 
     struct Sides {
         interp: (Result<Outcome>, Effects, ExecCtx),
@@ -2745,15 +2501,41 @@ mod tests {
     }
 
     #[test]
-    fn register_overflow_falls_back() {
-        let names: Vec<String> = (0..=u16::MAX as usize).map(|i| format!("v{i}")).collect();
-        let action = CAction {
-            self_class: ClassId::new(0),
-            code: vec![],
-            layout: FrameLayout { names, params: 0 },
-        };
-        let err = lower_action(&action).unwrap_err();
-        assert!(err.contains("u16"), "reason should name the limit: {err}");
+    fn register_overflow_is_an_x0016_error_at_dispatch() {
+        // One local more than the 16-bit register operands can address.
+        let body: String = (0..=u16::MAX as usize)
+            .map(|i| format!("v{i} = 0;\n"))
+            .collect();
+        let mut b = crate::builder::DomainBuilder::new("wide");
+        b.class("C")
+            .event("Go", &[])
+            .state("S", &body)
+            .initial("S")
+            .transition("S", "Go", "S");
+        let domain = b.build().unwrap();
+        let program = crate::code::CompiledProgram::new(&domain);
+        let action = program
+            .action(ClassId::new(0), StateId::new(0), EventId::new(0))
+            .unwrap()
+            .unwrap();
+        let reason = lower_action(action).unwrap_err();
+        assert!(
+            reason.contains("u16"),
+            "reason should name the limit: {reason}"
+        );
+
+        // The program keeps the pair, with the reason as its X0016 error.
+        let bc = BcProgram::new(&domain, &program);
+        assert_eq!(bc.vm_entries(), 0);
+        let err = bc
+            .entry(ClassId::new(0), StateId::new(0), EventId::new(0))
+            .expect("the pair has an entry")
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("X0016 bc-unsupported"), "{err}");
+        assert!(err.contains("C.S on Go") && err.contains(&reason), "{err}");
+        assert_eq!(bc.errors().count(), 1);
+        assert!(disasm(&domain, &bc).contains("C · S <- Go: (not lowered — "));
     }
 
     #[test]
@@ -2761,7 +2543,7 @@ mod tests {
         let domain = crate::builder::pipeline_domain(3).unwrap();
         let program = crate::code::CompiledProgram::new(&domain);
         let bc = BcProgram::new(&domain, &program);
-        assert!(bc.fallbacks.is_empty(), "{:?}", bc.fallbacks);
+        assert_eq!(bc.errors().count(), 0);
         assert!(bc.vm_entries() > 0);
         // Every compiled frame action has a VM entry at the same index.
         for (ci, class) in domain.classes.iter().enumerate() {
@@ -2885,7 +2667,7 @@ mod tests {
         let domain = b.build().unwrap();
         let program = crate::code::CompiledProgram::new(&domain);
         let bc = BcProgram::new(&domain, &program);
-        assert!(bc.fallbacks.is_empty(), "{:?}", bc.fallbacks);
+        assert_eq!(bc.errors().count(), 0);
         assert_eq!(bc.const_folds(), 1, "`k` is never written, `w` is");
         let text = disasm(&domain, &bc);
         assert!(text.contains("const-folds=1"), "{text}");

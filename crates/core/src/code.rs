@@ -26,6 +26,8 @@
 //! surface resolution errors at compile time that the old evaluator would
 //! have raised mid-run.
 
+use std::collections::BTreeMap;
+
 use crate::action::{Block, Expr, GenTarget, LValue, Stmt};
 use crate::error::{CoreError, Result};
 use crate::ids::{ActorId, AssocId, AttrId, ClassId, EventId, StateId};
@@ -274,11 +276,11 @@ impl CAction {
 /// Returns [`CoreError::Unresolved`] for unknown names and
 /// [`CoreError::Runtime`] for statically-detectable misuse (arity
 /// mismatches, navigating to the wrong class, `after` on actor signals).
-pub fn compile_block(
-    domain: &Domain,
+pub fn compile_block<'d>(
+    domain: &'d Domain,
     self_class: ClassId,
     params: &[(String, DataType)],
-    block: &Block,
+    block: &'d Block,
 ) -> Result<CAction> {
     let mut c = Compiler {
         domain,
@@ -286,6 +288,7 @@ pub fn compile_block(
         names: params.iter().map(|(n, _)| n.clone()).collect(),
         types: params.iter().map(|(_, t)| Some(*t)).collect(),
         params: params.len(),
+        locals: BTreeMap::new(),
         selected: Vec::new(),
     };
     let code = c.block(block)?;
@@ -411,22 +414,21 @@ struct Compiler<'d> {
     /// with a different type — only possible in unvalidated blocks).
     types: Vec<Option<DataType>>,
     params: usize,
+    /// Slot of each local, by name.
+    locals: BTreeMap<&'d str, Slot>,
     /// Stack of candidate classes for nested `where` clauses.
     selected: Vec<ClassId>,
 }
 
-impl Compiler<'_> {
+impl<'d> Compiler<'d> {
     /// Finds a local variable's slot (parameters are not visible as bare
     /// variables; the evaluator kept them in a separate namespace).
     fn local(&self, name: &str) -> Option<Slot> {
-        self.names[self.params..]
-            .iter()
-            .position(|n| n == name)
-            .map(|i| i + self.params)
+        self.locals.get(name).copied()
     }
 
     /// Binds a local, allocating a slot at first textual binding.
-    fn bind(&mut self, name: &str, ty: Option<DataType>) -> Slot {
+    fn bind(&mut self, name: &'d str, ty: Option<DataType>) -> Slot {
         match self.local(name) {
             Some(slot) => {
                 if self.types[slot] != ty {
@@ -435,9 +437,11 @@ impl Compiler<'_> {
                 slot
             }
             None => {
+                let slot = self.names.len();
                 self.names.push(name.to_owned());
                 self.types.push(ty);
-                self.names.len() - 1
+                self.locals.insert(name, slot);
+                slot
             }
         }
     }
@@ -451,11 +455,11 @@ impl Compiler<'_> {
         })
     }
 
-    fn block(&mut self, block: &Block) -> Result<Vec<CStmt>> {
+    fn block(&mut self, block: &'d Block) -> Result<Vec<CStmt>> {
         block.stmts.iter().map(|s| self.stmt(s)).collect()
     }
 
-    fn stmt(&mut self, stmt: &Stmt) -> Result<CStmt> {
+    fn stmt(&mut self, stmt: &'d Stmt) -> Result<CStmt> {
         match stmt {
             Stmt::Assign { lhs, expr, .. } => {
                 let (value, vty) = self.expr(expr)?;

@@ -1,9 +1,10 @@
-//! The action-language evaluator, parameterised over an execution host.
+//! The action-execution interface: the services an execution host gives a
+//! running action, and the per-dispatch execution context.
 //!
 //! The paper's model compiler "may [implement the model] any manner it
 //! chooses so long as the defined behavior is preserved" (§4). We make the
-//! *defined behaviour* a single reusable artifact: this module executes
-//! compiled action blocks (see [`code`](crate::code)) against the
+//! *defined behaviour* a single reusable artifact: every state action runs
+//! on the register bytecode VM ([`run_bc`](crate::bc::run_bc)) against the
 //! [`ActionHost`] trait, and every execution platform in the workspace —
 //! the abstract model interpreter (`xtuml-exec`), the generated-hardware
 //! FSMs (`xtuml-mda` lowering onto `xtuml-rtl`) and the generated-software
@@ -13,18 +14,15 @@
 //! transport semantics, which is exactly what the verification layer
 //! checks.
 //!
-//! Actions execute from the slot-resolved IR, not the AST: variables live
-//! in a dense frame (`Vec<Option<Value>>`), attributes/associations/events
-//! are pre-resolved ids, so the per-dispatch cost is a plain tree walk
-//! with no name lookups. Fuel accounting is unchanged from the AST
-//! evaluator — one unit per statement and per expression node — so the
-//! substrates' cost models see identical step counts.
+//! Fuel is one unit per statement and per expression node of the
+//! slot-resolved IR (see [`code`](crate::code)), so every substrate's cost
+//! model sees the same step count for the same action.
 
-use crate::code::{CAction, CExpr, CStmt, Slot};
+use crate::code::CAction;
 use crate::error::{CoreError, Result};
 use crate::ids::{ActorId, AssocId, AttrId, ClassId, EventId, InstId};
 use crate::model::Domain;
-use crate::value::{apply_binop, apply_unop, Value};
+use crate::value::Value;
 
 /// The services an execution platform provides to running actions.
 ///
@@ -248,15 +246,6 @@ pub enum Outcome {
     Returned,
 }
 
-/// Control-flow signal inside loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Flow {
-    Normal,
-    Broke,
-    Continued,
-    Returned,
-}
-
 /// Default fuel: maximum primitive steps per action block before the
 /// interpreter assumes a runaway loop. Run-to-completion semantics make an
 /// unbounded action block a model error, not a scheduling choice.
@@ -333,618 +322,14 @@ impl ExecCtx {
     }
 }
 
-/// Executes a compiled action to completion against `host`.
-///
-/// Returns the outcome and leaves the accumulated step count in
-/// `ctx.steps` (the substrates' cost models read it).
-///
-/// # Errors
-///
-/// Propagates runtime errors ([`CoreError::Runtime`]) and unbound-slot
-/// reads ([`CoreError::Unresolved`]) from the statements executed.
-pub fn run_code<H: ActionHost>(
-    host: &mut H,
-    ctx: &mut ExecCtx,
-    action: &CAction,
-) -> Result<Outcome> {
-    match exec_stmts(host, ctx, action, &action.code)? {
-        Flow::Returned => Ok(Outcome::Returned),
-        Flow::Broke | Flow::Continued => {
-            Err(CoreError::runtime("`break`/`continue` outside of a loop"))
-        }
-        Flow::Normal => Ok(Outcome::Completed),
-    }
-}
-
-fn exec_stmts<H: ActionHost>(
-    host: &mut H,
-    ctx: &mut ExecCtx,
-    action: &CAction,
-    stmts: &[CStmt],
-) -> Result<Flow> {
-    for stmt in stmts {
-        match exec_stmt(host, ctx, action, stmt)? {
-            Flow::Normal => {}
-            other => return Ok(other),
-        }
-    }
-    Ok(Flow::Normal)
-}
-
-fn exec_stmt<H: ActionHost>(
-    host: &mut H,
-    ctx: &mut ExecCtx,
-    action: &CAction,
-    stmt: &CStmt,
-) -> Result<Flow> {
-    ctx.burn(1)?;
-    match stmt {
-        CStmt::AssignSlot { slot, expr } => {
-            let v = eval(host, ctx, action, expr)?;
-            ctx.frame[*slot] = Some(v);
-            Ok(Flow::Normal)
-        }
-        CStmt::AssignAttr { base, attr, expr } => {
-            let v = eval(host, ctx, action, expr)?;
-            // Same `self.x` fast path as `CExpr::Attr` in [`eval`].
-            let inst = if matches!(base, CExpr::SelfRef) {
-                ctx.burn(1)?;
-                ctx.self_inst
-            } else {
-                eval(host, ctx, action, base)?.as_inst()?
-            };
-            host.attr_write(inst, *attr, v)?;
-            Ok(Flow::Normal)
-        }
-        CStmt::Create { slot, class } => {
-            let inst = host.create(*class)?;
-            ctx.frame[*slot] = Some(Value::Inst(*class, Some(inst)));
-            Ok(Flow::Normal)
-        }
-        CStmt::Delete { expr } => {
-            let inst = eval(host, ctx, action, expr)?.as_inst()?;
-            host.delete(inst)?;
-            Ok(Flow::Normal)
-        }
-        CStmt::SelectAny {
-            slot,
-            class,
-            filter,
-        } => {
-            let picked = match filter {
-                None => {
-                    let first = host.first_instance_of(*class);
-                    if first.is_some() {
-                        ctx.burn(1)?;
-                    }
-                    first
-                }
-                Some(f) => select_first(host, ctx, action, *class, f)?,
-            };
-            ctx.frame[*slot] = Some(Value::Inst(*class, picked));
-            Ok(Flow::Normal)
-        }
-        CStmt::SelectMany {
-            slot,
-            class,
-            filter,
-        } => {
-            let matched = match filter {
-                None => {
-                    let all = host.instances_of(*class);
-                    ctx.burn(all.len() as u64)?;
-                    all
-                }
-                Some(f) => select_filtered(host, ctx, action, *class, f)?,
-            };
-            ctx.frame[*slot] = Some(Value::Set(*class, matched));
-            Ok(Flow::Normal)
-        }
-        CStmt::Relate { a, b, assoc } => {
-            let ia = eval(host, ctx, action, a)?.as_inst()?;
-            let ib = eval(host, ctx, action, b)?.as_inst()?;
-            host.relate(ia, ib, *assoc)?;
-            Ok(Flow::Normal)
-        }
-        CStmt::Unrelate { a, b, assoc } => {
-            let ia = eval(host, ctx, action, a)?.as_inst()?;
-            let ib = eval(host, ctx, action, b)?.as_inst()?;
-            host.unrelate(ia, ib, *assoc)?;
-            Ok(Flow::Normal)
-        }
-        CStmt::GenInst {
-            event,
-            args,
-            target,
-            delay,
-        } => {
-            match delay {
-                None => {
-                    // Hot path: build the payload in a pooled buffer
-                    // (same recycling the bytecode VM's sends use), so
-                    // steady-state frame-interpreted sends allocate
-                    // nothing either.
-                    let payload = eval_payload(host, ctx, action, args)?;
-                    let to = eval(host, ctx, action, target)?.as_inst()?;
-                    host.send_arc(ctx.self_inst, to, *event, payload)?;
-                }
-                Some(d) => {
-                    let mut vals = Vec::with_capacity(args.len());
-                    for a in args {
-                        vals.push(eval(host, ctx, action, a)?);
-                    }
-                    let to = eval(host, ctx, action, target)?.as_inst()?;
-                    let ticks = eval(host, ctx, action, d)?.as_int()?;
-                    if ticks < 0 {
-                        return Err(CoreError::runtime("negative signal delay"));
-                    }
-                    host.send_delayed(ctx.self_inst, to, *event, vals, ticks)?;
-                }
-            }
-            Ok(Flow::Normal)
-        }
-        CStmt::GenActor { actor, event, args } => {
-            let payload = eval_payload(host, ctx, action, args)?;
-            host.send_actor_arc(ctx.self_inst, *actor, *event, payload)?;
-            Ok(Flow::Normal)
-        }
-        CStmt::Cancel { event } => {
-            host.cancel_delayed(ctx.self_inst, *event)?;
-            Ok(Flow::Normal)
-        }
-        CStmt::If { arms, otherwise } => {
-            for (cond, body) in arms {
-                if eval(host, ctx, action, cond)?.as_bool()? {
-                    return exec_stmts(host, ctx, action, body);
-                }
-            }
-            if let Some(body) = otherwise {
-                return exec_stmts(host, ctx, action, body);
-            }
-            Ok(Flow::Normal)
-        }
-        CStmt::While { cond, body } => {
-            while eval(host, ctx, action, cond)?.as_bool()? {
-                ctx.burn(1)?;
-                match exec_stmts(host, ctx, action, body)? {
-                    Flow::Broke => break,
-                    Flow::Returned => return Ok(Flow::Returned),
-                    Flow::Normal | Flow::Continued => {}
-                }
-            }
-            Ok(Flow::Normal)
-        }
-        CStmt::ForEach { slot, set, body } => {
-            let set_v = eval(host, ctx, action, set)?;
-            let Value::Set(class, items) = set_v else {
-                return Err(CoreError::runtime(format!(
-                    "foreach needs a set, got {}",
-                    set_v.data_type()
-                )));
-            };
-            for item in items {
-                ctx.burn(1)?;
-                ctx.frame[*slot] = Some(Value::Inst(class, Some(item)));
-                match exec_stmts(host, ctx, action, body)? {
-                    Flow::Broke => break,
-                    Flow::Returned => return Ok(Flow::Returned),
-                    Flow::Normal | Flow::Continued => {}
-                }
-            }
-            Ok(Flow::Normal)
-        }
-        CStmt::Break => Ok(Flow::Broke),
-        CStmt::Continue => Ok(Flow::Continued),
-        CStmt::Return => Ok(Flow::Returned),
-        CStmt::ExprStmt(expr) => {
-            eval(host, ctx, action, expr)?;
-            Ok(Flow::Normal)
-        }
-    }
-}
-
-/// `select any … where f`: first candidate passing the filter.
-fn select_first<H: ActionHost>(
-    host: &mut H,
-    ctx: &mut ExecCtx,
-    action: &CAction,
-    class: ClassId,
-    filter: &CExpr,
-) -> Result<Option<InstId>> {
-    // The filter needs `&mut host`, so candidates must be materialised
-    // before evaluation (the host cannot be borrowed while iterating it)
-    // — into the reusable scratch buffer, not a fresh `Vec`.
-    let mut cands = std::mem::take(&mut ctx.scratch);
-    cands.clear();
-    host.each_instance(class, &mut |i| cands.push(i));
-    let mut picked = None;
-    for &inst in &cands {
-        ctx.burn(1)?;
-        let saved = ctx.selected.replace(Value::Inst(class, Some(inst)));
-        let keep = eval(host, ctx, action, filter).and_then(|v| v.as_bool());
-        ctx.selected = saved;
-        match keep {
-            Ok(true) => {
-                picked = Some(inst);
-                break;
-            }
-            Ok(false) => {}
-            Err(e) => {
-                ctx.scratch = cands;
-                return Err(e);
-            }
-        }
-    }
-    ctx.scratch = cands;
-    Ok(picked)
-}
-
-/// `select many … where f`: all candidates passing the filter.
-fn select_filtered<H: ActionHost>(
-    host: &mut H,
-    ctx: &mut ExecCtx,
-    action: &CAction,
-    class: ClassId,
-    filter: &CExpr,
-) -> Result<Vec<InstId>> {
-    // The output `Vec` is the result (it becomes a `Value::Set`), but the
-    // candidate list goes through the reusable scratch buffer.
-    let mut cands = std::mem::take(&mut ctx.scratch);
-    cands.clear();
-    host.each_instance(class, &mut |i| cands.push(i));
-    let mut out = Vec::new();
-    for &inst in &cands {
-        ctx.burn(1)?;
-        let saved = ctx.selected.replace(Value::Inst(class, Some(inst)));
-        let keep = eval(host, ctx, action, filter).and_then(|v| v.as_bool());
-        ctx.selected = saved;
-        match keep {
-            Ok(true) => out.push(inst),
-            Ok(false) => {}
-            Err(e) => {
-                ctx.scratch = cands;
-                return Err(e);
-            }
-        }
-    }
-    ctx.scratch = cands;
-    Ok(out)
-}
-
-/// Evaluates send arguments into an `Arc<[Value]>` payload, reusing a
-/// uniquely-owned buffer from the host's payload pool when one of the
-/// right arity is available, and allocating otherwise. Argument
-/// evaluation order (and therefore burn/error order) matches the plain
-/// `Vec` path exactly.
-fn eval_payload<H: ActionHost>(
-    host: &mut H,
-    ctx: &mut ExecCtx,
-    action: &CAction,
-    args: &[CExpr],
-) -> Result<std::sync::Arc<[Value]>> {
-    match host.take_payload(args.len()) {
-        Some(mut arc) => {
-            for (i, a) in args.iter().enumerate() {
-                let v = eval(host, ctx, action, a)?;
-                std::sync::Arc::get_mut(&mut arc).expect("pooled payloads are uniquely owned")[i] =
-                    v;
-            }
-            Ok(arc)
-        }
-        None => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval(host, ctx, action, a)?);
-            }
-            Ok(std::sync::Arc::from(vals))
-        }
-    }
-}
-
-fn unbound_slot(action: &CAction, slot: Slot) -> CoreError {
-    let kind = if slot < action.layout.params() {
-        "event parameter"
-    } else {
-        "variable"
-    };
-    CoreError::unresolved(kind, action.layout.name(slot).to_owned())
-}
-
-/// Evaluates a compiled expression.
-///
-/// # Errors
-///
-/// Propagates runtime and unbound-slot errors.
-pub fn eval<H: ActionHost>(
-    host: &mut H,
-    ctx: &mut ExecCtx,
-    action: &CAction,
-    expr: &CExpr,
-) -> Result<Value> {
-    ctx.burn(1)?;
-    match expr {
-        CExpr::Lit(v) => Ok(v.clone()),
-        CExpr::Slot(slot) => ctx.frame[*slot]
-            .clone()
-            .ok_or_else(|| unbound_slot(action, *slot)),
-        CExpr::SelfRef => Ok(Value::Inst(ctx.self_class, Some(ctx.self_inst))),
-        CExpr::Selected => ctx
-            .selected
-            .clone()
-            .ok_or_else(|| CoreError::runtime("`selected` used outside a `where` clause")),
-        CExpr::Attr(base, attr) => {
-            // `self.x` is the dominant shape: burn the base node's step
-            // without materialising a `Value::Inst` round trip.
-            let inst = if matches!(base.as_ref(), CExpr::SelfRef) {
-                ctx.burn(1)?;
-                ctx.self_inst
-            } else {
-                eval(host, ctx, action, base)?.as_inst()?
-            };
-            host.attr_read(inst, *attr)
-        }
-        CExpr::Nav {
-            base,
-            assoc,
-            target,
-        } => {
-            let base_v = eval(host, ctx, action, base)?;
-            let mut out: Vec<InstId> = Vec::new();
-            let mut visit = |src: InstId, host: &H| {
-                host.related_each(src, *assoc, &mut |t| {
-                    if !out.contains(&t) {
-                        out.push(t);
-                    }
-                })
-            };
-            match base_v {
-                Value::Inst(_, Some(i)) => visit(i, host)?,
-                Value::Inst(_, None) => {}
-                Value::Set(_, items) => {
-                    for src in items {
-                        visit(src, host)?;
-                    }
-                }
-                other => {
-                    return Err(CoreError::runtime(format!(
-                        "cannot navigate from {}",
-                        other.data_type()
-                    )))
-                }
-            }
-            Ok(Value::Set(*target, out))
-        }
-        CExpr::Unary(op, e) => {
-            // Slot operands are read by reference: `any(set)` must not
-            // clone the whole set to pick one element. Burn the step the
-            // slot read would have burned.
-            if let CExpr::Slot(slot) = e.as_ref() {
-                ctx.burn(1)?;
-                let v = ctx.frame[*slot]
-                    .as_ref()
-                    .ok_or_else(|| unbound_slot(action, *slot))?;
-                return apply_unop(*op, v);
-            }
-            let v = eval(host, ctx, action, e)?;
-            apply_unop(*op, &v)
-        }
-        CExpr::Binary(op, a, b) => {
-            let va = eval(host, ctx, action, a)?;
-            let vb = eval(host, ctx, action, b)?;
-            apply_binop(*op, &va, &vb)
-        }
-        CExpr::Bridge { actor, func, args } => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval(host, ctx, action, a)?);
-            }
-            host.bridge_call(*actor, func, vals)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bc::{lower_action, run_bc, BcAction};
     use crate::code::compile_block;
-    use crate::model::{Actor, Attribute, Class, EventDecl};
     use crate::parse::parse_block;
+    use crate::testhost::{fresh, TestHost};
     use crate::value::DataType;
-
-    /// A minimal in-memory host for interpreter unit tests.
-    struct MiniHost {
-        domain: Domain,
-        // (class, attrs, alive)
-        instances: Vec<(ClassId, Vec<Value>, bool)>,
-        links: Vec<(AssocId, InstId, InstId)>,
-        sent: Vec<(InstId, InstId, EventId, Vec<Value>)>,
-        actor_sent: Vec<(ActorId, EventId, Vec<Value>)>,
-        delayed: Vec<(InstId, EventId, i64)>,
-        log: Vec<String>,
-    }
-
-    impl MiniHost {
-        fn new(domain: Domain) -> MiniHost {
-            MiniHost {
-                domain,
-                instances: Vec::new(),
-                links: Vec::new(),
-                sent: Vec::new(),
-                actor_sent: Vec::new(),
-                delayed: Vec::new(),
-                log: Vec::new(),
-            }
-        }
-
-        fn check_live(&self, inst: InstId) -> Result<()> {
-            match self.instances.get(inst.index()) {
-                Some((_, _, true)) => Ok(()),
-                _ => Err(CoreError::runtime(format!("dangling instance {inst}"))),
-            }
-        }
-    }
-
-    impl ActionHost for MiniHost {
-        fn domain(&self) -> &Domain {
-            &self.domain
-        }
-        fn create(&mut self, class: ClassId) -> Result<InstId> {
-            let attrs = self
-                .domain
-                .class(class)
-                .attributes
-                .iter()
-                .map(|a| a.default.clone())
-                .collect();
-            self.instances.push((class, attrs, true));
-            Ok(InstId::new(self.instances.len() as u32 - 1))
-        }
-        fn delete(&mut self, inst: InstId) -> Result<()> {
-            self.check_live(inst)?;
-            self.instances[inst.index()].2 = false;
-            Ok(())
-        }
-        fn class_of(&self, inst: InstId) -> Result<ClassId> {
-            self.check_live(inst)?;
-            Ok(self.instances[inst.index()].0)
-        }
-        fn attr_read(&self, inst: InstId, attr: AttrId) -> Result<Value> {
-            self.check_live(inst)?;
-            Ok(self.instances[inst.index()].1[attr.index()].clone())
-        }
-        fn attr_write(&mut self, inst: InstId, attr: AttrId, value: Value) -> Result<()> {
-            self.check_live(inst)?;
-            self.instances[inst.index()].1[attr.index()] = value;
-            Ok(())
-        }
-        fn instances_of(&self, class: ClassId) -> Vec<InstId> {
-            self.instances
-                .iter()
-                .enumerate()
-                .filter(|(_, (c, _, alive))| *alive && *c == class)
-                .map(|(i, _)| InstId::new(i as u32))
-                .collect()
-        }
-        fn related(&self, inst: InstId, assoc: AssocId) -> Result<Vec<InstId>> {
-            self.check_live(inst)?;
-            Ok(self
-                .links
-                .iter()
-                .filter(|(a, x, y)| *a == assoc && (*x == inst || *y == inst))
-                .map(|(_, x, y)| if *x == inst { *y } else { *x })
-                .collect())
-        }
-        fn relate(&mut self, a: InstId, b: InstId, assoc: AssocId) -> Result<()> {
-            self.links.push((assoc, a, b));
-            Ok(())
-        }
-        fn unrelate(&mut self, a: InstId, b: InstId, assoc: AssocId) -> Result<()> {
-            let before = self.links.len();
-            self.links.retain(|(x, p, q)| {
-                !(*x == assoc && ((*p == a && *q == b) || (*p == b && *q == a)))
-            });
-            if self.links.len() == before {
-                return Err(CoreError::runtime("no such link"));
-            }
-            Ok(())
-        }
-        fn send(
-            &mut self,
-            from: InstId,
-            to: InstId,
-            event: EventId,
-            args: Vec<Value>,
-        ) -> Result<()> {
-            self.check_live(to)?;
-            self.sent.push((from, to, event, args));
-            Ok(())
-        }
-        fn send_actor(
-            &mut self,
-            _from: InstId,
-            actor: ActorId,
-            event: EventId,
-            args: Vec<Value>,
-        ) -> Result<()> {
-            self.actor_sent.push((actor, event, args));
-            Ok(())
-        }
-        fn send_delayed(
-            &mut self,
-            _from: InstId,
-            to: InstId,
-            event: EventId,
-            _args: Vec<Value>,
-            delay: i64,
-        ) -> Result<()> {
-            self.delayed.push((to, event, delay));
-            Ok(())
-        }
-        fn cancel_delayed(&mut self, inst: InstId, event: EventId) -> Result<()> {
-            self.delayed
-                .retain(|(i, e, _)| !(*i == inst && *e == event));
-            Ok(())
-        }
-        fn bridge_call(&mut self, actor: ActorId, func: &str, args: Vec<Value>) -> Result<Value> {
-            let name = &self.domain.actor(actor).name;
-            self.log.push(format!("{name}::{func}({args:?})"));
-            Ok(Value::Int(args.len() as i64))
-        }
-    }
-
-    fn test_domain() -> Domain {
-        let mut d = Domain::new("t");
-        d.classes.push(Class {
-            name: "Counter".into(),
-            attributes: vec![Attribute {
-                name: "n".into(),
-                ty: DataType::Int,
-                default: Value::Int(0),
-            }],
-            events: vec![
-                EventDecl {
-                    name: "Tick".into(),
-                    params: vec![],
-                },
-                EventDecl {
-                    name: "Set".into(),
-                    params: vec![("v".into(), DataType::Int)],
-                },
-            ],
-            state_machine: None,
-        });
-        d.classes.push(Class {
-            name: "Lamp".into(),
-            attributes: vec![Attribute {
-                name: "on".into(),
-                ty: DataType::Bool,
-                default: Value::Bool(false),
-            }],
-            events: vec![],
-            state_machine: None,
-        });
-        d.associations.push(crate::model::Association {
-            name: "R1".into(),
-            from: ClassId::new(0),
-            to: ClassId::new(1),
-            from_mult: crate::model::Multiplicity::One,
-            to_mult: crate::model::Multiplicity::Many,
-        });
-        d.actors.push(Actor {
-            name: "ENV".into(),
-            events: vec![EventDecl {
-                name: "done".into(),
-                params: vec![("code".into(), DataType::Int)],
-            }],
-            funcs: vec![crate::model::FuncDecl {
-                name: "info".into(),
-                params: vec![("msg".into(), DataType::Str)],
-                ret: None,
-            }],
-        });
-        d.reindex().unwrap();
-        d
-    }
 
     /// A compiled-and-executed block plus its final frame, with name-based
     /// access for assertions.
@@ -967,31 +352,43 @@ mod tests {
         }
     }
 
-    fn run(host: &mut MiniHost, self_inst: InstId, src: &str) -> Result<Run> {
+    /// Compiles `src` for `self_class` with event parameters `params` and
+    /// lowers it to bytecode, as the engines do at construction.
+    fn lower(
+        host: &TestHost,
+        self_class: ClassId,
+        params: &[(String, DataType)],
+        src: &str,
+    ) -> Result<(CAction, BcAction)> {
         let block = parse_block(src).unwrap();
-        let self_class = host.class_of(self_inst)?;
-        let action = compile_block(&host.domain, self_class, &[], &block)?;
-        let mut ctx = ExecCtx::new(self_inst, &action);
-        run_code(host, &mut ctx, &action)?;
-        Ok(Run { action, ctx })
+        let action = compile_block(&host.domain, self_class, params, &block)?;
+        let bca = lower_action(&action).expect("test actions fit the operand encoding");
+        Ok((action, bca))
     }
 
-    fn host_with_counter() -> (MiniHost, InstId) {
-        let mut h = MiniHost::new(test_domain());
-        let i = h.create(ClassId::new(0)).unwrap();
-        (h, i)
+    /// A fresh context on a register file sized for `bca`.
+    fn vm_ctx(self_inst: InstId, bca: &BcAction) -> ExecCtx {
+        ExecCtx::with_frame(self_inst, bca.self_class, vec![None; bca.n_regs])
+    }
+
+    fn run(host: &mut TestHost, self_inst: InstId, src: &str) -> Result<Run> {
+        let self_class = host.class_of(self_inst)?;
+        let (action, bca) = lower(host, self_class, &[], src)?;
+        let mut ctx = vm_ctx(self_inst, &bca);
+        run_bc(host, &mut ctx, &bca)?;
+        Ok(Run { action, ctx })
     }
 
     #[test]
     fn assign_and_attrs() {
-        let (mut h, i) = host_with_counter();
+        let (mut h, i) = fresh();
         run(&mut h, i, "self.n = self.n + 41; x = self.n + 1;").unwrap();
         assert_eq!(h.attr_read(i, AttrId::new(0)).unwrap(), Value::Int(41));
     }
 
     #[test]
     fn create_select_delete() {
-        let (mut h, i) = host_with_counter();
+        let (mut h, i) = fresh();
         let r = run(
             &mut h,
             i,
@@ -1009,7 +406,7 @@ mod tests {
 
     #[test]
     fn select_with_where() {
-        let (mut h, i) = host_with_counter();
+        let (mut h, i) = fresh();
         let r = run(
             &mut h,
             i,
@@ -1029,14 +426,14 @@ mod tests {
 
     #[test]
     fn select_any_empty_binds_empty_ref() {
-        let (mut h, i) = host_with_counter();
+        let (mut h, i) = fresh();
         let r = run(&mut h, i, "select any l from Lamp; e = empty(l);").unwrap();
         assert_eq!(r.local("e"), Value::Bool(true));
     }
 
     #[test]
     fn relate_navigate_unrelate() {
-        let (mut h, i) = host_with_counter();
+        let (mut h, i) = fresh();
         let r = run(
             &mut h,
             i,
@@ -1055,13 +452,13 @@ mod tests {
 
     #[test]
     fn navigation_wrong_class_is_error() {
-        let (mut h, i) = host_with_counter();
+        let (mut h, i) = fresh();
         assert!(run(&mut h, i, "x = self -> Counter[R1];").is_err());
     }
 
     #[test]
     fn generate_to_instance_and_actor() {
-        let (mut h, i) = host_with_counter();
+        let (mut h, i) = fresh();
         run(
             &mut h,
             i,
@@ -1070,30 +467,30 @@ mod tests {
              gen done(0) to ENV;",
         )
         .unwrap();
-        assert_eq!(h.sent.len(), 1);
-        assert_eq!(h.sent[0].2, EventId::new(1));
-        assert_eq!(h.sent[0].3, vec![Value::Int(7)]);
-        assert_eq!(h.delayed, vec![(i, EventId::new(0), 10)]);
-        assert_eq!(h.actor_sent.len(), 1);
+        assert_eq!(h.fx.sent.len(), 1);
+        assert_eq!(h.fx.sent[0].2, EventId::new(1));
+        assert_eq!(h.fx.sent[0].3, vec![Value::Int(7)]);
+        assert_eq!(h.fx.delayed, vec![(i, EventId::new(0), 10)]);
+        assert_eq!(h.fx.actor_sent.len(), 1);
     }
 
     #[test]
     fn cancel_removes_delayed() {
-        let (mut h, i) = host_with_counter();
+        let (mut h, i) = fresh();
         run(&mut h, i, "gen Tick() to self after 10; cancel Tick;").unwrap();
-        assert!(h.delayed.is_empty());
+        assert!(h.fx.delayed.is_empty());
     }
 
     #[test]
     fn wrong_arity_is_an_error() {
-        let (mut h, i) = host_with_counter();
+        let (mut h, i) = fresh();
         assert!(run(&mut h, i, "gen Set() to self;").is_err());
         assert!(run(&mut h, i, "gen done() to ENV;").is_err());
     }
 
     #[test]
     fn control_flow_loops() {
-        let (mut h, i) = host_with_counter();
+        let (mut h, i) = fresh();
         let r = run(
             &mut h,
             i,
@@ -1111,61 +508,48 @@ mod tests {
 
     #[test]
     fn return_stops_block() {
-        let (mut h, i) = host_with_counter();
+        let (mut h, i) = fresh();
         let r = run(&mut h, i, "x = 1; return; x = 2;").unwrap();
         assert_eq!(r.local("x"), Value::Int(1));
     }
 
     #[test]
     fn runaway_loop_exhausts_fuel() {
-        let (mut h, i) = host_with_counter();
-        let block = parse_block("while (true) { x = 1; }").unwrap();
-        let action = compile_block(&h.domain, ClassId::new(0), &[], &block).unwrap();
-        let mut ctx = ExecCtx::new(i, &action);
+        let (mut h, i) = fresh();
+        let (_, bca) = lower(&h, ClassId::new(0), &[], "while (true) { x = 1; }").unwrap();
+        let mut ctx = vm_ctx(i, &bca);
         ctx.fuel = 1000;
-        let err = run_code(&mut h, &mut ctx, &action).unwrap_err();
+        let err = run_bc(&mut h, &mut ctx, &bca).unwrap_err();
         assert!(err.to_string().contains("fuel"));
     }
 
     #[test]
     fn bridge_call_reaches_host() {
-        let (mut h, i) = host_with_counter();
+        let (mut h, i) = fresh();
         let r = run(&mut h, i, "ENV::info(\"hi\"); r = ENV::info(\"a\");").unwrap();
-        assert_eq!(h.log.len(), 2);
+        assert_eq!(h.fx.log.len(), 2);
         assert_eq!(r.local("r"), Value::Int(1));
     }
 
     #[test]
     fn event_params_via_rcvd() {
-        let (mut h, i) = host_with_counter();
-        let block = parse_block("self.n = rcvd.v * 2;").unwrap();
-        let action = compile_block(
-            &h.domain,
-            ClassId::new(0),
-            &[("v".to_owned(), DataType::Int)],
-            &block,
-        )
-        .unwrap();
-        let mut ctx = ExecCtx::new(i, &action);
+        let (mut h, i) = fresh();
+        let params = [("v".to_owned(), DataType::Int)];
+        let (_, bca) = lower(&h, ClassId::new(0), &params, "self.n = rcvd.v * 2;").unwrap();
+        let mut ctx = vm_ctx(i, &bca);
         ctx.bind_args([Value::Int(21)]);
-        run_code(&mut h, &mut ctx, &action).unwrap();
+        run_bc(&mut h, &mut ctx, &bca).unwrap();
         assert_eq!(h.attr_read(i, AttrId::new(0)).unwrap(), Value::Int(42));
     }
 
     #[test]
     fn unbound_param_read_is_resolution_error() {
-        let (mut h, i) = host_with_counter();
-        let block = parse_block("self.n = rcvd.v * 2;").unwrap();
-        let action = compile_block(
-            &h.domain,
-            ClassId::new(0),
-            &[("v".to_owned(), DataType::Int)],
-            &block,
-        )
-        .unwrap();
+        let (mut h, i) = fresh();
+        let params = [("v".to_owned(), DataType::Int)];
+        let (_, bca) = lower(&h, ClassId::new(0), &params, "self.n = rcvd.v * 2;").unwrap();
         // No arguments bound: the parameter slot stays empty.
-        let mut ctx = ExecCtx::new(i, &action);
-        let err = run_code(&mut h, &mut ctx, &action).unwrap_err();
+        let mut ctx = vm_ctx(i, &bca);
+        let err = run_bc(&mut h, &mut ctx, &bca).unwrap_err();
         assert!(matches!(
             err,
             CoreError::Unresolved {
@@ -1177,13 +561,13 @@ mod tests {
 
     #[test]
     fn dangling_reference_detected() {
-        let (mut h, i) = host_with_counter();
+        let (mut h, i) = fresh();
         assert!(run(&mut h, i, "a = create Lamp; delete a; a.on = true;").is_err());
     }
 
     #[test]
     fn unknown_variable_is_resolution_error() {
-        let (mut h, i) = host_with_counter();
+        let (mut h, i) = fresh();
         let err = run(&mut h, i, "x = nope + 1;").unwrap_err();
         assert!(matches!(
             err,
@@ -1199,7 +583,7 @@ mod tests {
         // Flow-insensitive compilation allocates the slot, but reading it
         // before any assignment executed must still fail, as the
         // name-resolving evaluator did.
-        let (mut h, i) = host_with_counter();
+        let (mut h, i) = fresh();
         let err = run(
             &mut h,
             i,
@@ -1218,7 +602,7 @@ mod tests {
 
     #[test]
     fn steps_are_counted() {
-        let (mut h, i) = host_with_counter();
+        let (mut h, i) = fresh();
         let r = run(&mut h, i, "x = 1;").unwrap();
         // one statement + the literal expression node at minimum.
         assert!(r.ctx.steps >= 2);

@@ -16,10 +16,11 @@
 //! * **marks** (paper §3) — lightweight, non-intrusive annotations kept
 //!   *outside* the model ([`marks::MarkSet`]).
 //!
-//! The crate also provides the shared action-language interpreter
-//! ([`interp`]): the same evaluator executes actions in the abstract model
-//! interpreter (`xtuml-exec`), in the generated-hardware substrate and in
-//! the generated-software substrate (`xtuml-mda`), which is how the paper's
+//! The crate also provides the one action executor, the register bytecode
+//! VM ([`bc`]), and the host interface it runs against ([`interp`]): the
+//! same VM executes actions in the abstract model interpreter
+//! (`xtuml-exec`), in the generated-hardware substrate and in the
+//! generated-software substrate (`xtuml-mda`), which is how the paper's
 //! "defined behavior is preserved" guarantee is made testable.
 //!
 //! ```
@@ -55,9 +56,13 @@ pub mod lint;
 pub mod marks;
 pub mod model;
 pub mod parse;
+#[cfg(test)]
+mod testhost;
 pub mod typeck;
 pub mod validate;
 pub mod value;
+#[cfg(test)]
+mod walker;
 
 pub use error::{CoreError, Result};
 pub use ids::{ActorId, AssocId, AttrId, ClassId, EventId, InstId, StateId};

@@ -114,11 +114,27 @@ const RESERVED: &[&str] = &[
     "bool",
 ];
 
+/// The deepest nesting the parser accepts. Braced blocks, expressions
+/// (parenthesised or not) and unary operators each open a level; an
+/// operator chain (`a + b + c`, `x.p.q`) takes one level per operator,
+/// since its tree is as deep as the chain is long. Each level costs the
+/// parser or a later pass over the tree a few stack frames, so without a
+/// bound one action of nested `(` or of a 100,000-term sum overflows the
+/// stack and aborts the process. Shipped models nest fewer than ten
+/// levels deep.
+pub const MAX_NESTING: usize = 64;
+
+/// An expression and its height: the nodes on its longest root-to-leaf
+/// path.
+type Tall = (Expr, usize);
+
 /// A resumable recursive-descent parser over a token slice.
 pub struct Parser<'t> {
     toks: &'t [Spanned],
     at: usize,
     actors: BTreeSet<String>,
+    /// Current nesting depth (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl<'t> Parser<'t> {
@@ -128,6 +144,7 @@ impl<'t> Parser<'t> {
             toks,
             at: 0,
             actors: BTreeSet::new(),
+            depth: 0,
         }
     }
 
@@ -138,6 +155,7 @@ impl<'t> Parser<'t> {
             toks,
             at: 0,
             actors,
+            depth: 0,
         }
     }
 
@@ -248,6 +266,37 @@ impl<'t> Parser<'t> {
         }
     }
 
+    fn too_deep(&self) -> CoreError {
+        self.err(format!("nesting deeper than {MAX_NESTING} levels"))
+    }
+
+    /// Runs `f` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// The height of a chain node over a child `height` levels tall.
+    /// Chains build their trees in a loop rather than by recursion, so
+    /// this, not [`Self::nested`], keeps them within [`MAX_NESTING`].
+    fn taller(&self, height: usize) -> Result<usize> {
+        if self.depth + height > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(height + 1)
+    }
+
+    /// Builds the chain node `lhs op rhs`.
+    fn bin(&self, op: BinOp, (lhs, hl): Tall, (rhs, hr): Tall) -> Result<Tall> {
+        let height = self.taller(hl.max(hr))?;
+        Ok((Expr::bin(op, lhs, rhs), height))
+    }
+
     // -- statements ---------------------------------------------------------
 
     /// Parses statements until `end` (not consumed).
@@ -270,7 +319,7 @@ impl<'t> Parser<'t> {
     /// Returns [`CoreError::Parse`] on malformed input.
     pub fn parse_braced_block(&mut self) -> Result<Block> {
         self.expect(&Tok::LBrace)?;
-        let b = self.parse_block_until(&Tok::RBrace)?;
+        let b = self.nested(|p| p.parse_block_until(&Tok::RBrace))?;
         self.expect(&Tok::RBrace)?;
         Ok(b)
     }
@@ -506,28 +555,33 @@ impl<'t> Parser<'t> {
     ///
     /// Returns [`CoreError::Parse`] on malformed input.
     pub fn parse_expr(&mut self) -> Result<Expr> {
-        self.parse_or()
+        Ok(self.expr()?.0)
     }
 
-    fn parse_or(&mut self) -> Result<Expr> {
+    /// [`Self::parse_expr`], with the expression's height.
+    fn expr(&mut self) -> Result<Tall> {
+        self.nested(Self::parse_or)
+    }
+
+    fn parse_or(&mut self) -> Result<Tall> {
         let mut lhs = self.parse_and()?;
         while self.eat_kw("or") {
             let rhs = self.parse_and()?;
-            lhs = Expr::bin(BinOp::Or, lhs, rhs);
+            lhs = self.bin(BinOp::Or, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_and(&mut self) -> Result<Expr> {
+    fn parse_and(&mut self) -> Result<Tall> {
         let mut lhs = self.parse_cmp()?;
         while self.eat_kw("and") {
             let rhs = self.parse_cmp()?;
-            lhs = Expr::bin(BinOp::And, lhs, rhs);
+            lhs = self.bin(BinOp::And, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_cmp(&mut self) -> Result<Expr> {
+    fn parse_cmp(&mut self) -> Result<Tall> {
         let lhs = self.parse_add()?;
         let op = match self.peek() {
             Tok::Eq => BinOp::Eq,
@@ -540,10 +594,10 @@ impl<'t> Parser<'t> {
         };
         self.next();
         let rhs = self.parse_add()?;
-        Ok(Expr::bin(op, lhs, rhs))
+        self.bin(op, lhs, rhs)
     }
 
-    fn parse_add(&mut self) -> Result<Expr> {
+    fn parse_add(&mut self) -> Result<Tall> {
         let mut lhs = self.parse_mul()?;
         loop {
             let op = match self.peek() {
@@ -553,12 +607,12 @@ impl<'t> Parser<'t> {
             };
             self.next();
             let rhs = self.parse_mul()?;
-            lhs = Expr::bin(op, lhs, rhs);
+            lhs = self.bin(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_mul(&mut self) -> Result<Expr> {
+    fn parse_mul(&mut self) -> Result<Tall> {
         let mut lhs = self.parse_unary()?;
         loop {
             let op = match self.peek() {
@@ -569,19 +623,19 @@ impl<'t> Parser<'t> {
             };
             self.next();
             let rhs = self.parse_unary()?;
-            lhs = Expr::bin(op, lhs, rhs);
+            lhs = self.bin(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_unary(&mut self) -> Result<Expr> {
+    fn parse_unary(&mut self) -> Result<Tall> {
         if self.eat(&Tok::Minus) {
-            let e = self.parse_unary()?;
-            return Ok(Expr::Unary(UnOp::Neg, Box::new(e)));
+            let (e, h) = self.nested(Self::parse_unary)?;
+            return Ok((Expr::Unary(UnOp::Neg, Box::new(e)), h + 1));
         }
         if self.eat_kw("not") {
-            let e = self.parse_unary()?;
-            return Ok(Expr::Unary(UnOp::Not, Box::new(e)));
+            let (e, h) = self.nested(Self::parse_unary)?;
+            return Ok((Expr::Unary(UnOp::Not, Box::new(e)), h + 1));
         }
         for (kw, op) in [
             ("cardinality", UnOp::Cardinality),
@@ -595,82 +649,83 @@ impl<'t> Parser<'t> {
             if self.at_kw(kw) {
                 self.next();
                 self.expect(&Tok::LParen)?;
-                let e = self.parse_expr()?;
+                let (e, h) = self.expr()?;
                 self.expect(&Tok::RParen)?;
                 // Builtin calls are primaries: postfix (`.attr`, `->`)
                 // chains onto their result.
-                return self.parse_postfix_on(Expr::Unary(op, Box::new(e)));
+                return self.parse_postfix_on((Expr::Unary(op, Box::new(e)), h + 1));
             }
         }
         self.parse_postfix()
     }
 
-    fn parse_postfix(&mut self) -> Result<Expr> {
+    fn parse_postfix(&mut self) -> Result<Tall> {
         let e = self.parse_primary()?;
         self.parse_postfix_on(e)
     }
 
-    fn parse_postfix_on(&mut self, start: Expr) -> Result<Expr> {
-        let mut e = start;
+    fn parse_postfix_on(&mut self, (mut e, mut h): Tall) -> Result<Tall> {
         loop {
             if self.eat(&Tok::Dot) {
                 let name = self.expect_ident()?;
+                h = self.taller(h)?;
                 e = Expr::Attr(Box::new(e), name);
             } else if self.eat(&Tok::Arrow) {
                 let class = self.expect_ident()?;
                 self.expect(&Tok::LBracket)?;
                 let assoc = self.expect_ident()?;
                 self.expect(&Tok::RBracket)?;
+                h = self.taller(h)?;
                 e = Expr::Nav(Box::new(e), class, assoc);
             } else {
                 break;
             }
         }
-        Ok(e)
+        Ok((e, h))
     }
 
-    fn parse_primary(&mut self) -> Result<Expr> {
+    fn parse_primary(&mut self) -> Result<Tall> {
         match self.peek().clone() {
             Tok::Int(v) => {
                 self.next();
-                Ok(Expr::Lit(Value::Int(v)))
+                Ok((Expr::Lit(Value::Int(v)), 1))
             }
             Tok::Real(v) => {
                 self.next();
-                Ok(Expr::Lit(Value::Real(v)))
+                Ok((Expr::Lit(Value::Real(v)), 1))
             }
             Tok::Str(s) => {
                 self.next();
-                Ok(Expr::Lit(Value::Str(s)))
+                Ok((Expr::Lit(Value::Str(s)), 1))
             }
             Tok::LParen => {
                 self.next();
-                let e = self.parse_expr()?;
+                let e = self.expr()?;
                 self.expect(&Tok::RParen)?;
                 Ok(e)
             }
             Tok::Ident(name) => match name.as_str() {
                 "true" => {
                     self.next();
-                    Ok(Expr::Lit(Value::Bool(true)))
+                    Ok((Expr::Lit(Value::Bool(true)), 1))
                 }
                 "false" => {
                     self.next();
-                    Ok(Expr::Lit(Value::Bool(false)))
+                    Ok((Expr::Lit(Value::Bool(false)), 1))
                 }
                 "self" => {
                     self.next();
-                    Ok(Expr::SelfRef)
+                    Ok((Expr::SelfRef, 1))
                 }
                 "selected" => {
                     self.next();
-                    Ok(Expr::Selected)
+                    Ok((Expr::Selected, 1))
                 }
                 "rcvd" => {
                     self.next();
                     self.expect(&Tok::Dot)?;
                     let p = self.expect_ident()?;
-                    Ok(Expr::Param(p))
+                    Ok((Expr::Param(p), 1))
                 }
                 _ => {
                     self.next();
@@ -678,18 +733,21 @@ impl<'t> Parser<'t> {
                         let func = self.expect_ident()?;
                         self.expect(&Tok::LParen)?;
                         let mut args = Vec::new();
+                        let mut h = 1;
                         if self.peek() != &Tok::RParen {
                             loop {
-                                args.push(self.parse_expr()?);
+                                let (a, ha) = self.expr()?;
+                                args.push(a);
+                                h = h.max(ha + 1);
                                 if !self.eat(&Tok::Comma) {
                                     break;
                                 }
                             }
                         }
                         self.expect(&Tok::RParen)?;
-                        Ok(Expr::BridgeCall(name, func, args))
+                        Ok((Expr::BridgeCall(name, func, args), h))
                     } else {
-                        Ok(Expr::Var(name))
+                        Ok((Expr::Var(name), 1))
                     }
                 }
             },
@@ -885,5 +943,36 @@ else {
         let printed = b.to_string();
         let reparsed = parse_block(&printed).unwrap();
         assert_eq!(b, reparsed);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let n = 100_000;
+        for src in [
+            format!("x = {}1{};", "(".repeat(n), ")".repeat(n)),
+            format!("x = {}1;", "- ".repeat(n)),
+            format!("x = {}true;", "not ".repeat(n)),
+            format!("{}x = 1;{}", "if (true) { ".repeat(n), "}".repeat(n)),
+            // Chains build their trees without recursing in the parser.
+            format!("x = 1{};", " + 1".repeat(n)),
+            format!("x = 1{};", " * 1".repeat(n)),
+            format!("x = 1{};", " < 1 and 1".repeat(n)),
+            format!("x = true{};", " or true".repeat(n)),
+            format!("x = self{};", ".a".repeat(n)),
+            format!("x = self{};", " -> C[R1]".repeat(n)),
+            // Each parenthesised sum is shallow; together they are not.
+            format!("x = {}1{};", "(".repeat(40), " + 1 + 1)".repeat(40)),
+        ] {
+            let err = parse_block(&src).unwrap_err();
+            assert!(err.to_string().contains("nesting"), "{err}");
+        }
+        // The statement's expression is the first level.
+        let parens = |k: usize| format!("x = {}1{};", "(".repeat(k), ")".repeat(k));
+        assert!(parse_block(&parens(MAX_NESTING - 1)).is_ok());
+        assert!(parse_block(&parens(MAX_NESTING)).is_err());
+        // ... and each operator of a chain one more.
+        let sum = |k: usize| format!("x = 1{};", " + 1".repeat(k));
+        assert!(parse_block(&sum(MAX_NESTING - 1)).is_ok());
+        assert!(parse_block(&sum(MAX_NESTING)).is_err());
     }
 }

@@ -7,9 +7,9 @@
 //! leave the core — cross-shard signals (the outbox), armed timers and
 //! timer cancellations. [`Core::dispatch`] is the crate's only signal
 //! dispatch and [`Host`] its only [`ActionHost`]. The read-only per-domain
-//! [`Tables`] (compiled frames, bytecode, the dispatch table and span
-//! names) are passed in by reference, so a dispatch clones no handle and
-//! moves no table.
+//! [`Tables`] (the dispatch table, holding each pair's lowered bytecode,
+//! and span names) are passed in by reference, so a dispatch clones no
+//! handle and moves no table.
 //!
 //! A core is shard `id` of `nshards`. The sequential
 //! [`Simulation`](crate::Simulation) coordinates one core (`0` of `1`);
@@ -34,27 +34,26 @@ use crate::store::ObjectStore;
 use crate::trace::Trace;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use xtuml_core::bc::{self, BcAction, BcEntry, BcProgram};
+use xtuml_core::bc::{self, BcAction, BcProgram};
 use xtuml_core::code::CompiledProgram;
 use xtuml_core::error::{CoreError, Result};
 use xtuml_core::ids::{ActorId, AssocId, AttrId, ClassId, EventId, InstId, StateId};
-use xtuml_core::interp::{self, ActionHost, ExecCtx};
+use xtuml_core::interp::{ActionHost, ExecCtx, Outcome};
 use xtuml_core::model::{Domain, TransitionTarget};
 use xtuml_core::value::Value;
 use xtuml_obs::{Counter, Gauge, Recorder, Sink as _};
 use xtuml_pool::stream_seed;
 
-/// Which action executor drives the dispatch hot path.
+/// A former choice of action executor, kept so existing callers of
+/// [`Simulation::set_engine`](crate::Simulation::set_engine) still build.
 ///
-/// Both engines produce byte-identical traces; the bytecode VM is the
-/// default because it is substantially faster. Actions the lowering cannot
-/// encode fall back to compiled frames per-action (diagnostic `X0016`,
-/// counted as `bc_fallbacks`).
+/// Every action runs on the register bytecode VM whichever variant is
+/// named; the selection is accepted and ignored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Walk slot-resolved compiled frames (`CompiledProgram`) AST-style.
+    /// Formerly the compiled-frame walker; now runs the bytecode VM.
     Frames,
-    /// Execute register bytecode lowered from the compiled frames.
+    /// The register bytecode VM.
     #[default]
     Bc,
 }
@@ -221,20 +220,17 @@ impl PayloadPool {
 /// How a resolved dispatch slot executes its action.
 #[derive(Debug, Clone)]
 enum Exec {
-    /// Run the lowered bytecode action directly.
+    /// Run the lowered bytecode action.
     Vm(Arc<BcAction>),
-    /// Run the compiled frames. `fallback` marks slots the bytecode
-    /// lowering could not encode under [`Engine::Bc`] (diagnostic
-    /// X0016); those still count `BcFallbacks` per dispatch so the
-    /// metrics goldens are unchanged.
-    Frames { fallback: bool },
     /// The lowered body is provably effect-free ([`BcAction::is_nop`]):
-    /// skip frame setup and execution entirely. The state change and
-    /// trace record still happen in the shared dispatch path. `vm`
-    /// records which engine the table was resolved for, so the
-    /// per-dispatch `BcActions` counter stays byte-identical to a run
-    /// that actually entered the VM.
-    Nop { vm: bool },
+    /// skip frame setup and execution entirely. The state change, the
+    /// trace record and the `BcActions` count still happen, exactly as
+    /// for a run that entered the VM.
+    Nop,
+    /// The pair has no lowered action: its block failed to compile, or
+    /// the lowering cannot encode it (X0016). Dispatching it raises the
+    /// error after the state change, where the action would have run.
+    Fail(Box<CoreError>),
 }
 
 /// One pre-resolved `(from_state, event)` dispatch decision.
@@ -264,19 +260,15 @@ impl ClassSlots {
     }
 }
 
-/// Resolves every `(class, state, event)` to its dispatch slot for
-/// `engine`: per class (`None` for passive classes), plus the number of
-/// slots that fell back to the frame interpreter because the bytecode
-/// lowering bailed (X0016). Decided once here, not re-discovered per
-/// signal.
+/// Resolves every `(class, state, event)` to its dispatch slot, per
+/// class (`None` for passive classes). Decided once here, not
+/// re-discovered per signal.
 fn resolve_slots(
     domain: &Domain,
     program: &CompiledProgram,
     bc: &BcProgram,
-    engine: Engine,
-) -> (Vec<Option<ClassSlots>>, usize) {
-    let mut fallback_slots = 0;
-    let classes = domain
+) -> Vec<Option<ClassSlots>> {
+    domain
         .classes
         .iter()
         .enumerate()
@@ -290,21 +282,13 @@ fn resolve_slots(
                     let (state, event) = (StateId::new(s as u32), EventId::new(e as u32));
                     slots.push(match program.target(class, state, event) {
                         TransitionTarget::To(to) => {
-                            let vm = engine == Engine::Bc;
                             let exec = match bc.entry(class, to, event) {
-                                // A lowered-and-nop body proves the frames
-                                // action it came from is effect-free too,
-                                // so both engines elide it.
-                                Some(BcEntry::Vm(a)) if a.is_nop() => Exec::Nop { vm },
-                                Some(BcEntry::Vm(a)) if vm => Exec::Vm(Arc::clone(a)),
-                                // Under `Bc`, `Unsupported` (X0016) and
-                                // failed frame compiles fall back to the
-                                // frames path, which re-raises any compile
-                                // error lazily.
-                                _ => {
-                                    fallback_slots += usize::from(vm);
-                                    Exec::Frames { fallback: vm }
-                                }
+                                Some(Ok(a)) if a.is_nop() => Exec::Nop,
+                                Some(Ok(a)) => Exec::Vm(Arc::clone(a)),
+                                Some(Err(e)) => Exec::Fail(Box::new(e)),
+                                None => Exec::Fail(Box::new(CoreError::runtime(
+                                    "internal: dispatched pair has no compiled action",
+                                ))),
                             };
                             Slot::Run { to, exec }
                         }
@@ -315,8 +299,7 @@ fn resolve_slots(
             }
             Some(ClassSlots { n_events, slots })
         })
-        .collect();
-    (classes, fallback_slots)
+        .collect()
 }
 
 /// The read-only per-domain tables every dispatch consults, built once
@@ -324,17 +307,10 @@ fn resolve_slots(
 /// (`Sync`: shard workers read one copy).
 pub(crate) struct Tables<'d> {
     pub(crate) domain: &'d Domain,
-    /// Slot-resolved action code.
-    program: CompiledProgram,
-    /// Register bytecode lowered from `program`.
-    pub(crate) bc: BcProgram,
-    /// Action executor selection; [`Engine::Bc`] by default.
-    pub(crate) engine: Engine,
-    /// Dispatch slots for `engine` (see [`resolve_slots`]). The hot path
-    /// indexes them with two loads, and a slot holds a direct reference
-    /// to the lowered [`BcAction`].
+    /// Dispatch slots (see [`resolve_slots`]). The hot path indexes them
+    /// with two loads, and a slot holds a direct reference to the lowered
+    /// [`BcAction`].
     slots: Vec<Option<ClassSlots>>,
-    pub(crate) fallback_slots: usize,
     /// Pre-interned span names, `[class][event]` = `"Class.Event"` and
     /// `[class][state]` = `"action Class.State"`, so `--profile` runs
     /// never format per signal. Interned when a span-recording recorder
@@ -348,25 +324,11 @@ impl<'d> Tables<'d> {
     pub(crate) fn new(domain: &'d Domain) -> Tables<'d> {
         let program = CompiledProgram::new(domain);
         let bc = BcProgram::new(domain, &program);
-        let (slots, fallback_slots) = resolve_slots(domain, &program, &bc, Engine::default());
         Tables {
             domain,
-            program,
-            bc,
-            engine: Engine::default(),
-            slots,
-            fallback_slots,
+            slots: resolve_slots(domain, &program, &bc),
             rtc_names: Vec::new(),
             action_names: Vec::new(),
-        }
-    }
-
-    /// Selects the action executor and re-resolves the dispatch slots.
-    pub(crate) fn set_engine(&mut self, engine: Engine) {
-        if engine != self.engine {
-            (self.slots, self.fallback_slots) =
-                resolve_slots(self.domain, &self.program, &self.bc, engine);
-            self.engine = engine;
         }
     }
 
@@ -656,15 +618,13 @@ impl Core {
                     }
                 }
                 let run = match exec {
-                    Exec::Nop { vm } => {
+                    Exec::Nop => {
                         // Provably effect-free body: no frame, no ctx, no
                         // VM entry. Counters must match a real execution.
-                        if *vm {
-                            if let Some(o) = self.obs.as_mut() {
-                                o.count(Counter::BcActions, 1);
-                            }
+                        if let Some(o) = self.obs.as_mut() {
+                            o.count(Counter::BcActions, 1);
                         }
-                        Ok(interp::Outcome::Completed)
+                        Ok(Outcome::Completed)
                     }
                     Exec::Vm(bca) => {
                         if let Some(o) = self.obs.as_mut() {
@@ -675,25 +635,7 @@ impl Core {
                         self.recycle_ctx(ctx);
                         r
                     }
-                    Exec::Frames { fallback } => {
-                        if *fallback {
-                            if let Some(o) = self.obs.as_mut() {
-                                o.count(Counter::BcFallbacks, 1);
-                            }
-                        }
-                        let action =
-                            t.program
-                                .action(class, to_state, env.event)
-                                .ok_or_else(|| {
-                                    CoreError::runtime(
-                                        "internal: dispatched pair has no compiled action",
-                                    )
-                                })??;
-                        let mut ctx = self.exec_ctx(inst, class, action.frame_len(), &env);
-                        let r = interp::run_code(&mut Host { core: self, t }, &mut ctx, action);
-                        self.recycle_ctx(ctx);
-                        r
-                    }
+                    Exec::Fail(e) => Err((**e).clone()),
                 };
                 if action_span {
                     if let Some(o) = self.obs.as_mut() {

@@ -47,13 +47,12 @@
 //! (`delete`/`relate`/`unrelate`) and irreconcilable non-self access
 //! still reject — the latter as diagnostic `X0017 cross-shard-race`.
 
-use crate::dispatch::{livelock, Core, Engine, Envelope, Tables, Timer};
+use crate::dispatch::{livelock, Core, Envelope, Tables, Timer};
 use crate::sched::{SchedPolicy, SplitMix64};
 use crate::sim::{take_due, Simulation, Stimulus};
 use crate::snapshot::{self, SnapError, SnapResult};
 use crate::store::ObjectStore;
 use crate::trace::{Trace, TraceMode};
-use xtuml_core::bc::BcFallback;
 use xtuml_core::error::{CoreError, Result};
 use xtuml_core::ids::{AssocId, InstId};
 use xtuml_core::model::Domain;
@@ -281,11 +280,6 @@ impl<'d> ShardedSimulation<'d> {
         self.sim.set_max_steps(max);
     }
 
-    /// Selects the action executor (default [`Engine::Bc`]).
-    pub fn set_engine(&mut self, engine: Engine) {
-        self.sim.set_engine(engine);
-    }
-
     /// See [`Simulation::set_trace_mode`].
     pub fn set_trace_mode(&mut self, mode: TraceMode) {
         self.sim.set_trace_mode(mode);
@@ -293,21 +287,6 @@ impl<'d> ShardedSimulation<'d> {
         for r in self.epochs.iter_mut().flat_map(|st| st.replicas.iter_mut()) {
             r.core.trace.set_mode(mode);
         }
-    }
-
-    /// See [`Simulation::bc_fallback_slots`].
-    pub fn bc_fallback_slots(&self) -> usize {
-        self.sim.bc_fallback_slots()
-    }
-
-    /// The currently selected action executor.
-    pub fn engine(&self) -> Engine {
-        self.sim.engine()
-    }
-
-    /// See [`Simulation::bc_fallbacks`].
-    pub fn bc_fallbacks(&self) -> &[BcFallback] {
-        self.sim.bc_fallbacks()
     }
 
     /// Creates an instance during setup; see [`Simulation::create`].
@@ -614,7 +593,7 @@ impl<'d> ShardedSimulation<'d> {
     pub fn snapshot(&self) -> Vec<u8> {
         let (sim, c) = (&self.sim, &self.sim.core);
         let mut w = snapshot::Writer::with_header(snapshot::KIND_SHARDED, sim.domain());
-        snapshot::write_policy(&mut w, &c.policy, sim.engine());
+        snapshot::write_policy(&mut w, &c.policy);
         w.u64(sim.max_steps);
         w.u64(c.now);
         w.u64(c.dropped);
@@ -695,9 +674,8 @@ impl<'d> ShardedSimulation<'d> {
                 "expected a sharded-engine snapshot, got kind {kind}"
             )));
         }
-        let (policy, engine) = snapshot::read_policy(&mut r)?;
+        let policy = snapshot::read_policy(&mut r)?;
         let mut out = ShardedSimulation::with_policy(domain, policy);
-        out.set_engine(engine);
         let sim = &mut out.sim;
         sim.max_steps = r.u64()?;
         let (now, dropped, seq) = (r.u64()?, r.u64()?, r.u64()?);

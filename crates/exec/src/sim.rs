@@ -24,7 +24,6 @@ use crate::store::ObjectStore;
 use crate::trace::{Trace, TraceMode};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use xtuml_core::bc::BcFallback;
 use xtuml_core::error::{CoreError, Result};
 use xtuml_core::ids::{EventId, InstId};
 use xtuml_core::interp::ActionHost;
@@ -204,10 +203,11 @@ impl<'d> Simulation<'d> {
         self.max_steps = max;
     }
 
-    /// Selects the action executor (default [`Engine::Bc`]) and
-    /// re-resolves the dispatch table for it.
+    /// Does nothing: every action runs on the bytecode VM. Kept so
+    /// callers written against the two-executor API still build; either
+    /// [`Engine`] variant is accepted.
     pub fn set_engine(&mut self, engine: Engine) {
-        self.tables.set_engine(engine);
+        let _ = engine;
     }
 
     /// Sets the trace recording mode ([`TraceMode::Full`] by default).
@@ -216,24 +216,6 @@ impl<'d> Simulation<'d> {
     /// comparisons require `Full`.
     pub fn set_trace_mode(&mut self, mode: TraceMode) {
         self.core.trace.set_mode(mode);
-    }
-
-    /// The currently selected action executor.
-    pub fn engine(&self) -> Engine {
-        self.tables.engine
-    }
-
-    /// Actions the bytecode lowering could not encode; these dispatch via
-    /// the frame interpreter instead (diagnostic `X0016`).
-    pub fn bc_fallbacks(&self) -> &[BcFallback] {
-        &self.tables.bc.fallbacks
-    }
-
-    /// Number of dispatch slots statically resolved to the frame
-    /// interpreter because the bytecode lowering bailed (X0016), under
-    /// the current engine. Zero when the engine is [`Engine::Frames`].
-    pub fn bc_fallback_slots(&self) -> usize {
-        self.tables.fallback_slots
     }
 
     /// Creates an instance of the named class.
@@ -535,7 +517,7 @@ impl<'d> Simulation<'d> {
     pub fn snapshot(&self) -> Vec<u8> {
         let c = &self.core;
         let mut w = snapshot::Writer::with_header(snapshot::KIND_SEQUENTIAL, self.tables.domain);
-        snapshot::write_policy(&mut w, &c.policy, self.tables.engine);
+        snapshot::write_policy(&mut w, &c.policy);
         w.u64(c.now);
         w.u64(c.seq);
         w.u64(c.dropped);
@@ -572,9 +554,8 @@ impl<'d> Simulation<'d> {
                 "expected a sequential snapshot, got kind {kind}"
             )));
         }
-        let (policy, engine) = snapshot::read_policy(&mut r)?;
+        let policy = snapshot::read_policy(&mut r)?;
         let mut sim = Simulation::with_policy(domain, policy);
-        sim.set_engine(engine);
         sim.core.now = r.u64()?;
         sim.core.seq = r.u64()?;
         sim.core.dropped = r.u64()?;

@@ -34,7 +34,6 @@ use xtuml_core::model::Domain;
 use xtuml_core::value::Value;
 use xtuml_obs::{EpochRow, Hist, Metrics, MetricsRaw, Recorder, ShardLane, HIST_BUCKETS};
 
-use crate::dispatch::Engine;
 use crate::sched::SchedPolicy;
 use crate::trace::{Trace, TraceEvent};
 
@@ -513,22 +512,27 @@ pub fn read_trace_event(r: &mut Reader<'_>) -> SnapResult<TraceEvent> {
     })
 }
 
-/// Encodes the scheduling policy and engine selection that open both
-/// snapshot kinds.
-pub(crate) fn write_policy(w: &mut Writer, p: &SchedPolicy, engine: Engine) {
+/// The engine byte every snapshot carries after the policy. Snapshots
+/// once recorded the action executor there: `0` for the retired
+/// compiled-frame walker, `1` for the bytecode VM. Both executors ran
+/// byte-identical traces, so a `0` snapshot restores onto the VM; the
+/// byte stays so the layout, and [`VERSION`], are unchanged.
+const ENGINE_TAG: u8 = 1;
+
+/// Encodes the scheduling policy that opens both snapshot kinds, followed
+/// by the engine byte ([`ENGINE_TAG`]).
+pub(crate) fn write_policy(w: &mut Writer, p: &SchedPolicy) {
     w.u64(p.seed);
     w.bool(p.self_priority);
     w.bool(p.pair_order);
     w.bool(p.strict);
     w.u32(p.shards as u32);
-    w.u8(match engine {
-        Engine::Frames => 0,
-        Engine::Bc => 1,
-    });
+    w.u8(ENGINE_TAG);
 }
 
-/// Decodes what [`write_policy`] wrote.
-pub(crate) fn read_policy(r: &mut Reader<'_>) -> SnapResult<(SchedPolicy, Engine)> {
+/// Decodes what [`write_policy`] wrote, accepting either historical
+/// engine byte.
+pub(crate) fn read_policy(r: &mut Reader<'_>) -> SnapResult<SchedPolicy> {
     let policy = SchedPolicy {
         seed: r.u64()?,
         self_priority: r.bool()?,
@@ -536,12 +540,10 @@ pub(crate) fn read_policy(r: &mut Reader<'_>) -> SnapResult<(SchedPolicy, Engine
         strict: r.bool()?,
         shards: r.u32()? as usize,
     };
-    let engine = match r.u8()? {
-        0 => Engine::Frames,
-        1 => Engine::Bc,
-        t => return Err(SnapError::Corrupt(format!("bad engine tag {t}"))),
-    };
-    Ok((policy, engine))
+    match r.u8()? {
+        0 | ENGINE_TAG => Ok(policy),
+        t => Err(SnapError::Corrupt(format!("bad engine tag {t}"))),
+    }
 }
 
 /// Encodes a whole trace.

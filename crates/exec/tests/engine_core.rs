@@ -1,8 +1,9 @@
 //! Contracts of the one dispatch core both engines share: the engines
 //! are `Send`, the sharded engine honours the same scheduling policy as
 //! the sequential one, setup counts the same however late a recorder
-//! attaches, and both snapshot kinds reject ids out of range for the
-//! domain.
+//! attaches, an action the bytecode cannot encode fails its dispatch,
+//! and both snapshot kinds reject ids out of range for the domain while
+//! still restoring snapshots written by the retired frame walker.
 
 use xtuml_core::builder::{pipeline_domain, DomainBuilder};
 use xtuml_core::model::Domain;
@@ -123,6 +124,93 @@ fn sharded_restore_rejects_out_of_range_state() {
     let at = bytes.len() - r.remaining();
     // Stage0 has two states; state 9 is out of range for the domain.
     bytes[at..at + 4].copy_from_slice(&9u32.to_le_bytes());
+    let err = ShardedSimulation::restore(&domain, &bytes).unwrap_err();
+    assert!(matches!(err, SnapError::Corrupt(_)), "{err}");
+}
+
+/// One class whose only action binds `u16::MAX + 1` locals: one more
+/// register than the bytecode's 16-bit operands can address.
+fn wide_domain() -> Domain {
+    let body: String = (0..=u16::MAX as usize)
+        .map(|i| format!("v{i} = 0;\n"))
+        .collect();
+    let mut b = DomainBuilder::new("wide");
+    b.class("C")
+        .event("Go", &[])
+        .state("S", &body)
+        .initial("S")
+        .transition("S", "Go", "S");
+    b.build().unwrap()
+}
+
+#[test]
+fn an_action_the_bytecode_cannot_encode_fails_its_dispatch_with_x0016() {
+    let domain = wide_domain();
+    let mut sim = Simulation::new(&domain);
+    let c = sim.create("C").unwrap();
+    sim.inject(0, c, "Go", vec![]).unwrap();
+    let err = sim.run_to_quiescence().unwrap_err().to_string();
+    assert!(err.contains("X0016 bc-unsupported"), "{err}");
+    assert!(err.contains("C.S on Go") && err.contains("u16"), "{err}");
+    // The dispatch got as far as the state change, like a block that
+    // failed to compile.
+    assert_eq!(sim.trace().dispatch_count(), 1);
+}
+
+/// Byte offset of the engine tag: the header (magic, version, kind,
+/// fingerprint) and the policy (seed, three flags, shards) precede it.
+const ENGINE_TAG_AT: usize = 4 + 4 + 1 + 8 + 8 + 3 + 4;
+
+#[test]
+fn snapshots_with_the_frame_walker_engine_tag_still_restore() {
+    let domain = pipeline_domain(4).unwrap();
+    let setup = |sim: &mut Simulation<'_>| {
+        let insts: Vec<_> = (0..4)
+            .map(|k| sim.create(&format!("Stage{k}")).unwrap())
+            .collect();
+        for k in 0..3 {
+            sim.relate(insts[k], insts[k + 1], &format!("R{}", k + 1))
+                .unwrap();
+        }
+        for i in 0..6 {
+            sim.inject(i, insts[0], "Feed", vec![Value::Int(i as i64)])
+                .unwrap();
+        }
+    };
+    let mut reference = Simulation::with_policy(&domain, SchedPolicy::seeded(5));
+    setup(&mut reference);
+    reference.run_to_quiescence().unwrap();
+
+    let mut sim = Simulation::with_policy(&domain, SchedPolicy::seeded(5));
+    setup(&mut sim);
+    for _ in 0..7 {
+        assert!(sim.step().unwrap());
+    }
+    let mut bytes = sim.snapshot();
+    assert_eq!(bytes[ENGINE_TAG_AT], 1, "new snapshots carry the VM tag");
+
+    // Tag 0 is what a run on the compiled-frame walker wrote.
+    bytes[ENGINE_TAG_AT] = 0;
+    let mut restored = Simulation::restore(&domain, &bytes).unwrap();
+    restored.run_to_quiescence().unwrap();
+    assert_eq!(restored.trace(), reference.trace());
+    assert_eq!(restored.snapshot(), reference.snapshot());
+
+    bytes[ENGINE_TAG_AT] = 2;
+    let err = Simulation::restore(&domain, &bytes).unwrap_err();
+    assert!(matches!(err, SnapError::Corrupt(_)), "{err}");
+
+    // The sharded kind carries the same policy prefix.
+    let mut sharded =
+        ShardedSimulation::with_policy(&domain, SchedPolicy::seeded(5).with_shards(2));
+    pipeline_setup(&mut sharded);
+    let mut bytes = sharded.snapshot();
+    bytes[ENGINE_TAG_AT] = 0;
+    let mut restored = ShardedSimulation::restore(&domain, &bytes).unwrap();
+    sharded.run_to_quiescence(1).unwrap();
+    restored.run_to_quiescence(1).unwrap();
+    assert_eq!(restored.trace(), sharded.trace());
+    bytes[ENGINE_TAG_AT] = 2;
     let err = ShardedSimulation::restore(&domain, &bytes).unwrap_err();
     assert!(matches!(err, SnapError::Corrupt(_)), "{err}");
 }

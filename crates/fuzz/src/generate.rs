@@ -1,8 +1,8 @@
 //! The case generator: one `u64` seed → one well-formed [`FuzzSpec`].
 //!
 //! Everything the generator emits is **confluent by construction**, so
-//! any legal schedule (interpreter, compiled frames, partitioned cosim)
-//! must produce identical per-actor traces and every divergence is a
+//! any legal schedule (reference interpreter, model interpreter, partitioned
+//! cosim) must produce identical per-actor traces and every divergence is a
 //! toolchain bug:
 //!
 //! * the class send graph is a forest pointing from lower to higher

@@ -1,7 +1,7 @@
 //! An independent reference interpreter for generated models.
 //!
 //! This deliberately shares **no execution machinery** with
-//! `xtuml-exec`'s compiled frames or the `mda` substrates: it walks the
+//! `xtuml-exec`'s bytecode VM or the `mda` substrates: it walks the
 //! action AST directly over a naive store, with one global
 //! `(time, sequence)` event queue. It is slow and simple on purpose —
 //! the differential oracle compares it against the two production

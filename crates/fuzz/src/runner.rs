@@ -5,12 +5,15 @@
 //!
 //! 1. the **reference interpreter** ([`crate::refinterp`]) — naive AST
 //!    walker, independent of all production machinery;
-//! 2. the **model interpreter** (`xtuml-exec` with the bytecode VM, the
-//!    production default);
-//! 3. the model interpreter again on the **compiled-frame** engine — its
-//!    full trace must be byte-identical to the VM leg's;
-//! 4. the **partitioned co-simulation** (`xtuml-mda` compile +
-//!    hardware/software substrates over the bus bridge).
+//! 2. the **model interpreter** (`xtuml-exec`, whose actions run on the
+//!    bytecode VM);
+//! 3. the **partitioned co-simulation** (`xtuml-mda` compile +
+//!    hardware/software substrates over the bus bridge, running the same
+//!    VM).
+//!
+//! Two more legs re-run the model interpreter: the checkpoint leg
+//! (`--checkpoint`) and, for models the effect analysis admits, the
+//! sharded engine at 2, 4 and 8 shards.
 //!
 //! Before any execution, the case round-trips through the textual
 //! toolchain (printer → parser for model, marks and stimulus script) and
@@ -19,9 +22,7 @@
 
 use xtuml_core::marks::MarkSet;
 use xtuml_core::{AssocId, Domain};
-use xtuml_exec::{
-    Engine, ObservableEvent, SchedPolicy, ShardedSimulation, Simulation, Trace, TraceEvent,
-};
+use xtuml_exec::{ObservableEvent, SchedPolicy, ShardedSimulation, Simulation, Trace, TraceEvent};
 use xtuml_lang::{parse_domain, parse_marks, print_domain, print_marks};
 use xtuml_mda::ModelCompiler;
 use xtuml_verify::{check_equivalence, run_compiled, EquivReport, TestCase};
@@ -164,14 +165,8 @@ struct ExecRun {
     causality_violations: u64,
 }
 
-fn run_interpreter(
-    domain: &Domain,
-    policy: SchedPolicy,
-    tc: &TestCase,
-    engine: Engine,
-) -> Result<ExecRun, String> {
+fn run_interpreter(domain: &Domain, policy: SchedPolicy, tc: &TestCase) -> Result<ExecRun, String> {
     let mut sim = Simulation::with_policy(domain, policy);
-    sim.set_engine(engine);
     let mut handles = Vec::with_capacity(tc.creates.len());
     for class in &tc.creates {
         handles.push(sim.create(class).map_err(|e| e.to_string())?);
@@ -215,10 +210,8 @@ fn run_interpreter_checkpointed(
     domain: &Domain,
     policy: SchedPolicy,
     tc: &TestCase,
-    engine: Engine,
 ) -> Result<Trace, String> {
     let mut sim = Simulation::with_policy(domain, policy);
-    sim.set_engine(engine);
     let mut handles = Vec::with_capacity(tc.creates.len());
     for class in &tc.creates {
         handles.push(sim.create(class).map_err(|e| e.to_string())?);
@@ -336,7 +329,6 @@ pub fn run_case(
     marks: &MarkSet,
     tc: &TestCase,
     ablation: Ablation,
-    engine: Engine,
     checkpoint: bool,
 ) -> CaseOutcome {
     // Executor 1: the independent reference interpreter.
@@ -350,9 +342,9 @@ pub fn run_case(
         }
     };
 
-    // Executor 2: the model interpreter on the requested engine (the
-    // bytecode VM by default), possibly with an injected scheduler fault.
-    let interp = match run_interpreter(domain, ablation.policy(), tc, engine) {
+    // Executor 2: the model interpreter, possibly with an injected
+    // scheduler fault.
+    let interp = match run_interpreter(domain, ablation.policy(), tc) {
         Ok(r) => r,
         Err(error) => {
             return CaseOutcome::ExecError {
@@ -362,39 +354,11 @@ pub fn run_case(
         }
     };
 
-    // Executor 3: the same model interpreter on compiled frames. The two
-    // engines must agree on the **full trace**, byte for byte — a far
-    // stronger oracle than observable equivalence.
-    if engine == Engine::Bc {
-        let frames = match run_interpreter(domain, ablation.policy(), tc, Engine::Frames) {
-            Ok(r) => r,
-            Err(error) => {
-                return CaseOutcome::ExecError {
-                    executor: "frames",
-                    error,
-                }
-            }
-        };
-        if frames.trace != interp.trace {
-            let n = interp
-                .trace
-                .iter()
-                .zip(frames.trace.iter())
-                .take_while(|(a, b)| a == b)
-                .count();
-            return CaseOutcome::OracleFailure(format!(
-                "bytecode VM trace diverges from the frame interpreter at event {n}                  (vm {} events, frames {})",
-                interp.trace.len(),
-                frames.trace.len()
-            ));
-        }
-    }
-
-    // Executor 3b (`--checkpoint`): the interpreter leg once more, with a
+    // Checkpoint leg (`--checkpoint`): the interpreter leg once more, with a
     // snapshot/restore cycle on a fixed dispatch schedule. Byte-identical
     // traces lock the snapshot codec to the live scheduler state.
     if checkpoint {
-        let ck = match run_interpreter_checkpointed(domain, ablation.policy(), tc, engine) {
+        let ck = match run_interpreter_checkpointed(domain, ablation.policy(), tc) {
             Ok(t) => t,
             Err(error) => {
                 return CaseOutcome::ExecError {
@@ -418,7 +382,7 @@ pub fn run_case(
         }
     }
 
-    // Executor 4: compile under marks, co-simulate.
+    // Executor 3: compile under marks, co-simulate.
     let design = match ModelCompiler::new().compile(domain, marks) {
         Ok(d) => d,
         Err(e) => {
@@ -453,7 +417,7 @@ pub fn run_case(
         }
     }
 
-    // Executor 5: the sharded engine, wherever the effect analysis
+    // Sharded legs: the model interpreter again, wherever the effect analysis
     // admits the model — the soundness oracle for admission. Every
     // admitted model must produce the reference observables at every
     // shard count; a divergence here means the analysis admitted a model
@@ -523,12 +487,7 @@ pub fn run_case(
 
 /// Runs one spec end-to-end: lower, round-trip every textual artifact,
 /// then [`run_case`] on the **reparsed** model.
-pub fn run_spec(
-    spec: &FuzzSpec,
-    ablation: Ablation,
-    engine: Engine,
-    checkpoint: bool,
-) -> CaseOutcome {
+pub fn run_spec(spec: &FuzzSpec, ablation: Ablation, checkpoint: bool) -> CaseOutcome {
     let domain = match spec.lower() {
         Ok(d) => d,
         Err(e) => return CaseOutcome::BuildError(e.to_string()),
@@ -570,7 +529,7 @@ pub fn run_spec(
         Err(e) => return CaseOutcome::RoundTrip(format!("stimulus script failed to reparse: {e}")),
     }
 
-    run_case(&reparsed, &marks, &tc, ablation, engine, checkpoint)
+    run_case(&reparsed, &marks, &tc, ablation, checkpoint)
 }
 
 /// Replays serialized corpus artifacts (see [`crate::corpus`]).
@@ -584,7 +543,6 @@ pub fn replay(
     marks: &str,
     stim: &str,
     ablation: Ablation,
-    engine: Engine,
     checkpoint: bool,
 ) -> Result<CaseOutcome, String> {
     let domain = parse_domain(model).map_err(|e| format!("model: {e}"))?;
@@ -596,9 +554,7 @@ pub fn replay(
         ));
     }
     let tc = parse_stim(stim)?;
-    Ok(run_case(
-        &domain, &markset, &tc, ablation, engine, checkpoint,
-    ))
+    Ok(run_case(&domain, &markset, &tc, ablation, checkpoint))
 }
 
 #[cfg(test)]
@@ -618,15 +574,7 @@ mod tests {
     #[test]
     fn first_seeds_pass_all_oracles() {
         for seed in 0..10 {
-            let outcome = run_spec(&generate(seed), Ablation::None, Engine::Bc, false);
-            assert!(!outcome.is_failure(), "seed {seed}: {}", outcome.describe());
-        }
-    }
-
-    #[test]
-    fn frames_engine_passes_the_three_way() {
-        for seed in 0..5 {
-            let outcome = run_spec(&generate(seed), Ablation::None, Engine::Frames, false);
+            let outcome = run_spec(&generate(seed), Ablation::None, false);
             assert!(!outcome.is_failure(), "seed {seed}: {}", outcome.describe());
         }
     }
@@ -635,13 +583,11 @@ mod tests {
     fn checkpointed_runs_match_uninterrupted_ones() {
         // `--checkpoint` re-runs the interpreter leg with a
         // snapshot/restore cycle every few dispatches; the byte-identical
-        // trace oracle must hold on healthy seeds for both engines.
+        // trace oracle must hold on healthy seeds.
         for seed in 0..8 {
-            let outcome = run_spec(&generate(seed), Ablation::None, Engine::Bc, true);
+            let outcome = run_spec(&generate(seed), Ablation::None, true);
             assert!(!outcome.is_failure(), "seed {seed}: {}", outcome.describe());
         }
-        let outcome = run_spec(&generate(0), Ablation::None, Engine::Frames, true);
-        assert!(!outcome.is_failure(), "frames: {}", outcome.describe());
     }
 
     #[test]
@@ -681,7 +627,7 @@ mod tests {
         // anything.
         let mut exercised = 0u32;
         for seed in 0..40 {
-            let outcome = run_spec(&generate(seed), Ablation::None, Engine::Bc, false);
+            let outcome = run_spec(&generate(seed), Ablation::None, false);
             let CaseOutcome::Pass(stats) = &outcome else {
                 panic!("seed {seed}: {}", outcome.describe())
             };
@@ -697,7 +643,7 @@ mod tests {
 
     #[test]
     fn outcome_classes_are_stable() {
-        let outcome = run_spec(&generate(0), Ablation::None, Engine::Bc, false);
+        let outcome = run_spec(&generate(0), Ablation::None, false);
         assert_eq!(outcome.class(), "pass");
         assert!(outcome.describe().starts_with("pass"));
     }

@@ -13,7 +13,6 @@ use xtuml_core::action::{Block, Expr, GenTarget, Stmt};
 
 use crate::runner::{run_spec, Ablation};
 use crate::spec::{FuzzSpec, TransSpec};
-use xtuml_exec::Engine;
 
 /// Shrink effort bound: total reduced-case executions.
 const MAX_ATTEMPTS: u64 = 2_000;
@@ -171,14 +170,9 @@ fn candidates(spec: &FuzzSpec) -> Vec<FuzzSpec> {
 /// Greedily minimizes a failing spec while the failure (same class)
 /// reproduces. Returns the original spec untouched when it does not fail
 /// at all.
-pub fn shrink(
-    spec: &FuzzSpec,
-    ablation: Ablation,
-    engine: Engine,
-    checkpoint: bool,
-) -> (FuzzSpec, ShrinkStats) {
+pub fn shrink(spec: &FuzzSpec, ablation: Ablation, checkpoint: bool) -> (FuzzSpec, ShrinkStats) {
     let before = (spec.classes.len(), spec.stmt_count(), spec.stimuli.len());
-    let target = run_spec(spec, ablation, engine, checkpoint).class();
+    let target = run_spec(spec, ablation, checkpoint).class();
     let mut stats = ShrinkStats {
         attempts: 1,
         classes: (before.0, before.0),
@@ -195,7 +189,7 @@ pub fn shrink(
                 break 'outer;
             }
             stats.attempts += 1;
-            if run_spec(&cand, ablation, engine, checkpoint).class() == target {
+            if run_spec(&cand, ablation, checkpoint).class() == target {
                 current = cand;
                 continue 'outer;
             }
@@ -217,11 +211,8 @@ mod tests {
     #[test]
     fn passing_specs_are_left_alone() {
         let spec = generate(0);
-        assert_eq!(
-            run_spec(&spec, Ablation::None, Engine::Bc, false).class(),
-            "pass"
-        );
-        let (same, stats) = shrink(&spec, Ablation::None, Engine::Bc, false);
+        assert_eq!(run_spec(&spec, Ablation::None, false).class(), "pass");
+        let (same, stats) = shrink(&spec, Ablation::None, false);
         assert_eq!(same, spec);
         assert_eq!(stats.attempts, 1);
         assert!((stats.ratio() - 1.0).abs() < 1e-9);

@@ -1,7 +1,6 @@
 //! Acceptance tests for the conformance fuzzer (issue 4):
 //!
-//! * a 200-seed campaign passes on all executor pairs (including the
-//!   bytecode-VM-vs-frames trace oracle) and renders
+//! * a 200-seed campaign passes on all executor pairs and renders
 //!   byte-identically across runs;
 //! * every generated model round-trips through the printer/parser
 //!   unchanged;
@@ -11,7 +10,7 @@
 //!   verdict.
 
 use xtuml_fuzz::{
-    entry, fuzz, generate, replay, run_spec, shrink, Ablation, CaseOutcome, Engine, FuzzConfig,
+    entry, fuzz, generate, replay, run_spec, shrink, Ablation, CaseOutcome, FuzzConfig,
 };
 use xtuml_lang::{parse_domain, print_domain};
 
@@ -23,7 +22,6 @@ fn two_hundred_seeds_pass_and_render_deterministically() {
         shrink: false,
         ablation: Ablation::None,
         jobs: 1,
-        engine: Engine::Bc,
         checkpoint: false,
     };
     let a = fuzz(&cfg);
@@ -50,7 +48,6 @@ fn parallel_sweep_report_is_byte_identical_to_serial() {
             shrink: false,
             ablation,
             jobs: 1,
-            engine: Engine::Bc,
             checkpoint: false,
         });
         for jobs in [2, 4, 8] {
@@ -60,7 +57,6 @@ fn parallel_sweep_report_is_byte_identical_to_serial() {
                 shrink: false,
                 ablation,
                 jobs,
-                engine: Engine::Bc,
                 checkpoint: false,
             });
             assert_eq!(
@@ -94,15 +90,15 @@ fn injected_scheduler_bug_is_caught_and_shrunk() {
     let seed = (0..60)
         .find(|s| {
             matches!(
-                run_spec(&generate(*s), Ablation::PairOrder, Engine::Bc, false),
+                run_spec(&generate(*s), Ablation::PairOrder, false),
                 CaseOutcome::Divergence { .. }
             )
         })
         .expect("pair-order ablation was not caught in seeds 0..60");
     // ...and the very same seeds must be clean without the fault.
-    assert!(!run_spec(&generate(seed), Ablation::None, Engine::Bc, false).is_failure());
+    assert!(!run_spec(&generate(seed), Ablation::None, false).is_failure());
 
-    let (min, stats) = shrink(&generate(seed), Ablation::PairOrder, Engine::Bc, false);
+    let (min, stats) = shrink(&generate(seed), Ablation::PairOrder, false);
     assert!(
         min.classes.len() <= 3,
         "seed {seed}: shrank only to {} classes",
@@ -112,7 +108,7 @@ fn injected_scheduler_bug_is_caught_and_shrunk() {
     assert!(stats.ratio() < 1.0, "shrinker made no progress");
     // The minimized case still reproduces the same failure class.
     assert!(matches!(
-        run_spec(&min, Ablation::PairOrder, Engine::Bc, false),
+        run_spec(&min, Ablation::PairOrder, false),
         CaseOutcome::Divergence { .. }
     ));
 }
@@ -120,32 +116,16 @@ fn injected_scheduler_bug_is_caught_and_shrunk() {
 #[test]
 fn minimized_case_serializes_and_replays() {
     let seed = (0..60)
-        .find(|s| run_spec(&generate(*s), Ablation::PairOrder, Engine::Bc, false).is_failure())
+        .find(|s| run_spec(&generate(*s), Ablation::PairOrder, false).is_failure())
         .expect("no failing seed under ablation");
-    let (min, _) = shrink(&generate(seed), Ablation::PairOrder, Engine::Bc, false);
+    let (min, _) = shrink(&generate(seed), Ablation::PairOrder, false);
     let e = entry(&min, &format!("seed{seed}-pair-order")).unwrap();
     // Serialization is deterministic.
     assert_eq!(e, entry(&min, &format!("seed{seed}-pair-order")).unwrap());
     // The triple replays: clean under the defined semantics, divergent
     // under the injected fault.
-    let clean = replay(
-        &e.model,
-        &e.marks,
-        &e.stim,
-        Ablation::None,
-        Engine::Bc,
-        true,
-    )
-    .unwrap();
+    let clean = replay(&e.model, &e.marks, &e.stim, Ablation::None, true).unwrap();
     assert!(!clean.is_failure(), "replay: {}", clean.describe());
-    let faulty = replay(
-        &e.model,
-        &e.marks,
-        &e.stim,
-        Ablation::PairOrder,
-        Engine::Bc,
-        false,
-    )
-    .unwrap();
+    let faulty = replay(&e.model, &e.marks, &e.stim, Ablation::PairOrder, false).unwrap();
     assert!(matches!(faulty, CaseOutcome::Divergence { .. }));
 }

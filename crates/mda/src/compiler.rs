@@ -2,6 +2,7 @@
 //! implementation (paper §4).
 
 use crate::analysis;
+use crate::host::{ActionCode, PCore};
 use crate::hw::HwPartition;
 use crate::interface::InterfaceSpec;
 use crate::partition::{Partition, Side};
@@ -9,6 +10,7 @@ use crate::swpart::SwPartition;
 use crate::system::CompiledSystem;
 use crate::{cgen, icd, vgen, MdaError, Result};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use xtuml_core::ids::ClassId;
 use xtuml_core::marks::{keys, ElemRef, MarkSet};
 use xtuml_core::model::Domain;
@@ -94,11 +96,11 @@ impl<'d> CompiledDesign<'d> {
     /// Instantiates the executable co-simulated system (the same lowering
     /// the generated text describes).
     pub fn instantiate(&self) -> CompiledSystem<'d> {
+        // Both partitions execute the same compiled state actions.
+        let code = ActionCode::new(self.domain);
         let hw = HwPartition::new(
-            self.domain,
-            self.partition.clone(),
+            self.core(Side::Hw, Arc::clone(&code)),
             self.interface.clone(),
-            self.params.cycles_per_unit,
             self.params.default_depth,
             self.params.class_depth.clone(),
         );
@@ -106,11 +108,9 @@ impl<'d> CompiledDesign<'d> {
             .interface
             .to_bridge_config(self.params.fifo_depth, self.params.bus_latency);
         let mut sw = SwPartition::new(
-            self.domain,
-            self.partition.clone(),
+            self.core(Side::Sw, code),
             self.interface.clone(),
             &bridge_cfg,
-            self.params.cycles_per_unit,
             self.params.cpu_khz,
             self.params.prio.clone(),
         );
@@ -120,6 +120,17 @@ impl<'d> CompiledDesign<'d> {
         let bridge = Bridge::new(&bridge_cfg);
         let clock = CoClock::new(self.params.hw_khz, self.params.cpu_khz);
         CompiledSystem::new(self.domain, self.partition.clone(), hw, sw, bridge, clock)
+    }
+
+    /// The execution core of one partition, running the shared `code`.
+    fn core(&self, side: Side, code: Arc<ActionCode>) -> PCore<'d> {
+        PCore::new(
+            self.domain,
+            code,
+            side,
+            self.partition.clone(),
+            self.params.cycles_per_unit,
+        )
     }
 
     /// Lines of generated C (codegen size metric, experiment E6).

@@ -11,11 +11,12 @@
 
 use crate::partition::{Partition, Side};
 use crate::{MdaError, Result};
-use std::rc::Rc;
+use std::sync::Arc;
+use xtuml_core::bc::{self, BcProgram};
 use xtuml_core::code::CompiledProgram;
 use xtuml_core::error::{CoreError, Result as CoreResult};
 use xtuml_core::ids::{ActorId, AssocId, AttrId, ClassId, EventId, InstId};
-use xtuml_core::interp::{self, ActionHost, ExecCtx};
+use xtuml_core::interp::{ActionHost, ExecCtx};
 use xtuml_core::model::{Domain, TransitionTarget};
 use xtuml_core::value::Value;
 use xtuml_exec::trace::ObservableEvent;
@@ -57,12 +58,32 @@ pub(crate) struct Effects {
     pub cancels: Vec<(InstId, EventId)>,
 }
 
+/// A design's executable state actions: compiled once per
+/// [`CompiledDesign::instantiate`](crate::CompiledDesign::instantiate) and
+/// shared by both partitions.
+#[derive(Debug)]
+pub(crate) struct ActionCode {
+    /// The dense transition table.
+    program: CompiledProgram,
+    /// The actions, lowered to the same bytecode the abstract interpreter
+    /// runs: both substrates execute identical code.
+    bc: BcProgram,
+}
+
+impl ActionCode {
+    pub(crate) fn new(domain: &Domain) -> Arc<ActionCode> {
+        let program = CompiledProgram::new(domain);
+        let bc = BcProgram::new(domain, &program);
+        Arc::new(ActionCode { program, bc })
+    }
+}
+
 /// The per-partition execution state shared by both lowerings.
 pub(crate) struct PCore<'d> {
     pub domain: &'d Domain,
-    /// Slot-resolved action code shared with the abstract interpreter's
-    /// representation: both substrates execute identical compiled blocks.
-    pub program: Rc<CompiledProgram>,
+    code: Arc<ActionCode>,
+    /// Recycled register file, taken by each dispatch and returned after.
+    frame: Vec<Option<Value>>,
     pub side: Side,
     pub partition: Partition,
     pub store: ObjectStore,
@@ -79,13 +100,15 @@ pub(crate) struct PCore<'d> {
 impl<'d> PCore<'d> {
     pub fn new(
         domain: &'d Domain,
+        code: Arc<ActionCode>,
         side: Side,
         partition: Partition,
         cycles_per_unit: u64,
     ) -> PCore<'d> {
         PCore {
             domain,
-            program: Rc::new(CompiledProgram::new(domain)),
+            code,
+            frame: Vec::new(),
             side,
             partition,
             store: ObjectStore::new(domain.associations.len()),
@@ -115,16 +138,25 @@ impl<'d> PCore<'d> {
             )));
         };
         let from_state = self.store.state_of(to)?;
-        match self.program.target(class, from_state, event) {
+        match self.code.program.target(class, from_state, event) {
             TransitionTarget::To(to_state) => {
                 self.store.set_state(to, to_state)?;
-                let program = Rc::clone(&self.program);
-                let action = program.action(class, to_state, event).ok_or_else(|| {
-                    CoreError::runtime("internal: dispatched pair has no compiled action")
-                })??;
-                let mut ctx = ExecCtx::new(to, action);
+                let action = self
+                    .code
+                    .bc
+                    .entry(class, to_state, event)
+                    .ok_or_else(|| {
+                        CoreError::runtime("internal: dispatched pair has no compiled action")
+                    })?
+                    .map(Arc::clone)?;
+                let mut frame = std::mem::take(&mut self.frame);
+                frame.clear();
+                frame.resize(action.n_regs, None);
+                let mut ctx = ExecCtx::with_frame(to, class, frame);
                 ctx.bind_args(args);
-                interp::run_code(self, &mut ctx, action)?;
+                let run = bc::run_bc(self, &mut ctx, &action);
+                self.frame = std::mem::take(&mut ctx.frame);
+                run?;
                 Ok(ctx.steps)
             }
             TransitionTarget::Ignore => Ok(1),
@@ -319,5 +351,40 @@ impl ActionHost for PCore<'_> {
             Some(t) => Value::default_for(t),
             None => Value::Bool(false),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::ModelCompiler;
+    use xtuml_core::builder::DomainBuilder;
+    use xtuml_core::marks::MarkSet;
+
+    #[test]
+    fn an_action_the_bytecode_cannot_encode_fails_its_dispatch_with_x0016() {
+        // One local more than the 16-bit register operands can address.
+        let body: String = (0..=u16::MAX as usize)
+            .map(|i| format!("v{i} = 0;\n"))
+            .collect();
+        let mut b = DomainBuilder::new("wide");
+        b.class("C")
+            .event("Go", &[])
+            .state("S", &body)
+            .initial("S")
+            .transition("S", "Go", "S");
+        let domain = b.build().unwrap();
+        for hardware in [false, true] {
+            let mut marks = MarkSet::new();
+            if hardware {
+                marks.mark_hardware("C");
+            }
+            let design = ModelCompiler::new().compile(&domain, &marks).unwrap();
+            let mut sys = design.instantiate();
+            let c = sys.create("C").unwrap();
+            sys.inject(0, c, "Go", vec![]).unwrap();
+            let err = sys.run_to_quiescence().unwrap_err().to_string();
+            assert!(err.contains("X0016 bc-unsupported"), "{err}");
+            assert!(err.contains("C.S on Go"), "{err}");
+        }
     }
 }

@@ -14,11 +14,9 @@
 
 use crate::host::{DelayedSend, PCore};
 use crate::interface::{self, InterfaceSpec};
-use crate::partition::{Partition, Side};
 use crate::{MdaError, Result};
 use std::collections::{BTreeMap, VecDeque};
 use xtuml_core::ids::{ClassId, EventId, InstId};
-use xtuml_core::model::Domain;
 use xtuml_core::value::Value;
 use xtuml_cosim::{Bridge, CosimError, HwModel};
 
@@ -64,17 +62,15 @@ pub struct HwPartition<'d> {
 }
 
 impl<'d> HwPartition<'d> {
-    /// Builds the hardware partition model.
+    /// Builds the hardware partition model around its execution core.
     pub(crate) fn new(
-        domain: &'d Domain,
-        partition: Partition,
+        core: PCore<'d>,
         iface: InterfaceSpec,
-        cycles_per_unit: u64,
         default_depth: usize,
         class_depth: BTreeMap<ClassId, usize>,
     ) -> HwPartition<'d> {
         HwPartition {
-            core: PCore::new(domain, Side::Hw, partition, cycles_per_unit),
+            core,
             iface,
             queues: BTreeMap::new(),
             busy: BTreeMap::new(),

@@ -12,11 +12,10 @@
 
 use crate::host::{DelayedSend, PCore};
 use crate::interface::{self, InterfaceSpec};
-use crate::partition::{Partition, Side};
+use crate::partition::Side;
 use crate::{MdaError, Result};
 use std::collections::BTreeMap;
 use xtuml_core::ids::{ClassId, EventId, InstId};
-use xtuml_core::model::Domain;
 use xtuml_core::value::Value;
 use xtuml_cosim::regfile::{RX_CHANNEL, RX_DATA0, RX_POP, RX_STATUS};
 use xtuml_cosim::{Bridge, BridgeConfig, CosimError, RegisterFile, SwModel};
@@ -61,18 +60,16 @@ pub struct SwPartition<'d> {
 }
 
 impl<'d> SwPartition<'d> {
-    /// Builds the software partition model.
+    /// Builds the software partition model around its execution core.
     pub(crate) fn new(
-        domain: &'d Domain,
-        partition: Partition,
+        core: PCore<'d>,
         iface: InterfaceSpec,
         bridge_cfg: &BridgeConfig,
-        cycles_per_unit: u64,
         cpu_khz: u64,
         prio: BTreeMap<ClassId, u8>,
     ) -> SwPartition<'d> {
         SwPartition {
-            core: PCore::new(domain, Side::Sw, partition, cycles_per_unit),
+            core,
             iface,
             regfile: RegisterFile::new(bridge_cfg),
             sched: Scheduler::new(),

@@ -83,14 +83,33 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// The deepest array/object nesting [`parse`] accepts. Each level costs
+/// a few stack frames, so without a bound a one-megabyte document of `[`
+/// overflows the stack and aborts the process. The documents this
+/// workspace reads nest a handful of levels deep.
+pub const MAX_NESTING: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn err(&self, msg: &str) -> String {
         format!("at byte {}: {}", self.pos, msg)
+    }
+
+    /// Runs `f` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(&format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn skip_ws(&mut self) {
@@ -132,8 +151,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.lit("true", Value::Bool(true)),
             Some(b'f') => self.lit("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -271,6 +290,7 @@ pub fn parse(src: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -339,5 +359,19 @@ mod tests {
         let doc = format!("{{\"k\": \"{}\"}}", escape(s));
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("k").and_then(Value::as_str), Some(s));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // One megabyte of brackets fits in a single serve frame.
+        let n = 500_000;
+        let doc = format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let err = parse(&doc).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let doc = "{\"a\": ".repeat(n) + "1" + &"}".repeat(n);
+        assert!(parse(&doc).unwrap_err().contains("nesting"));
+        // The limit itself parses.
+        let doc = format!("{}{}", "[".repeat(MAX_NESTING), "]".repeat(MAX_NESTING));
+        assert!(parse(&doc).is_ok());
     }
 }

@@ -89,7 +89,9 @@ pub enum Counter {
     MdaCompiles,
     /// Action dispatches executed by the bytecode VM engine.
     BcActions,
-    /// Action dispatches that fell back from the VM to compiled frames.
+    /// Retired: action dispatches that fell back from the VM to the
+    /// compiled-frame walker, which no longer exists. Kept at its place in
+    /// the snapshot order, so it always reads 0.
     BcFallbacks,
     /// Sharded runs the effect analysis admitted to `shards > 1`
     /// (counted once per run that actually executes sharded; the
