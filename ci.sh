@@ -88,67 +88,6 @@ cargo run --quiet --release -- run models/doorbell.xtuml models/doorbell.stim \
     --shards 4 --profile target/ci-profile.json > /dev/null
 cargo run --quiet --release -- stats --check-profile target/ci-profile.json
 
-# Interp regression + zero-cost-when-disabled gate: one fresh
-# measurement (telemetry compiled in but off — the default) is checked
-# against the blessed VM-era baseline at a 2% threshold, which subsumes
-# the 10% hard-regression bar the parallel bench uses. The bench binary
-# checks every run's dispatch count before any timing is trusted. The
-# baseline is blessed from the minimum of several runs on the CI host,
-# so the threshold absorbs scheduler noise rather than re-measuring it.
-( cd target && cargo run --quiet --release -p xtuml-bench --bin throughput )
-cp BENCH_interp.baseline.json target/
-awk '
-    FNR == 1 { file++ }
-    /"aggregate_signals_per_sec"/ { rate[file] = $2 + 0 }
-    END {
-        if (rate[2] <= 0) { print "no interp baseline rate parsed"; exit 1 }
-        ratio = rate[1] / rate[2]
-        printf "interp bench (telemetry off): %.0f vs baseline %.0f (%.2fx)\n", rate[1], rate[2], ratio
-        if (ratio < 0.98) { print "FAIL: disabled telemetry costs >2%"; exit 1 }
-    }' target/BENCH_interp.json target/BENCH_interp.baseline.json
-
-# Null-dispatch gate: the dispatch microbench measures pure per-signal
-# engine overhead (every action body is empty), which is exactly the
-# surface the dispatch superloop optimizes — regressions here are
-# invisible in the pipeline bench, whose real action work dominates.
-# The binary checks every run's dispatch count, and interleaves its
-# timed columns so heap and frequency drift cannot masquerade as a
-# trace-ring cost. Gate at 0.9x of the blessed baseline; like the interp
-# baseline it is host-specific and must be re-blessed when the CI host
-# changes.
-( cd target && cargo run --quiet --release -p xtuml-bench --bin dispatch )
-cp BENCH_dispatch.baseline.json target/
-awk '
-    FNR == 1 { file++ }
-    /"aggregate_signals_per_sec"/ { rate[file] = $2 + 0 }
-    END {
-        if (rate[2] <= 0) { print "no dispatch baseline rate parsed"; exit 1 }
-        ratio = rate[1] / rate[2]
-        printf "dispatch bench: %.0f vs baseline %.0f (%.2fx)\n", rate[1], rate[2], ratio
-        if (ratio < 0.9) { print "FAIL: >10% dispatch overhead regression"; exit 1 }
-    }' target/BENCH_dispatch.json target/BENCH_dispatch.baseline.json
-
-# Scaling-bench gate: smoke-run the jobs sweep at 1 and 2 workers (the
-# binary itself byte-compares the traces before trusting any timing),
-# then fail on a >10% aggregate throughput regression against the
-# checked-in baseline.
-( cd target && BENCH_ITERS=1 BENCH_JOBS=1,2 cargo run --quiet --release \
-    -p xtuml-bench --bin scaling )
-if [ -f BENCH_parallel.baseline.json ]; then
-    cp BENCH_parallel.baseline.json target/
-    ( cd target && BENCH_ITERS=3 cargo run --quiet --release \
-        -p xtuml-bench --bin scaling )
-    awk '
-        /"aggregate_signals_per_sec"/  { cur = $2 + 0 }
-        /"baseline_signals_per_sec"/   { base = $2 + 0 }
-        END {
-            if (base <= 0) { print "no baseline rate parsed"; exit 1 }
-            ratio = cur / base
-            printf "parallel bench: %.0f vs baseline %.0f (%.2fx)\n", cur, base, ratio
-            if (ratio < 0.9) { print "FAIL: >10% regression"; exit 1 }
-        }' target/BENCH_parallel.json
-fi
-
 # Snapshot/restore gates (DESIGN §15). The round-trip suite proves
 # `restore(snapshot(sim))` continues byte-identically over the corpus
 # and a generated sweep at shards {1,2,4}; the checkpointed fuzz smoke
@@ -167,22 +106,55 @@ grep -q 'divergences      : 0' target/fuzz-smoke-ckpt.txt
 cargo run --quiet --release -- serve --smoke > target/serve-smoke.txt
 cmp target/serve-smoke.txt tests/golden/serve_smoke.txt
 
-# Serve load gate: the session-conformance suite, then one fresh
-# measurement against the blessed baseline. The harness runs best-of-3
-# to absorb scheduler noise; fail on a >10% regression or if the rate
-# ever drops below the 1k sessions/s acceptance floor.
+# Serve conformance: the session suite (framing, every verb, idle
+# eviction to disk and transparent revival).
 cargo test -q --release -p xtuml-serve
-if [ -f BENCH_serve.baseline.json ]; then
-    cp BENCH_serve.baseline.json target/
-    ( cd target && cargo run --quiet --release -p xtuml-bench --bin serve_load )
-    awk '
-        /"aggregate_sessions_per_sec"/ { cur = $2 + 0 }
-        /"baseline_sessions_per_sec"/  { base = $2 + 0 }
-        END {
-            if (base <= 0) { print "no serve baseline rate parsed"; exit 1 }
-            ratio = cur / base
-            printf "serve bench: %.0f vs baseline %.0f sessions/s (%.2fx)\n", cur, base, ratio
-            if (cur < 1000) { print "FAIL: below the 1k sessions/s floor"; exit 1 }
-            if (ratio < 0.9) { print "FAIL: >10% regression"; exit 1 }
-        }' target/BENCH_serve.json
-fi
+
+# Allocation ledger gate: the repository benchmark (perfbench/, declared
+# in BENCHMARK.json) counts allocations, dispatches and bytes per op, and
+# those counts are a pure function of the code and the seed. Short
+# untraced and traced runs are reduced to `workload metric value` lines
+# and compared exactly against the committed ledger, so one extra
+# allocation per signal on the dispatch path moves `sim_pipeline`'s
+# `exec.allocs_per_signal` from 0.0002 to at least 1. A failed op's
+# output check already makes perfbench exit non-zero. Excluded:
+# - every `fuzz_sweep` count: a 1 s window ends inside the first pass
+#   over its 4000 seeds, so its averages depend on how far it got (the
+#   fuzz-smoke cmp above pins fuzz determinism instead);
+# - the serve workloads' `allocs_per_op`: two clients interleave on the
+#   daemon, which moves it by up to 0.1%;
+# - `serve.request_bytes` and `serve.reply_bytes`: they spread each
+#   session's create, trace and close frames over its step cycles, so a
+#   window that ends mid-session moves them (17518.625 at 1 s against
+#   17520.667 at 2 s);
+# - `peak_heap_mb`: it repeats on one host, but the benchmark runner's
+#   readings differ from the gate's (76.138 against 76.153 MiB on
+#   `sim_pipeline`);
+# - wall time and every `_share`, which swing ±15-25% between runs.
+# Wall time is measured by perfbench under BENCHMARK.json's bounds, never
+# gated here. To re-bless, copy target/perf_ledger.txt over the golden on
+# the CI host and explain every moved line in CHANGES.md.
+ledger() {
+    workload=$1
+    trace=$2
+    shift 2
+    cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 1 --trace "$trace" \
+        > "target/perf-$workload-$trace.json"
+    for metric in "$@"; do
+        value=$(sed -n "s/.*\"$metric\": {\"value\": \([^,]*\),.*/\1/p" \
+            "target/perf-$workload-$trace.json")
+        echo "$workload $metric $value"
+    done
+}
+{
+    ledger load_run 0 allocs_per_op
+    ledger sim_pipeline 0 allocs_per_op
+    ledger sim_manycore_sharded 0 allocs_per_op
+    ledger load_run 1 lang.parse_allocs exec.allocs_per_signal exec.dispatches_per_op
+    ledger sim_pipeline 1 exec.allocs_per_signal exec.dispatches_per_op
+    ledger sim_manycore_sharded 1 exec.allocs_per_signal
+    ledger serve_snapshot 1 exec.snapshot_bytes exec.dispatches_per_op
+} > target/perf_ledger.txt
+diff -u tests/golden/perf_ledger.txt target/perf_ledger.txt
+echo "perf ledger: $(wc -l < target/perf_ledger.txt) counts match"

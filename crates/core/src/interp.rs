@@ -79,17 +79,6 @@ pub trait ActionHost {
     /// Fails on dangling references.
     fn related(&self, inst: InstId, assoc: AssocId) -> Result<Vec<InstId>>;
 
-    /// Visits all live instances of a class in creation order without
-    /// materialising a `Vec`. Hosts backed by an indexed store should
-    /// override this (and [`ActionHost::first_instance_of`] /
-    /// [`ActionHost::related_each`]) with allocation-free walks; the
-    /// default delegates to [`ActionHost::instances_of`].
-    fn each_instance(&self, class: ClassId, f: &mut dyn FnMut(InstId)) {
-        for inst in self.instances_of(class) {
-            f(inst);
-        }
-    }
-
     /// The first live instance of a class in creation order, if any
     /// (unfiltered `select any`).
     fn first_instance_of(&self, class: ClassId) -> Option<InstId> {
@@ -263,11 +252,6 @@ pub struct ExecCtx {
     pub frame: Vec<Option<Value>>,
     /// Candidate binding for `selected` inside `where` clauses.
     pub(crate) selected: Option<Value>,
-    /// Reusable candidate buffer for filtered selects: the filter needs
-    /// `&mut host`, so candidates must be materialised before evaluation,
-    /// but hot dispatch loops can hand the buffer back in (like `frame`)
-    /// so steady-state filtered selects allocate nothing.
-    pub scratch: Vec<InstId>,
     /// Primitive-step counter (statements + expression nodes); the
     /// substrates convert this into cycles.
     pub steps: u64,
@@ -295,7 +279,6 @@ impl ExecCtx {
             self_class,
             frame,
             selected: None,
-            scratch: Vec::new(),
             steps: 0,
             fuel: DEFAULT_FUEL,
         }

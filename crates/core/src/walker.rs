@@ -241,31 +241,17 @@ fn select_first<H: ActionHost>(
     filter: &CExpr,
 ) -> Result<Option<InstId>> {
     // The filter needs `&mut host`, so candidates must be materialised
-    // before evaluation (the host cannot be borrowed while iterating it)
-    // — into the reusable scratch buffer, not a fresh `Vec`.
-    let mut cands = std::mem::take(&mut ctx.scratch);
-    cands.clear();
-    host.each_instance(class, &mut |i| cands.push(i));
-    let mut picked = None;
-    for &inst in &cands {
+    // before evaluation (the host cannot be borrowed while iterating it).
+    for inst in host.instances_of(class) {
         ctx.burn(1)?;
         let saved = ctx.selected.replace(Value::Inst(class, Some(inst)));
         let keep = eval(host, ctx, action, filter).and_then(|v| v.as_bool());
         ctx.selected = saved;
-        match keep {
-            Ok(true) => {
-                picked = Some(inst);
-                break;
-            }
-            Ok(false) => {}
-            Err(e) => {
-                ctx.scratch = cands;
-                return Err(e);
-            }
+        if keep? {
+            return Ok(Some(inst));
         }
     }
-    ctx.scratch = cands;
-    Ok(picked)
+    Ok(None)
 }
 
 /// `select many … where f`: all candidates passing the filter.
@@ -276,27 +262,16 @@ fn select_filtered<H: ActionHost>(
     class: ClassId,
     filter: &CExpr,
 ) -> Result<Vec<InstId>> {
-    // The output `Vec` is the result (it becomes a `Value::Set`), but the
-    // candidate list goes through the reusable scratch buffer.
-    let mut cands = std::mem::take(&mut ctx.scratch);
-    cands.clear();
-    host.each_instance(class, &mut |i| cands.push(i));
     let mut out = Vec::new();
-    for &inst in &cands {
+    for inst in host.instances_of(class) {
         ctx.burn(1)?;
         let saved = ctx.selected.replace(Value::Inst(class, Some(inst)));
         let keep = eval(host, ctx, action, filter).and_then(|v| v.as_bool());
         ctx.selected = saved;
-        match keep {
-            Ok(true) => out.push(inst),
-            Ok(false) => {}
-            Err(e) => {
-                ctx.scratch = cands;
-                return Err(e);
-            }
+        if keep? {
+            out.push(inst);
         }
     }
-    ctx.scratch = cands;
     Ok(out)
 }
 

@@ -2,7 +2,7 @@
 //!
 //! A [`Core`] owns everything a run-to-completion executor mutates: an
 //! instance population, per-instance signal queues and the ready set, the
-//! scheduler PRNG and send counter, the trace, recycled frame, scratch and
+//! scheduler PRNG and send counter, the trace, recycled frame and
 //! payload buffers, an optional telemetry recorder, and the effects that
 //! leave the core — cross-shard signals (the outbox), armed timers and
 //! timer cancellations. [`Core::dispatch`] is the crate's only signal
@@ -394,9 +394,6 @@ pub(crate) struct Core {
     pub(crate) outbox: Vec<(InstId, Envelope)>,
     /// Recycled execution frame: taken by each dispatch, returned after.
     frame_buf: Vec<Option<Value>>,
-    /// Recycled candidate buffer for filtered selects (see
-    /// [`ExecCtx::scratch`]).
-    scratch_buf: Vec<InstId>,
     /// Recycled signal payload buffers, fed by finished dispatches and
     /// drained by the VM's computed sends; core-local, so pooling never
     /// couples shards.
@@ -427,7 +424,6 @@ impl Core {
             cancels: Vec::new(),
             outbox: Vec::new(),
             frame_buf: Vec::new(),
-            scratch_buf: Vec::new(),
             payloads: PayloadPool::new(),
             obs: None,
         }
@@ -684,8 +680,8 @@ impl Core {
         out
     }
 
-    /// An execution context on the recycled frame and scratch buffers,
-    /// with the signal's arguments bound.
+    /// An execution context on the recycled frame, with the signal's
+    /// arguments bound.
     #[inline(always)]
     fn exec_ctx(
         &mut self,
@@ -698,7 +694,6 @@ impl Core {
         frame.clear();
         frame.resize(frame_len, None);
         let mut ctx = ExecCtx::with_frame(inst, class, frame);
-        ctx.scratch = std::mem::take(&mut self.scratch_buf);
         ctx.bind_args(env.args.iter().cloned());
         ctx
     }
@@ -706,7 +701,6 @@ impl Core {
     #[inline(always)]
     fn recycle_ctx(&mut self, mut ctx: ExecCtx) {
         self.frame_buf = std::mem::take(&mut ctx.frame);
-        self.scratch_buf = std::mem::take(&mut ctx.scratch);
     }
 
     // -- snapshot codec -----------------------------------------------------
@@ -880,10 +874,6 @@ impl ActionHost for Host<'_, '_> {
 
     fn related(&self, inst: InstId, assoc: AssocId) -> Result<Vec<InstId>> {
         self.core.store.related(inst, assoc)
-    }
-
-    fn each_instance(&self, class: ClassId, f: &mut dyn FnMut(InstId)) {
-        self.core.store.instances_iter(class).for_each(f);
     }
 
     fn first_instance_of(&self, class: ClassId) -> Option<InstId> {

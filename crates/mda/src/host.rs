@@ -238,10 +238,6 @@ impl ActionHost for PCore<'_> {
         self.store.related(inst, assoc)
     }
 
-    fn each_instance(&self, class: ClassId, f: &mut dyn FnMut(InstId)) {
-        self.store.instances_iter(class).for_each(f);
-    }
-
     fn first_instance_of(&self, class: ClassId) -> Option<InstId> {
         self.store.first_instance_of(class)
     }

@@ -90,7 +90,8 @@ pub fn escape(s: &str) -> String {
 pub const MAX_NESTING: usize = 128;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
+    /// Byte offset into `src`; always on a char boundary.
     pos: usize,
     /// Arrays and objects currently open (see [`MAX_NESTING`]).
     depth: usize,
@@ -113,7 +114,7 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(b) = self.peek() {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.pos += 1;
             } else {
@@ -123,7 +124,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8) -> Result<(), String> {
@@ -136,7 +137,7 @@ impl<'a> Parser<'a> {
     }
 
     fn lit(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.src[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -175,9 +176,7 @@ impl<'a> Parser<'a> {
         if !digits {
             return Err(self.err("malformed number"));
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("non-utf8 number"))?;
-        Ok(Value::Num(text.to_owned()))
+        Ok(Value::Num(self.src[start..self.pos].to_owned()))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -203,7 +202,8 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let hex =
@@ -221,9 +221,7 @@ impl<'a> Parser<'a> {
                 }
                 Some(_) => {
                     // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("non-utf8 string"))?;
-                    let c = rest.chars().next().unwrap();
+                    let c = self.src[self.pos..].chars().next().unwrap();
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -288,13 +286,13 @@ impl<'a> Parser<'a> {
 /// Parses one JSON document (rejecting trailing garbage).
 pub fn parse(src: &str) -> Result<Value, String> {
     let mut p = Parser {
-        bytes: src.as_bytes(),
+        src,
         pos: 0,
         depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.src.len() {
         return Err(p.err("trailing characters after document"));
     }
     Ok(v)
@@ -359,6 +357,21 @@ mod tests {
         let doc = format!("{{\"k\": \"{}\"}}", escape(s));
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("k").and_then(Value::as_str), Some(s));
+    }
+
+    #[test]
+    fn a_one_megabyte_string_parses_in_linear_time() {
+        // One legal serve frame can carry a string this long, and the
+        // daemon's single manager thread parses it while every other
+        // session waits.
+        let text = "abc\u{e9}\u{1f600}".repeat(1 << 17);
+        assert!(text.len() > 1 << 20);
+        let doc = format!("[\"{text}\"]");
+        let start = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        let took = start.elapsed();
+        assert_eq!(v.as_arr().and_then(|a| a[0].as_str()), Some(&*text));
+        assert!(took.as_secs_f64() < 2.0, "took {took:?}");
     }
 
     #[test]
