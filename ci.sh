@@ -5,7 +5,7 @@ set -eux
 
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
-cargo build --release --workspace
+cargo build --release --locked --workspace
 cargo test -q --workspace
 
 # Lint gate: every shipped model must be free of deny-level (error)
@@ -138,7 +138,7 @@ ledger() {
     workload=$1
     trace=$2
     shift 2
-    cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+    cargo run --quiet --release --offline --locked --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seconds 1 --trace "$trace" \
         > "target/perf-$workload-$trace.json"
     for metric in "$@"; do

@@ -7,9 +7,10 @@
 //! on the register bytecode VM ([`run_bc`](crate::bc::run_bc)) against the
 //! [`ActionHost`] trait, and every execution platform in the workspace —
 //! the abstract model interpreter (`xtuml-exec`), the generated-hardware
-//! FSMs (`xtuml-mda` lowering onto `xtuml-rtl`) and the generated-software
-//! tasks (`xtuml-mda` lowering onto `xtuml-swrt`) — implements
-//! `ActionHost` over its own object store and signal transport.
+//! FSMs (`xtuml-mda`'s `hw`, the executable twin of the VHDL text) and
+//! the generated-software tasks (`xtuml-mda` lowering onto `xtuml-swrt`)
+//! — implements `ActionHost` over its own object store and signal
+//! transport.
 //! Behavioural equivalence across partitions then reduces to the hosts'
 //! transport semantics, which is exactly what the verification layer
 //! checks.
@@ -72,13 +73,6 @@ pub trait ActionHost {
     /// All live instances of a class, in creation order.
     fn instances_of(&self, class: ClassId) -> Vec<InstId>;
 
-    /// Instances linked to `inst` across `assoc`, in link order.
-    ///
-    /// # Errors
-    ///
-    /// Fails on dangling references.
-    fn related(&self, inst: InstId, assoc: AssocId) -> Result<Vec<InstId>>;
-
     /// The first live instance of a class in creation order, if any
     /// (unfiltered `select any`).
     fn first_instance_of(&self, class: ClassId) -> Option<InstId> {
@@ -91,12 +85,7 @@ pub trait ActionHost {
     /// # Errors
     ///
     /// Fails on dangling references.
-    fn related_each(&self, inst: InstId, assoc: AssocId, f: &mut dyn FnMut(InstId)) -> Result<()> {
-        for t in self.related(inst, assoc)? {
-            f(t);
-        }
-        Ok(())
-    }
+    fn related_each(&self, inst: InstId, assoc: AssocId, f: &mut dyn FnMut(InstId)) -> Result<()>;
 
     /// Creates a link.
     ///
@@ -113,24 +102,34 @@ pub trait ActionHost {
     fn unrelate(&mut self, a: InstId, b: InstId, assoc: AssocId) -> Result<()>;
 
     /// Sends a signal to an instance (possibly across the partition
-    /// boundary; possibly to `self`).
+    /// boundary; possibly to `self`). The bytecode VM's send ops hand over
+    /// a pooled (or literal-table) `Arc<[Value]>`; hosts whose signal
+    /// queue stores `Arc` payloads move it straight into the queue — zero
+    /// per-send allocation *and* zero refcount traffic.
     ///
     /// # Errors
     ///
     /// Fails on dangling references or queue overflow (platform-defined).
-    fn send(&mut self, from: InstId, to: InstId, event: EventId, args: Vec<Value>) -> Result<()>;
+    fn send_arc(
+        &mut self,
+        from: InstId,
+        to: InstId,
+        event: EventId,
+        args: std::sync::Arc<[Value]>,
+    ) -> Result<()>;
 
-    /// Sends a signal to an external actor — an *observable output*.
+    /// Sends a signal to an external actor — an *observable output*; the
+    /// payload is shared as for [`ActionHost::send_arc`].
     ///
     /// # Errors
     ///
     /// Platform-defined.
-    fn send_actor(
+    fn send_actor_arc(
         &mut self,
         from: InstId,
         actor: ActorId,
         event: EventId,
-        args: Vec<Value>,
+        args: std::sync::Arc<[Value]>,
     ) -> Result<()>;
 
     /// Schedules a signal to an instance after `delay` time units (the
@@ -162,42 +161,6 @@ pub trait ActionHost {
     ///
     /// Fails if the actor does not implement the function.
     fn bridge_call(&mut self, actor: ActorId, func: &str, args: Vec<Value>) -> Result<Value>;
-
-    /// [`ActionHost::send`] with a pre-shared payload, passed by value:
-    /// the bytecode VM's send ops hand over a pooled (or literal-table)
-    /// `Arc<[Value]>`, and hosts whose signal queue stores `Arc` payloads
-    /// should override this to move the `Arc` straight into the queue —
-    /// zero per-send allocation *and* zero refcount traffic. The default
-    /// delegates to [`ActionHost::send`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`ActionHost::send`].
-    fn send_arc(
-        &mut self,
-        from: InstId,
-        to: InstId,
-        event: EventId,
-        args: std::sync::Arc<[Value]>,
-    ) -> Result<()> {
-        self.send(from, to, event, args.to_vec())
-    }
-
-    /// [`ActionHost::send_actor`] with a pre-shared payload; see
-    /// [`ActionHost::send_arc`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`ActionHost::send_actor`].
-    fn send_actor_arc(
-        &mut self,
-        from: InstId,
-        actor: ActorId,
-        event: EventId,
-        args: std::sync::Arc<[Value]>,
-    ) -> Result<()> {
-        self.send_actor(from, actor, event, args.to_vec())
-    }
 
     /// Pops a *uniquely-owned* payload buffer of exactly `len` slots from
     /// the host's recycling pool, if it keeps one. The bytecode VM fills

@@ -7,6 +7,7 @@ use crate::ids::{ActorId, AssocId, AttrId, ClassId, EventId, InstId};
 use crate::interp::ActionHost;
 use crate::model::{Domain, Multiplicity};
 use crate::value::{DataType, Value};
+use std::sync::Arc;
 
 /// Everything an action can observably do to a [`TestHost`].
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -84,15 +85,14 @@ impl ActionHost for TestHost {
             .map(|(i, _)| InstId::new(i as u32))
             .collect()
     }
-    fn related(&self, inst: InstId, assoc: AssocId) -> Result<Vec<InstId>> {
+    fn related_each(&self, inst: InstId, assoc: AssocId, f: &mut dyn FnMut(InstId)) -> Result<()> {
         self.check_live(inst)?;
-        Ok(self
-            .fx
+        self.fx
             .links
             .iter()
             .filter(|(a, x, y)| *a == assoc && (*x == inst || *y == inst))
-            .map(|(_, x, y)| if *x == inst { *y } else { *x })
-            .collect())
+            .for_each(|(_, x, y)| f(if *x == inst { *y } else { *x }));
+        Ok(())
     }
     fn relate(&mut self, a: InstId, b: InstId, assoc: AssocId) -> Result<()> {
         self.fx.links.push((assoc, a, b));
@@ -108,19 +108,25 @@ impl ActionHost for TestHost {
         }
         Ok(())
     }
-    fn send(&mut self, from: InstId, to: InstId, event: EventId, args: Vec<Value>) -> Result<()> {
+    fn send_arc(
+        &mut self,
+        from: InstId,
+        to: InstId,
+        event: EventId,
+        args: Arc<[Value]>,
+    ) -> Result<()> {
         self.check_live(to)?;
-        self.fx.sent.push((from, to, event, args));
+        self.fx.sent.push((from, to, event, args.to_vec()));
         Ok(())
     }
-    fn send_actor(
+    fn send_actor_arc(
         &mut self,
         _from: InstId,
         actor: ActorId,
         event: EventId,
-        args: Vec<Value>,
+        args: Arc<[Value]>,
     ) -> Result<()> {
-        self.fx.actor_sent.push((actor, event, args));
+        self.fx.actor_sent.push((actor, event, args.to_vec()));
         Ok(())
     }
     fn send_delayed(

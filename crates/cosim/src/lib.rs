@@ -1,9 +1,11 @@
 //! # xtuml-cosim — hardware/software co-simulation
 //!
-//! Joins the RTL substrate (`xtuml-rtl`) and the software runtime
-//! (`xtuml-swrt`) through the **generated interface** of paper §4: a set of
-//! typed event channels realised as a register file with doorbell
-//! semantics and a latency-modelled bus.
+//! Joins the hardware partition (clocked FSMs, `xtuml-mda`'s `hw`) and the
+//! software runtime (`xtuml-swrt`) through the **generated interface** of
+//! paper §4: a set of typed event channels realised as a register file
+//! with doorbell semantics and a latency-modelled bus, with one
+//! receive-side `xtuml-rtl` [`SyncFifo`](xtuml_rtl::SyncFifo) per
+//! direction.
 //!
 //! The crate is model-agnostic: it moves [`BusMessage`]s between two
 //! abstract executors ([`HwModel`], [`SwModel`]) in lockstep, one hardware

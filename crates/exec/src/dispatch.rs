@@ -872,10 +872,6 @@ impl ActionHost for Host<'_, '_> {
         self.core.store.instances_of(class)
     }
 
-    fn related(&self, inst: InstId, assoc: AssocId) -> Result<Vec<InstId>> {
-        self.core.store.related(inst, assoc)
-    }
-
     fn first_instance_of(&self, class: ClassId) -> Option<InstId> {
         self.core.store.first_instance_of(class)
     }
@@ -893,10 +889,6 @@ impl ActionHost for Host<'_, '_> {
     fn unrelate(&mut self, a: InstId, b: InstId, assoc: AssocId) -> Result<()> {
         self.structure_mutation("unrelating instances")?;
         self.core.store.unrelate(a, b, assoc)
-    }
-
-    fn send(&mut self, from: InstId, to: InstId, event: EventId, args: Vec<Value>) -> Result<()> {
-        self.send_arc(from, to, event, Arc::from(args))
     }
 
     fn send_arc(
@@ -945,16 +937,6 @@ impl ActionHost for Host<'_, '_> {
             }
         }
         Ok(())
-    }
-
-    fn send_actor(
-        &mut self,
-        from: InstId,
-        actor: ActorId,
-        event: EventId,
-        args: Vec<Value>,
-    ) -> Result<()> {
-        self.send_actor_arc(from, actor, event, Arc::from(args))
     }
 
     fn send_actor_arc(

@@ -234,10 +234,6 @@ impl ActionHost for PCore<'_> {
         self.store.instances_of(class)
     }
 
-    fn related(&self, inst: InstId, assoc: AssocId) -> CoreResult<Vec<InstId>> {
-        self.store.related(inst, assoc)
-    }
-
     fn first_instance_of(&self, class: ClassId) -> Option<InstId> {
         self.store.first_instance_of(class)
     }
@@ -270,14 +266,15 @@ impl ActionHost for PCore<'_> {
         self.store.unrelate(a, b, assoc)
     }
 
-    fn send(
+    fn send_arc(
         &mut self,
         from: InstId,
         to: InstId,
         event: EventId,
-        args: Vec<Value>,
+        args: Arc<[Value]>,
     ) -> CoreResult<()> {
         let class = self.store.class_of(to)?;
+        let args = args.to_vec();
         if self.partition.side(class) == self.side {
             self.effects.local.push(LocalSend {
                 from,
@@ -291,17 +288,17 @@ impl ActionHost for PCore<'_> {
         Ok(())
     }
 
-    fn send_actor(
+    fn send_actor_arc(
         &mut self,
         _from: InstId,
         actor: ActorId,
         event: EventId,
-        args: Vec<Value>,
+        args: Arc<[Value]>,
     ) -> CoreResult<()> {
         let a = self.domain.actor(actor);
         let name = a.name.clone();
         let ev = a.events[event.index()].name.clone();
-        self.observe(&name, &ev, args);
+        self.observe(&name, &ev, args.to_vec());
         Ok(())
     }
 

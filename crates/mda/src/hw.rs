@@ -325,3 +325,46 @@ impl HwPartition<'_> {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use xtuml_core::builder::DomainBuilder;
+    use xtuml_core::marks::{keys, ElemRef, MarkSet};
+
+    /// The `queueDepth` mark sizes the FIFO in the VHDL text and in this
+    /// executable twin alike: `depth` same-cycle events fit, one more
+    /// overflows.
+    #[test]
+    fn queue_depth_mark_bounds_the_vhdl_generic_and_the_fsm_fifo() {
+        let mut b = DomainBuilder::new("qd");
+        b.class("H")
+            .event("E", &[])
+            .state("S", "")
+            .initial("S")
+            .transition("S", "E", "S");
+        let domain = b.build().unwrap();
+        for depth in [2usize, 3] {
+            let mut m = MarkSet::new();
+            m.mark_hardware("H");
+            m.set(ElemRef::class("H"), keys::QUEUE_DEPTH, depth as i64);
+            let design = crate::ModelCompiler::new().compile(&domain, &m).unwrap();
+            assert!(design
+                .vhdl_code
+                .contains(&format!("generic (QUEUE_DEPTH : positive := {depth});")));
+            let run = |events: usize| {
+                let mut sys = design.instantiate();
+                let h = sys.create("H").unwrap();
+                for _ in 0..events {
+                    sys.inject(0, h, "E", vec![]).unwrap();
+                }
+                sys.run_to_quiescence()
+            };
+            run(depth).unwrap();
+            let err = run(depth + 1).unwrap_err().to_string();
+            assert!(
+                err.contains("hardware event FIFO overflow"),
+                "depth {depth}: {err}"
+            );
+        }
+    }
+}

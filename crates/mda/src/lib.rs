@@ -12,9 +12,11 @@
 //!    ([`cgen`]) and VHDL for the hardware half ([`vgen`]), both driving
 //!    the same generated interface,
 //! 4. an **executable system** ([`CompiledSystem`]): the same lowering,
-//!    instantiated onto the `xtuml-rtl` and `xtuml-swrt` substrates and
-//!    joined by the `xtuml-cosim` bridge, so the partitioned design can be
-//!    run and its observable trace compared against the abstract model.
+//!    run as clocked hardware FSMs ([`hw`], the executable twin of the
+//!    VHDL text, which nothing executes) and software tasks on the
+//!    `xtuml-swrt` substrate, joined by the `xtuml-cosim` bridge, so the
+//!    partitioned design can be run and its observable trace compared
+//!    against the abstract model.
 //!
 //! Because the C text, the VHDL text and the executable bridge all consume
 //! the *single* derived [`InterfaceSpec`], "the two halves are known to

@@ -8,8 +8,10 @@
 //! with the same address map the generated C driver uses.
 //!
 //! As with the C side, the text is validated by golden tests and size
-//! metrics; the executable hardware partition ([`crate::hw`]) is the same
-//! lowering run on the RTL substrate.
+//! metrics; nothing executes it, since no VHDL simulator is available. Its
+//! executable twin is the hardware partition ([`crate::hw`]): clocked FSMs
+//! from the same lowering, with the same state encoding, FIFO depths and
+//! channel table.
 
 use crate::compiler::PlatformParams;
 use crate::interface::InterfaceSpec;

@@ -1,11 +1,9 @@
 //! A synchronous FIFO model.
 //!
-//! The generated hardware uses FIFOs as event queues (one per hardware
-//! state machine) and as the bridge's channel buffers. [`SyncFifo`] models
-//! the *architectural* behaviour — bounded depth, full/empty flags,
+//! The co-simulation bridge receives into one per direction. [`SyncFifo`]
+//! models the *architectural* behaviour — bounded depth, full/empty flags,
 //! overflow detection — at the granularity the co-simulation needs (one
-//! push/pop per clock edge), without burning signal-level wires for the
-//! payload.
+//! push/pop per clock edge), without signal-level wires for the payload.
 
 use std::collections::VecDeque;
 

@@ -1,53 +1,18 @@
-//! # xtuml-rtl — a delta-cycle RTL simulator
+//! # xtuml-rtl — the bridge's synchronous FIFO
 //!
-//! The hardware half of the toolchain. The paper's model compiler emits
-//! VHDL; since a proprietary VHDL simulator is not available to this
-//! reproduction, this crate implements the *semantic model* that VHDL
-//! text denotes — four-valued logic ([`Logic`]), logic vectors
-//! ([`LogicVector`]), signals with delta-delayed assignment, processes
-//! with sensitivity lists and a single-clock synchronous kernel
-//! ([`RtlKernel`]) — so generated hardware can be **executed**
-//! cycle-accurately, not just printed.
+//! [`SyncFifo`] is the bounded receive buffer of the `xtuml-cosim`
+//! bridge, one per direction: the architectural behaviour of a hardware
+//! FIFO (depth, full/empty flags, overflow count, high-water mark) at one
+//! push or pop per clock edge.
 //!
-//! The kernel follows standard VHDL simulation semantics: signal
-//! assignments within a process are scheduled, not immediate; all
-//! processes sensitive to a changed signal re-evaluate in the next delta
-//! cycle; a time step completes when no more deltas are pending
-//! (oscillation is detected and reported).
-//!
-//! ```
-//! use xtuml_rtl::{LogicVector, Process, RtlKernel, SignalCtx, SignalId};
-//!
-//! /// A 4-bit counter clocked on the rising edge.
-//! struct Counter { clk: SignalId, q: SignalId }
-//! impl Process for Counter {
-//!     fn sensitivity(&self) -> Vec<SignalId> { vec![self.clk] }
-//!     fn eval(&mut self, ctx: &mut SignalCtx<'_>) {
-//!         if ctx.rising_edge(self.clk) {
-//!             let next = ctx.read(self.q).to_u64().unwrap_or(0) + 1;
-//!             ctx.set(self.q, LogicVector::from_u64(next & 0xF, 4));
-//!         }
-//!     }
-//! }
-//!
-//! let mut k = RtlKernel::new();
-//! let clk = k.clock();
-//! let q = k.add_signal("q", LogicVector::zeros(4));
-//! k.add_process(Counter { clk, q });
-//! k.run_cycles(5)?;
-//! assert_eq!(k.peek(q).to_u64(), Some(5));
-//! # Ok::<(), xtuml_rtl::RtlError>(())
-//! ```
+//! The hardware half itself does not run here. The model compiler prints
+//! it as VHDL text (`xtuml_mda::vgen`), which nothing executes, since no
+//! VHDL simulator is available; its executable twin is `xtuml_mda::hw`,
+//! clocked FSMs that run every action on the same bytecode VM as the
+//! model run.
 
 #![warn(missing_docs)]
 #![warn(rustdoc::broken_intra_doc_links)]
 pub mod fifo;
-pub mod kernel;
-pub mod logic;
-pub mod vcd;
-pub mod vector;
 
 pub use fifo::SyncFifo;
-pub use kernel::{Process, RtlError, RtlKernel, SignalCtx, SignalId};
-pub use logic::Logic;
-pub use vector::LogicVector;
