@@ -8,6 +8,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release --locked --workspace
 cargo test -q --workspace
 
+# Doc gate: the API docs build without a warning, so a broken, ambiguous
+# or private intra-doc link fails here rather than in a reader's browser.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
+# Compile smoke: `xtuml compile` writes the generated sources into an
+# output directory it creates, however deeply nested.
+rm -rf target/compile-smoke
+cargo run --quiet --release -- compile models/doorbell.xtuml models/doorbell.marks \
+    target/compile-smoke/a/b > /dev/null
+test -f target/compile-smoke/a/b/Doorbell.c
+
 # Lint gate: every shipped model must be free of deny-level (error)
 # diagnostics. Warnings are allowed — some shipped models demonstrate
 # them on purpose; models/lints/* are deliberately buggy fixtures and are

@@ -239,7 +239,7 @@ struct BcClass {
 }
 
 /// All lowered actions of a domain, indexed like
-/// [`CompiledProgram`](crate::code::CompiledProgram):
+/// [`CompiledProgram`]:
 /// `state * n_events + event` per class.
 #[derive(Debug, Clone, Default)]
 pub struct BcProgram {

@@ -10,7 +10,7 @@
 //! the [`Domain`] only when a trace is rendered or projected.
 //!
 //! Internally the trace is a **packed ring**: every record is one
-//! fixed-width [`Rec`] (tag byte + five `u32` operands + two `u64`s,
+//! fixed-width `Rec` (tag byte + five `u32` operands + two `u64`s,
 //! 40 bytes after alignment) appended to a flat vector, with the rare
 //! variable-width payloads (actor-signal arguments, bridge function
 //! names) interned into side tables and referenced by index. The public

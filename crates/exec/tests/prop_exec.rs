@@ -134,7 +134,10 @@ fn prop_store_matches_reference() {
                 }
             }
             for &(a, b) in &links {
-                let related = store.related(InstId::new(a as u32), r1).unwrap();
+                let related = store
+                    .related_iter(InstId::new(a as u32), r1)
+                    .unwrap()
+                    .collect::<Vec<_>>();
                 assert!(related.contains(&InstId::new(b as u32)));
             }
         }

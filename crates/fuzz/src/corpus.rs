@@ -4,13 +4,14 @@
 //! case byte-for-byte), plus load/replay helpers for the checked-in
 //! regression corpus.
 
+use std::convert::Infallible;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use xtuml_core::value::Value;
 use xtuml_core::CoreError;
-use xtuml_lang::{print_domain, print_marks};
+use xtuml_lang::stim::{self, Directive};
+use xtuml_lang::{print_domain, print_literal, print_marks};
 use xtuml_verify::TestCase;
 
 use crate::spec::FuzzSpec;
@@ -60,82 +61,36 @@ pub fn render_stim(tc: &TestCase) -> String {
     for s in &stims {
         let _ = write!(out, "at {} i{} {}", s.time, s.inst, s.event);
         for v in &s.args {
-            let _ = write!(out, " {v}");
+            let _ = write!(out, " {}", print_literal(v));
         }
         out.push('\n');
     }
     out
 }
 
-fn parse_value(tok: &str) -> Result<Value, String> {
-    if tok == "true" {
-        return Ok(Value::Bool(true));
-    }
-    if tok == "false" {
-        return Ok(Value::Bool(false));
-    }
-    tok.parse::<i64>()
-        .map(Value::Int)
-        .map_err(|_| format!("unparseable stimulus argument `{tok}`"))
-}
-
-/// Parses a stimulus script back into a [`TestCase`].
-///
-/// Accepts the subset of the CLI `run` grammar the fuzzer emits
-/// (`create`/`relate`/`at` with int/bool arguments).
+/// Parses a stimulus script back into a [`TestCase`]: the
+/// [`stim`] directives, folded in script order.
 ///
 /// # Errors
 ///
 /// Returns a description of the first malformed line.
 pub fn parse_stim(src: &str) -> Result<TestCase, String> {
     let mut tc = TestCase::new("replay");
-    let mut names: Vec<String> = Vec::new();
-    for (lineno, raw) in src.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
+    stim::for_each(src, |d| {
+        match d {
+            Directive::Create(class) => {
+                tc.create(class);
+            }
+            Directive::Relate(a, b, assoc) => {
+                tc.relate(a, b, assoc);
+            }
+            Directive::At(time, inst, event, args) => {
+                tc.inject(time, inst, event, args);
+            }
         }
-        let err = |msg: &str| format!("stim line {}: {msg}", lineno + 1);
-        let toks: Vec<&str> = line.split_whitespace().collect();
-        match toks[0] {
-            "create" => {
-                if toks.len() != 3 {
-                    return Err(err("expected `create <name> <Class>`"));
-                }
-                names.push(toks[1].to_owned());
-                tc.create(toks[2]);
-            }
-            "relate" => {
-                if toks.len() != 4 {
-                    return Err(err("expected `relate <a> <b> <Rk>`"));
-                }
-                let a = names.iter().position(|n| n == toks[1]);
-                let b = names.iter().position(|n| n == toks[2]);
-                match (a, b) {
-                    (Some(a), Some(b)) => {
-                        tc.relate(a, b, toks[3]);
-                    }
-                    _ => return Err(err("relate references an unknown instance")),
-                }
-            }
-            "at" => {
-                if toks.len() < 4 {
-                    return Err(err("expected `at <time> <name> <Event> [args..]`"));
-                }
-                let time: u64 = toks[1].parse().map_err(|_| err("bad time"))?;
-                let inst = names
-                    .iter()
-                    .position(|n| n == toks[2])
-                    .ok_or_else(|| err("unknown instance"))?;
-                let mut args = Vec::new();
-                for tok in &toks[4..] {
-                    args.push(parse_value(tok).map_err(|m| err(&m))?);
-                }
-                tc.inject(time, inst, toks[3], args);
-            }
-            other => return Err(err(&format!("unknown directive `{other}`"))),
-        }
-    }
+        Ok::<_, Infallible>(())
+    })
+    .map_err(|e| format!("stim {e}"))?;
     Ok(tc)
 }
 
@@ -190,6 +145,7 @@ pub fn load_dir(dir: &Path) -> io::Result<Vec<CorpusEntry>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xtuml_core::value::Value;
 
     #[test]
     fn stim_round_trips() {

@@ -16,9 +16,9 @@
 //! — and require identical per-actor observable traces
 //! ([`xtuml_verify::check_equivalence`]), plus invariant oracles
 //! (causality, run-to-completion accounting, no lost signals). Generated
-//! cases are *confluent by construction* (see [`generate`]), so **any**
+//! cases are *confluent by construction* (see [`mod@generate`]), so **any**
 //! divergence is a toolchain bug. On a failure, a greedy shrinker
-//! ([`shrink`]) minimizes the case and the result serializes to a
+//! ([`shrink()`]) minimizes the case and the result serializes to a
 //! `.xtuml`/`.marks`/`.stim` triple any `xtuml` CLI can replay
 //! ([`corpus`]).
 //!

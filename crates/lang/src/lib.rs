@@ -65,7 +65,8 @@
 mod marks_parser;
 mod model_parser;
 mod printer;
+pub mod stim;
 
 pub use marks_parser::{parse_marks, parse_marks_spanned, print_marks, MarkSpan};
 pub use model_parser::{parse_domain, parse_domain_for_lint};
-pub use printer::print_domain;
+pub use printer::{print_domain, print_literal};

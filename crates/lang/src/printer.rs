@@ -22,7 +22,9 @@ fn type_name(ty: DataType) -> &'static str {
     }
 }
 
-fn literal(v: &Value) -> String {
+/// Renders a scalar as a literal that reads back as the same value:
+/// strings quoted and escaped, whole reals with their `.0`.
+pub fn print_literal(v: &Value) -> String {
     match v {
         Value::Str(s) => format!("{s:?}"),
         Value::Real(r) if r.fract() == 0.0 && r.is_finite() => format!("{r:.1}"),
@@ -80,7 +82,7 @@ pub fn print_domain(domain: &Domain) -> String {
         for attr in &class.attributes {
             let _ = write!(out, "    attr {}: {}", attr.name, type_name(attr.ty));
             if attr.default != Value::default_for(attr.ty) {
-                let _ = write!(out, " = {}", literal(&attr.default));
+                let _ = write!(out, " = {}", print_literal(&attr.default));
             }
             out.push_str(";\n");
         }

@@ -67,7 +67,7 @@ pub fn default_jobs() -> usize {
 /// A fixed-width scoped fork-join pool.
 ///
 /// The pool owns no threads between calls: each [`Pool::map`] /
-/// [`Pool::map_mut`] spawns up to `jobs` scoped workers, distributes the
+/// [`Pool::try_map_mut`] spawns up to `jobs` scoped workers, distributes the
 /// items over them through a shared queue (dynamic load balancing), and
 /// joins them all before returning. Results are collected **in item
 /// order**.

@@ -23,9 +23,9 @@ use std::path::PathBuf;
 
 use xtuml_core::ids::InstId;
 use xtuml_core::model::Domain;
-use xtuml_core::value::Value;
 use xtuml_exec::{SchedPolicy, Simulation, Trace};
 use xtuml_lang::parse_domain;
+use xtuml_lang::stim::{self, Directive};
 use xtuml_obs::{Counter, Recorder};
 
 use crate::proto::{err_response, from_hex, json_str, ok_response, to_hex, Request};
@@ -94,25 +94,6 @@ fn fnv(text: &str) -> u64 {
     h
 }
 
-fn parse_setup_value(tok: &str) -> Result<Value, String> {
-    if tok == "true" {
-        return Ok(Value::Bool(true));
-    }
-    if tok == "false" {
-        return Ok(Value::Bool(false));
-    }
-    if let Ok(i) = tok.parse::<i64>() {
-        return Ok(Value::Int(i));
-    }
-    if let Ok(r) = tok.parse::<f64>() {
-        return Ok(Value::Real(r));
-    }
-    if tok.starts_with('"') && tok.ends_with('"') && tok.len() >= 2 {
-        return Ok(Value::Str(tok[1..tok.len() - 1].to_owned()));
-    }
-    Err(format!("bad argument `{tok}`"))
-}
-
 impl Store {
     /// Creates an empty table (the spool directory is created lazily).
     pub fn new(cfg: SessionCfg) -> Store {
@@ -146,59 +127,6 @@ impl Store {
         let leaked: &'static Domain = Box::leak(Box::new(domain));
         self.domains.insert(key, leaked);
         Ok(leaked)
-    }
-
-    fn apply_setup(sim: &mut Simulation<'static>, setup: &str) -> Result<Vec<InstId>, String> {
-        let mut names: Vec<String> = Vec::new();
-        let mut handles: Vec<InstId> = Vec::new();
-        for (lineno, raw) in setup.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let err = |msg: &str| format!("setup line {}: {msg}", lineno + 1);
-            let toks: Vec<&str> = line.split_whitespace().collect();
-            match toks[0] {
-                "create" => {
-                    if toks.len() != 3 {
-                        return Err(err("expected `create <name> <Class>`"));
-                    }
-                    let h = sim.create(toks[2]).map_err(|e| err(&e.to_string()))?;
-                    names.push(toks[1].to_owned());
-                    handles.push(h);
-                }
-                "relate" => {
-                    if toks.len() != 4 {
-                        return Err(err("expected `relate <a> <b> <Rk>`"));
-                    }
-                    let a = names.iter().position(|n| n == toks[1]);
-                    let b = names.iter().position(|n| n == toks[2]);
-                    let (Some(a), Some(b)) = (a, b) else {
-                        return Err(err("relate references an unknown instance"));
-                    };
-                    sim.relate(handles[a], handles[b], toks[3])
-                        .map_err(|e| err(&e.to_string()))?;
-                }
-                "at" => {
-                    if toks.len() < 4 {
-                        return Err(err("expected `at <time> <name> <Event> [args..]`"));
-                    }
-                    let time: u64 = toks[1].parse().map_err(|_| err("bad time"))?;
-                    let inst = names
-                        .iter()
-                        .position(|n| n == toks[2])
-                        .ok_or_else(|| err("unknown instance"))?;
-                    let mut args = Vec::new();
-                    for tok in &toks[4..] {
-                        args.push(parse_setup_value(tok).map_err(|m| err(&m))?);
-                    }
-                    sim.inject(time, handles[inst], toks[3], args)
-                        .map_err(|e| err(&e.to_string()))?;
-                }
-                other => return Err(err(&format!("unknown directive `{other}`"))),
-            }
-        }
-        Ok(handles)
     }
 
     fn spool_path(&self, id: u64) -> PathBuf {
@@ -468,10 +396,15 @@ impl Store {
         let mut rec = Recorder::new();
         rec.track = id as u32;
         sim.attach_recorder(rec);
-        let handles = match Store::apply_setup(&mut sim, setup) {
-            Ok(h) => h,
-            Err(e) => return err_response(&e, &[]),
-        };
+        let mut handles = Vec::new();
+        let applied = stim::for_each(setup, |d| match d {
+            Directive::Create(class) => sim.create(class).map(|h| handles.push(h)),
+            Directive::Relate(a, b, assoc) => sim.relate(handles[a], handles[b], assoc),
+            Directive::At(time, i, event, args) => sim.inject(time, handles[i], event, args),
+        });
+        if let Err(e) = applied {
+            return err_response(&format!("setup {e}"), &[]);
+        }
         self.next_id += 1;
         self.sessions.insert(
             id,

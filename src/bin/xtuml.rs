@@ -106,6 +106,8 @@ fn real_main() -> Result<(), String> {
             let model = read(it.next().ok_or_else(usage)?)?;
             let marks = read(it.next().ok_or_else(usage)?)?;
             let out_dir = it.next().unwrap_or(".");
+            std::fs::create_dir_all(out_dir)
+                .map_err(|e| format!("cannot create {out_dir}: {e}"))?;
             for (name, text) in cli::cmd_compile(&model, &marks).map_err(|e| e.to_string())? {
                 let path = std::path::Path::new(out_dir).join(&name);
                 std::fs::write(&path, text).map_err(|e| format!("cannot write {name}: {e}"))?;

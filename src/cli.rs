@@ -24,7 +24,8 @@
 //!   `xtuml_fuzz`). The undocumented `--ablate pair-order` flag injects
 //!   a scheduler fault for self-testing the oracle.
 //!
-//! The stimulus script format is line-oriented:
+//! The stimulus script format is line-oriented, and `xtuml_lang::stim`
+//! is its one reader (DESIGN §17):
 //!
 //! ```text
 //! create oven Oven          # bind name `oven` to a new Oven instance
@@ -32,14 +33,13 @@
 //! at 100 oven Start 3       # inject Start(3) at time 100
 //! ```
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use xtuml_core::diag::{Code, Diagnostic, Diagnostics, LintLevels};
 use xtuml_core::error::Pos;
 use xtuml_core::marks::MarkSet;
 use xtuml_core::model::Domain;
-use xtuml_core::value::Value;
 use xtuml_core::{lint, validate};
+use xtuml_lang::stim::{self, Directive};
 use xtuml_lang::{
     parse_domain, parse_domain_for_lint, parse_marks, parse_marks_spanned, print_domain,
 };
@@ -471,57 +471,13 @@ pub fn cmd_run_full(
         rec.stream_epochs = obs.stream_epochs;
         sim.attach_recorder(rec);
     }
-    let mut names: BTreeMap<String, xtuml_core::ids::InstId> = BTreeMap::new();
-
-    for (lineno, raw) in script_src.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut words = line.split_whitespace();
-        let verb = words.next().unwrap_or("");
-        let fail = |msg: String| CliError(format!("script line {}: {msg}", lineno + 1));
-        match verb {
-            "create" => {
-                let name = words.next().ok_or_else(|| fail("missing name".into()))?;
-                let class = words.next().ok_or_else(|| fail("missing class".into()))?;
-                let inst = sim.create(class).map_err(|e| fail(e.to_string()))?;
-                names.insert(name.to_owned(), inst);
-            }
-            "relate" => {
-                let a = words
-                    .next()
-                    .ok_or_else(|| fail("missing instance".into()))?;
-                let b = words
-                    .next()
-                    .ok_or_else(|| fail("missing instance".into()))?;
-                let assoc = words.next().ok_or_else(|| fail("missing assoc".into()))?;
-                let ia = *names.get(a).ok_or_else(|| fail(format!("unknown `{a}`")))?;
-                let ib = *names.get(b).ok_or_else(|| fail(format!("unknown `{b}`")))?;
-                sim.relate(ia, ib, assoc).map_err(|e| fail(e.to_string()))?;
-            }
-            "at" => {
-                let time: u64 = words
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| fail("bad time".into()))?;
-                let name = words
-                    .next()
-                    .ok_or_else(|| fail("missing instance".into()))?;
-                let event = words.next().ok_or_else(|| fail("missing event".into()))?;
-                let inst = *names
-                    .get(name)
-                    .ok_or_else(|| fail(format!("unknown `{name}`")))?;
-                let args: Vec<Value> = words
-                    .map(parse_arg)
-                    .collect::<Result<_, String>>()
-                    .map_err(fail)?;
-                sim.inject(time, inst, event, args)
-                    .map_err(|e| fail(e.to_string()))?;
-            }
-            other => return Err(fail(format!("unknown verb `{other}`"))),
-        }
-    }
+    let mut handles = Vec::new();
+    stim::for_each(script_src, |d| match d {
+        Directive::Create(class) => sim.create(class).map(|h| handles.push(h)),
+        Directive::Relate(a, b, assoc) => sim.relate(handles[a], handles[b], assoc),
+        Directive::At(time, i, event, args) => sim.inject(time, handles[i], event, args),
+    })
+    .map_err(|e| CliError(format!("script {e}")))?;
 
     let run_t0 = obs.on().then(std::time::Instant::now);
     sim.run_to_quiescence(opts.jobs)?;
@@ -860,25 +816,6 @@ pub fn cmd_serve(opts: &ServeOptions) -> Result<String, CliError> {
     }
 }
 
-fn parse_arg(word: &str) -> Result<Value, String> {
-    if word == "true" {
-        return Ok(Value::Bool(true));
-    }
-    if word == "false" {
-        return Ok(Value::Bool(false));
-    }
-    if let Ok(i) = word.parse::<i64>() {
-        return Ok(Value::Int(i));
-    }
-    if let Ok(r) = word.parse::<f64>() {
-        return Ok(Value::Real(r));
-    }
-    if word.starts_with('"') && word.ends_with('"') && word.len() >= 2 {
-        return Ok(Value::Str(word[1..word.len() - 1].to_owned()));
-    }
-    Err(format!("cannot parse argument `{word}`"))
-}
-
 fn load(model_src: &str, marks_src: &str) -> Result<(Domain, MarkSet), CliError> {
     let domain = parse_domain(model_src)?;
     let (marks_for, marks) = parse_marks(marks_src)?;
@@ -1156,10 +1093,12 @@ at 1 c E 42
 
     #[test]
     fn arg_parsing() {
-        assert_eq!(parse_arg("true").unwrap(), Value::Bool(true));
-        assert_eq!(parse_arg("-3").unwrap(), Value::Int(-3));
-        assert_eq!(parse_arg("2.5").unwrap(), Value::Real(2.5));
-        assert_eq!(parse_arg("\"hi\"").unwrap(), Value::Str("hi".into()));
-        assert!(parse_arg("@").is_err());
+        use xtuml_core::value::Value;
+        use xtuml_lang::stim::argument;
+        assert_eq!(argument("true").unwrap(), Value::Bool(true));
+        assert_eq!(argument("-3").unwrap(), Value::Int(-3));
+        assert_eq!(argument("2.5").unwrap(), Value::Real(2.5));
+        assert_eq!(argument("\"hi\"").unwrap(), Value::Str("hi".into()));
+        assert!(argument("@").is_err());
     }
 }

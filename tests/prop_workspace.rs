@@ -7,7 +7,9 @@
 
 use xtuml::core::builder::pipeline_domain;
 use xtuml::core::marks::{ElemRef, MarkSet, MarkValue};
+use xtuml::core::Value;
 use xtuml::exec::SchedPolicy;
+use xtuml::fuzz::{parse_stim, render_stim};
 use xtuml::lang::{parse_domain, print_domain};
 use xtuml::verify::{check_equivalence, run_model, verify_partition, TestCase};
 
@@ -97,14 +99,69 @@ fn prop_stimulus_order_irrelevant() {
             times.swap(i, j);
         }
         for t in &times {
-            tc1.inject(*t, 0, "Feed", vec![xtuml::core::Value::Int(*t as i64)]);
+            tc1.inject(*t, 0, "Feed", vec![Value::Int(*t as i64)]);
         }
         let mut tc2 = TestCase::pipeline(2, 0);
         for t in 0..5u64 {
-            tc2.inject(t, 0, "Feed", vec![xtuml::core::Value::Int(t as i64)]);
+            tc2.inject(t, 0, "Feed", vec![Value::Int(t as i64)]);
         }
         let a = run_model(&domain, SchedPolicy::default(), &tc1).unwrap();
         let b = run_model(&domain, SchedPolicy::default(), &tc2).unwrap();
         assert_eq!(a, b);
+    });
+}
+
+/// A scalar stimulus argument: ints across the whole `i64` range, bools,
+/// reals (whole, negative, fractional and arbitrary finite bit patterns)
+/// and whitespace-free ASCII strings. `"` and `\` are left out: the
+/// grammar takes a string's text between its quotes as is.
+fn stim_arg(g: &mut xtuml_prop::Gen) -> Value {
+    match g.below(7) {
+        0 => Value::Int(g.next_u64() as i64),
+        1 => Value::Int(g.int_in(-20, 20)),
+        2 => Value::Bool(g.flip()),
+        3 => Value::Real(g.int_in(-1000, 1000) as f64),
+        4 => Value::Real(g.int_in(-100_000, 100_000) as f64 / 64.0),
+        5 => Value::Real(
+            Some(f64::from_bits(g.next_u64()))
+                .filter(|r| r.is_finite())
+                .unwrap_or(0.5),
+        ),
+        _ => {
+            let len = g.index(6);
+            let text = (0..len)
+                .map(|_| char::from(b'!' + g.below(94) as u8))
+                .filter(|c| !matches!(c, '"' | '\\'))
+                .collect();
+            Value::Str(text)
+        }
+    }
+}
+
+/// Rendering any test case as a stimulus script and reading it back
+/// yields the same test case (stimuli generated in time order, the order
+/// the script is written in).
+#[test]
+fn prop_stim_render_parse_roundtrip() {
+    xtuml_prop::run("stim_render_parse_roundtrip", |g| {
+        let mut tc = TestCase::new("replay");
+        let n = 1 + g.index(4);
+        for _ in 0..n {
+            let class = format!("C{}", g.ident(4));
+            tc.create(&class);
+        }
+        for _ in 0..g.index(3) {
+            let (a, b) = (g.index(n), g.index(n));
+            tc.relate(a, b, &format!("R{}", g.below(9)));
+        }
+        let mut time = 0;
+        for _ in 0..g.index(6) {
+            time += g.below(50);
+            let arity = g.index(4);
+            let args = g.vec_of(arity, stim_arg);
+            tc.inject(time, g.index(n), &g.ident(5), args);
+        }
+        let text = render_stim(&tc);
+        assert_eq!(parse_stim(&text).as_ref(), Ok(&tc), "{text}");
     });
 }
