@@ -121,6 +121,11 @@ cmp target/serve-smoke.txt tests/golden/serve_smoke.txt
 # eviction to disk and transparent revival).
 cargo test -q --release -p xtuml-serve
 
+# Benchmark smoke: perfbench's own test runs all six workloads at tiny
+# sizes through their output checks, so a workload that no longer builds,
+# runs or answers correctly fails here rather than in a benchmark run.
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 # Allocation ledger gate: the repository benchmark (perfbench/, declared
 # in BENCHMARK.json) counts allocations, dispatches and bytes per op, and
 # those counts are a pure function of the code and the seed. Short

@@ -248,8 +248,8 @@ impl Trace {
         self.recs.reserve(n);
     }
 
-    /// Appends an entry. Compatibility entry point (tests, restore, the
-    /// serve trace window); the execution hot path uses the typed
+    /// Appends an entry. Compatibility entry point (tests and
+    /// restore); the execution hot path uses the typed
     /// `push_*` methods below, which skip the enum round-trip.
     pub fn push(&mut self, e: TraceEvent) {
         match e {
@@ -543,9 +543,35 @@ impl Trace {
     /// names against the domain. A debugging aid; the observable
     /// projection is what verification compares.
     pub fn render(&self, domain: &Domain) -> String {
+        self.render_from(domain, 0)
+    }
+
+    /// Renders records `from..` as the matching lines of
+    /// [`Trace::render`]: a dispatch names its receiver's event and
+    /// states even when the receiver's creation record lies before
+    /// `from`. One pass over the records, plus a sort of the creations.
+    pub fn render_from(&self, domain: &Domain, from: usize) -> String {
         use std::fmt::Write as _;
+        // A dispatch's receiving class is recoverable only through the
+        // first creation record of its instance: collect every creation
+        // as (inst, position, class), sort, keep the first per instance.
+        let mut created: Vec<(u32, usize, u32)> = self
+            .recs
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.tag == T_CREATE)
+            .map(|(i, r)| (r.a, i, r.b))
+            .collect();
+        created.sort_unstable();
+        created.dedup_by_key(|c| c.0);
+        let class_of = |inst: u32| {
+            created
+                .binary_search_by_key(&inst, |c| c.0)
+                .ok()
+                .map(|k| domain.class(ClassId::new(created[k].2)))
+        };
         let mut out = String::new();
-        for r in &self.recs {
+        for r in self.recs.get(from..).unwrap_or_default() {
             let time = r.time;
             match r.tag {
                 T_CREATE => {
@@ -564,35 +590,21 @@ impl Trace {
                     let inst = InstId::new(r.a);
                     let event = EventId::new(r.c);
                     let (from_state, to_state) = (StateId::new(r.d), StateId::new(r.e));
-                    // The receiving class is recoverable only through the
-                    // creation record; scan for it.
-                    let class = self
-                        .recs
-                        .iter()
-                        .find_map(|c| (c.tag == T_CREATE && c.a == r.a).then(|| ClassId::new(c.b)));
-                    let (ev_name, s0, s1) = match class {
-                        Some(c) => {
-                            let cls = domain.class(c);
-                            let machine = cls.state_machine.as_ref();
-                            (
-                                cls.events[event.index()].name.clone(),
-                                machine.map_or(from_state.to_string(), |m| {
-                                    m.state(from_state).name.clone()
-                                }),
-                                machine.map_or(to_state.to_string(), |m| {
-                                    m.state(to_state).name.clone()
-                                }),
-                            )
-                        }
-                        None => (
-                            event.to_string(),
-                            from_state.to_string(),
-                            to_state.to_string(),
-                        ),
+                    let class = class_of(r.a);
+                    let machine = class.and_then(|c| c.state_machine.as_ref());
+                    let ev_name: &dyn fmt::Display = match class {
+                        Some(c) => &c.events[event.index()].name,
+                        None => &event,
                     };
-                    let from_s = r
-                        .dispatch_from()
-                        .map_or("<env>".to_owned(), |f| f.to_string());
+                    let (s0, s1): (&dyn fmt::Display, &dyn fmt::Display) = match machine {
+                        Some(m) => (&m.state(from_state).name, &m.state(to_state).name),
+                        None => (&from_state, &to_state),
+                    };
+                    let sender = r.dispatch_from();
+                    let from_s: &dyn fmt::Display = match &sender {
+                        Some(f) => f,
+                        None => &"<env>",
+                    };
                     let _ = writeln!(
                         out,
                         "[{time:>6}] {from_s} -> {inst} : {ev_name} ({s0} -> {s1})"
@@ -840,6 +852,34 @@ mod tests {
         match a.event(2) {
             TraceEvent::ActorSignal { args, .. } => assert_eq!(&args[..], &[Value::Int(3)]),
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn render_from_is_a_suffix_of_render() {
+        let d = xtuml_core::builder::pipeline_domain(3).unwrap();
+        let mut sim = crate::Simulation::new(&d);
+        let insts: Vec<InstId> = (0..3)
+            .map(|k| sim.create(&format!("Stage{k}")).unwrap())
+            .collect();
+        for k in 0..2 {
+            sim.relate(insts[k], insts[k + 1], &format!("R{}", k + 1))
+                .unwrap();
+        }
+        for i in 0..3 {
+            sim.inject(i, insts[0], "Feed", vec![Value::Int(i as i64)])
+                .unwrap();
+        }
+        sim.run_to_quiescence().unwrap();
+        let full = sim.trace().render(&d);
+        let lines: Vec<&str> = full.lines().collect();
+        assert_eq!(lines.len(), sim.trace().len());
+        // Past the creations, every dispatch still names its states.
+        assert!(lines[3..].iter().all(|l| !l.contains("(S")), "{full}");
+        for from in 0..=lines.len() + 1 {
+            let tail = sim.trace().render_from(&d, from);
+            let tail: Vec<&str> = tail.lines().collect();
+            assert_eq!(tail, lines[from.min(lines.len())..], "from {from}");
         }
     }
 

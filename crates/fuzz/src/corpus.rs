@@ -9,6 +9,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use xtuml_core::value::Value;
 use xtuml_core::CoreError;
 use xtuml_lang::stim::{self, Directive};
 use xtuml_lang::{print_domain, print_literal, print_marks};
@@ -46,6 +47,11 @@ pub fn entry(spec: &FuzzSpec, name: &str) -> Result<CorpusEntry, CoreError> {
 
 /// Renders a test case in the CLI `run` stimulus grammar: `create`,
 /// `relate` and `at` lines with `i<ordinal>` instance names.
+///
+/// # Panics
+///
+/// If a string argument contains whitespace, which the grammar cannot
+/// spell.
 pub fn render_stim(tc: &TestCase) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -60,8 +66,23 @@ pub fn render_stim(tc: &TestCase) -> String {
     stims.sort_by_key(|s| s.time);
     for s in &stims {
         let _ = write!(out, "at {} i{} {}", s.time, s.inst, s.event);
-        for v in &s.args {
-            let _ = write!(out, " {}", print_literal(v));
+        for (k, v) in s.args.iter().enumerate() {
+            match v {
+                // The grammar takes a string's text between its quotes as
+                // it stands and splits words on whitespace, so a string is
+                // written raw, and one with whitespace has no spelling.
+                Value::Str(text) => {
+                    assert!(
+                        !text.contains(char::is_whitespace),
+                        "argument {k} of `{}`, {text:?}, contains whitespace",
+                        s.event
+                    );
+                    let _ = write!(out, " \"{text}\"");
+                }
+                v => {
+                    let _ = write!(out, " {}", print_literal(v));
+                }
+            }
         }
         out.push('\n');
     }

@@ -67,6 +67,13 @@ impl Value {
 /// Escapes a string for embedding in a JSON document.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out`, escaped for embedding in a JSON document.
+pub fn escape_into(out: &mut String, s: &str) {
+    use std::fmt::Write as _;
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -75,12 +82,11 @@ pub fn escape(s: &str) -> String {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
-    out
 }
 
 /// The deepest array/object nesting [`parse`] accepts. Each level costs
@@ -357,6 +363,10 @@ mod tests {
         let doc = format!("{{\"k\": \"{}\"}}", escape(s));
         let v = parse(&doc).unwrap();
         assert_eq!(v.get("k").and_then(Value::as_str), Some(s));
+        let mut appended = String::from("[\"");
+        escape_into(&mut appended, s);
+        appended.push_str("\"]");
+        assert_eq!(appended, format!("[\"{}\"]", escape(s)));
     }
 
     #[test]

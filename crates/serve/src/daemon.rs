@@ -134,12 +134,21 @@ impl Drop for Server {
     }
 }
 
+/// Splits a connected stream into its buffered read and write halves,
+/// with Nagle's algorithm off. Both ends of the protocol go through here:
+/// a frame larger than the write buffer leaves as two writes (prefix,
+/// then payload), and with Nagle on the payload would wait for the
+/// peer's delayed ACK of the prefix — tens of milliseconds per reply.
+fn buffered(stream: TcpStream) -> io::Result<(BufReader<TcpStream>, BufWriter<TcpStream>)> {
+    stream.set_nodelay(true)?;
+    let read_half = stream.try_clone()?;
+    Ok((BufReader::new(read_half), BufWriter::new(stream)))
+}
+
 fn serve_conn(stream: TcpStream, jobs: &mpsc::Sender<Job>) {
-    let Ok(read_half) = stream.try_clone() else {
+    let Ok((mut reader, mut writer)) = buffered(stream) else {
         return;
     };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
     loop {
         match read_frame(&mut reader, MAX_FRAME) {
             Ok(None) => break,
@@ -176,12 +185,8 @@ impl Client {
     ///
     /// Propagates connect failures.
     pub fn connect(addr: SocketAddr) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        let read_half = stream.try_clone()?;
-        Ok(Client {
-            reader: BufReader::new(read_half),
-            writer: BufWriter::new(stream),
-        })
+        let (reader, writer) = buffered(TcpStream::connect(addr)?)?;
+        Ok(Client { reader, writer })
     }
 
     /// Sends one request frame and waits for its reply frame.
@@ -288,4 +293,21 @@ pub fn smoke() -> io::Result<String> {
     drop(client);
     server.shutdown();
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn both_ends_turn_nagle_off() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let dialed = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        for stream in [dialed, accepted] {
+            let (reader, writer) = buffered(stream).unwrap();
+            assert!(reader.get_ref().nodelay().unwrap());
+            assert!(writer.get_ref().nodelay().unwrap());
+        }
+    }
 }

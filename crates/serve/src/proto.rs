@@ -10,7 +10,7 @@
 //! and trivially diffable in a transcript.
 
 use xtuml_core::value::Value;
-use xtuml_obs::json::{self, escape};
+use xtuml_obs::json::{self, escape_into};
 
 /// One parsed client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -194,20 +194,28 @@ impl Request {
 /// Builds an `{"ok": true, ...}` response; values are emitted raw, so
 /// pass pre-rendered JSON (numbers as-is, strings pre-quoted).
 pub fn ok_response(fields: &[(&str, String)]) -> String {
-    let mut out = String::from("{\"ok\": true");
-    for (k, v) in fields {
-        out.push_str(&format!(", \"{k}\": {v}"));
-    }
-    out.push('}');
-    out
+    response("{\"ok\": true", fields)
 }
 
 /// Builds an `{"ok": false, "error": ...}` response, with optional extra
 /// raw fields (e.g. backpressure depth).
 pub fn err_response(error: &str, fields: &[(&str, String)]) -> String {
-    let mut out = format!("{{\"ok\": false, \"error\": \"{}\"", escape(error));
+    let mut head = String::from("{\"ok\": false, \"error\": ");
+    push_json_str(&mut head, error);
+    response(&head, fields)
+}
+
+/// `head`, then `, "key": value` per field and the closing brace, in one
+/// allocation: a snapshot's hex or a long trace is copied once.
+fn response(head: &str, fields: &[(&str, String)]) -> String {
+    let len: usize = fields.iter().map(|(k, v)| k.len() + v.len() + 6).sum();
+    let mut out = String::with_capacity(head.len() + len + 1);
+    out.push_str(head);
     for (k, v) in fields {
-        out.push_str(&format!(", \"{k}\": {v}"));
+        out.push_str(", \"");
+        out.push_str(k);
+        out.push_str("\": ");
+        out.push_str(v);
     }
     out.push('}');
     out
@@ -215,14 +223,25 @@ pub fn err_response(error: &str, fields: &[(&str, String)]) -> String {
 
 /// Renders a JSON string literal (quotes + escaping).
 pub fn json_str(s: &str) -> String {
-    format!("\"{}\"", escape(s))
+    let mut out = String::with_capacity(s.len() + 2);
+    push_json_str(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` as a JSON string literal (quotes + escaping).
+pub(crate) fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
 }
 
 /// Lower-hex encoding of arbitrary bytes.
 pub fn to_hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        out.push(char::from(DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(DIGITS[usize::from(b & 0xf)]));
     }
     out
 }

@@ -23,12 +23,12 @@ use std::path::PathBuf;
 
 use xtuml_core::ids::InstId;
 use xtuml_core::model::Domain;
-use xtuml_exec::{SchedPolicy, Simulation, Trace};
+use xtuml_exec::{SchedPolicy, Simulation};
 use xtuml_lang::parse_domain;
 use xtuml_lang::stim::{self, Directive};
 use xtuml_obs::{Counter, Recorder};
 
-use crate::proto::{err_response, from_hex, json_str, ok_response, to_hex, Request};
+use crate::proto::{err_response, from_hex, json_str, ok_response, push_json_str, to_hex, Request};
 
 /// Tunable per-daemon session limits.
 #[derive(Debug, Clone)]
@@ -192,7 +192,6 @@ impl Store {
         if let Err(e) = self.revive(id) {
             return err_response(&e, &[]);
         }
-        let cfg = self.cfg.clone();
         let Some(slot) = self.sessions.get_mut(&id) else {
             return err_response(&format!("no session {id}"), &[]);
         };
@@ -207,7 +206,7 @@ impl Store {
         let SlotState::Live(sim) = state else {
             unreachable!("revived above");
         };
-        f(sim, handles, fuel_left, steps, &cfg)
+        f(sim, handles, fuel_left, steps, &self.cfg)
     }
 
     /// Applies one request and renders the reply. Advances the logical
@@ -294,7 +293,6 @@ impl Store {
                 ])
             }),
             Request::Restore { session, hex } => {
-                let hex = hex.clone();
                 // Revive + lookup first so domain is known; then replace.
                 if let Err(e) = self.revive(*session) {
                     return err_response(&e, &[]);
@@ -303,7 +301,7 @@ impl Store {
                     return err_response(&format!("no session {session}"), &[]);
                 };
                 slot.last_used = self.tick;
-                let bytes = match from_hex(&hex) {
+                let bytes = match from_hex(hex) {
                     Ok(b) => b,
                     Err(e) => return err_response(&e, &[]),
                 };
@@ -322,21 +320,19 @@ impl Store {
                 let from = *from;
                 self.with_live_sim(*session, |sim, _, _, _, _| {
                     let trace = sim.trace();
-                    let total = trace.len();
-                    let mut sub = Trace::new();
-                    for e in trace.iter().skip(from) {
-                        sub.push(e);
-                    }
-                    let rendered = sub.render(sim.domain());
-                    let mut events = String::from("[");
+                    let rendered = trace.render_from(sim.domain(), from);
+                    // Each line gains two quotes and a `, ` separator.
+                    let lines = trace.len().saturating_sub(from);
+                    let mut events = String::with_capacity(rendered.len() + 4 * lines + 2);
+                    events.push('[');
                     for (i, line) in rendered.lines().enumerate() {
                         if i > 0 {
                             events.push_str(", ");
                         }
-                        events.push_str(&json_str(line));
+                        push_json_str(&mut events, line);
                     }
                     events.push(']');
-                    ok_response(&[("total", total.to_string()), ("events", events)])
+                    ok_response(&[("total", trace.len().to_string()), ("events", events)])
                 })
             }
             Request::Stats { session } => {

@@ -334,3 +334,39 @@ fn sessions_are_isolated_and_interleaving_is_invisible() {
     let t4 = c.request(r#"{"verb": "trace", "session": 4}"#).unwrap();
     assert_ne!(t4, t2);
 }
+
+/// A `trace` reply from any `from` is the tail of the full reply: a
+/// dispatch keeps its event and state names even when its receiver was
+/// created before `from`.
+#[test]
+fn trace_from_any_index_is_the_tail_of_the_full_trace() {
+    use xtuml_serve::daemon::{SMOKE_MODEL, SMOKE_SETUP};
+    use xtuml_serve::proto::json_str;
+
+    let (_server, mut c) = start(SessionCfg::default());
+    let create = format!(
+        r#"{{"verb": "create", "model": {}, "setup": {}}}"#,
+        json_str(SMOKE_MODEL),
+        json_str(SMOKE_SETUP)
+    );
+    c.request(&create).unwrap();
+    c.request(r#"{"verb": "step", "session": 1}"#).unwrap();
+    let full = parsed(&c.request(r#"{"verb": "trace", "session": 1}"#).unwrap());
+    let all = get(&full, "events").as_arr().unwrap();
+    let total = all.len();
+    assert_eq!(get(&full, "total").as_num(), Some(total as f64));
+    assert!(
+        total > 2,
+        "the doorbell run records creations and dispatches"
+    );
+    for from in 0..=total {
+        let req = format!(r#"{{"verb": "trace", "session": 1, "from": {from}}}"#);
+        let tail = parsed(&c.request(&req).unwrap());
+        assert_eq!(get(&tail, "total").as_num(), Some(total as f64));
+        assert_eq!(
+            get(&tail, "events").as_arr().unwrap(),
+            &all[from..],
+            "trace from {from}"
+        );
+    }
+}

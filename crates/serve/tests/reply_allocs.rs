@@ -1,0 +1,119 @@
+//! Allocation bound on the two large serve replies.
+//!
+//! A snapshot reply carries the snapshot hex-encoded and a `trace` reply
+//! carries one rendered line per record, so a cost paid per byte or per
+//! line shows up as thousands of allocations. Both replies are built
+//! here in process, straight through [`Store::apply`], under a global
+//! allocator that counts the calling thread's allocations.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use xtuml_core::builder::pipeline_domain;
+use xtuml_lang::print_domain;
+use xtuml_serve::{Request, SessionCfg, Store};
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting `alloc`, `alloc_zeroed` and `realloc`
+/// calls per thread.
+struct Counting;
+
+fn count() {
+    // During thread teardown the counter may be gone; skip it then.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; counting touches only a
+// const-initialised thread-local and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's guarantees for `layout` pass through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`,
+        // with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` came from `System` with `layout`; the caller
+        // guarantees `new_size` is valid for it.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Runs `f` and returns its result with the allocations this thread
+/// made meanwhile.
+fn allocs_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+fn number(reply: &str, key: &str) -> f64 {
+    let doc = xtuml_obs::json::parse(reply).unwrap_or_else(|e| panic!("{e}: {reply}"));
+    doc.get(key)
+        .and_then(xtuml_obs::json::Value::as_num)
+        .unwrap_or_else(|| panic!("reply lacks `{key}`: {reply}"))
+}
+
+#[test]
+fn large_replies_take_a_bounded_number_of_allocations() {
+    // An 8-stage pipeline fed 128 tokens: each token is 8 dispatches and
+    // one actor signal, so the run records over a thousand trace events.
+    const STAGES: usize = 8;
+    let model = print_domain(&pipeline_domain(STAGES).expect("pipeline domain builds"));
+    let mut setup = String::new();
+    for k in 0..STAGES {
+        setup.push_str(&format!("create s{k} Stage{k}\n"));
+    }
+    for k in 1..STAGES {
+        setup.push_str(&format!("relate s{} s{k} R{k}\n", k - 1));
+    }
+    for t in 0..128 {
+        setup.push_str(&format!("at {t} s0 Feed {t}\n"));
+    }
+    let mut store = Store::new(SessionCfg::default());
+    let created = store.apply(&Request::Create {
+        model,
+        setup,
+        seed: 7,
+        fuel: None,
+    });
+    assert_eq!(number(&created, "session"), 1.0);
+    let stepped = store.apply(&Request::Step {
+        session: 1,
+        max_steps: None,
+    });
+    assert!(stepped.contains("\"quiescent\": true"), "{stepped}");
+
+    let (snapshot, allocs) = allocs_in(|| store.apply(&Request::Snapshot { session: 1 }));
+    assert!(number(&snapshot, "len") >= 8192.0, "{}", &snapshot[..60]);
+    assert!(allocs < 100, "snapshot reply took {allocs} allocations");
+
+    let (trace, allocs) = allocs_in(|| {
+        store.apply(&Request::TraceFrom {
+            session: 1,
+            from: 0,
+        })
+    });
+    assert!(number(&trace, "total") >= 1000.0);
+    assert!(allocs < 100, "trace reply took {allocs} allocations");
+}

@@ -113,8 +113,8 @@ fn prop_stimulus_order_irrelevant() {
 
 /// A scalar stimulus argument: ints across the whole `i64` range, bools,
 /// reals (whole, negative, fractional and arbitrary finite bit patterns)
-/// and whitespace-free ASCII strings. `"` and `\` are left out: the
-/// grammar takes a string's text between its quotes as is.
+/// and whitespace-free printable ASCII strings, `"` and `\` included:
+/// the grammar takes a string's text between its quotes as is.
 fn stim_arg(g: &mut xtuml_prop::Gen) -> Value {
     match g.below(7) {
         0 => Value::Int(g.next_u64() as i64),
@@ -131,7 +131,6 @@ fn stim_arg(g: &mut xtuml_prop::Gen) -> Value {
             let len = g.index(6);
             let text = (0..len)
                 .map(|_| char::from(b'!' + g.below(94) as u8))
-                .filter(|c| !matches!(c, '"' | '\\'))
                 .collect();
             Value::Str(text)
         }
