@@ -71,11 +71,12 @@
 
 use crate::action::{Block, Expr, GenTarget, LValue, Stmt};
 use crate::error::Pos;
-use crate::ids::{AssocId, AttrId, ClassId, StateId};
+use crate::ids::{AssocId, AttrId, ClassId, EventId, StateId};
 use crate::model::Domain;
 use crate::value::UnOp;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+use std::ops::Range;
 
 // ---------------------------------------------------------------------------
 // Effect summaries
@@ -122,6 +123,25 @@ pub struct AttrAccess {
     pub pos: Pos,
 }
 
+/// One instance-directed `gen` statement: the send graph's edge source
+/// for the lints, the interface channels and the locality rules.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SendSite {
+    /// The inferred target class; `None` only for a target the walk
+    /// cannot type, which typeck rejects (hand-built ASTs).
+    pub target: Option<ClassId>,
+    /// The generated event of the target class; `None` when the target
+    /// is unresolved or declares no such event.
+    pub event: Option<EventId>,
+    /// True for `gen ... after <delay>` (a timer).
+    pub after: bool,
+    /// Position of the `gen` statement.
+    pub pos: Pos,
+    /// Why `target` is `None`, naming the target expression and event as
+    /// written; `None` whenever the target resolves.
+    pub unresolved: Option<Box<str>>,
+}
+
 /// The effect summary of one state entry action.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ActionEffects {
@@ -133,16 +153,19 @@ pub struct ActionEffects {
     pub accesses: Vec<AttrAccess>,
     /// `create` statements: `(created class, position)`.
     pub creates: Vec<(ClassId, Pos)>,
-    /// `delete` statement positions.
-    pub deletes: Vec<Pos>,
-    /// `relate` statement positions.
-    pub relates: Vec<Pos>,
-    /// `unrelate` statement positions.
-    pub unrelates: Vec<Pos>,
+    /// `delete` statements: `(inferred class of the deleted instance,
+    /// position)`.
+    pub deletes: Vec<(Option<ClassId>, Pos)>,
+    /// `relate` statements: `(inferred classes of both operands, position)`.
+    pub relates: Vec<([Option<ClassId>; 2], Pos)>,
+    /// `unrelate` statements: `(inferred classes of both operands,
+    /// position)`.
+    pub unrelates: Vec<([Option<ClassId>; 2], Pos)>,
     /// `select any`/`select many` statements: `(selected class, position)`.
     pub selects: Vec<(ClassId, Pos)>,
-    /// Instance-directed `gen` statements.
-    pub sends: u32,
+    /// This action's instance-directed `gen` statements, as a range of
+    /// [`ModelEffects::sends`] (see [`ModelEffects::sends_of`]).
+    pub sends: Range<usize>,
     /// Actor-directed (observable) `gen` statements.
     pub actor_sends: u32,
     /// `gen ... after` statements (timers armed).
@@ -153,7 +176,8 @@ pub struct ActionEffects {
     pub bridge_calls: u32,
     /// Attribute accesses whose base the inference could not type; each
     /// is treated as an [`Receiver::Other`] access to an unknown
-    /// attribute and blocks admission: `(position, is_write)`.
+    /// attribute and blocks admission: `(position, is_write)`. Empty for
+    /// validated models.
     pub unknown: Vec<(Pos, bool)>,
 }
 
@@ -162,18 +186,34 @@ pub struct ActionEffects {
 pub struct ModelEffects {
     /// One summary per state entry action, in model order.
     pub actions: Vec<ActionEffects>,
+    /// Every instance-directed send site, in model order; each action
+    /// owns the contiguous range [`ActionEffects::sends`].
+    pub sends: Vec<SendSite>,
 }
 
 impl ModelEffects {
-    /// Walks every state entry action in the domain.
+    /// Walks every state entry action in the domain. This is the one
+    /// class-inference walk of action bodies: sharding admission, the
+    /// bytecode const-fold, the whole-model lints and the model
+    /// compiler's usage analysis all fold its output.
     pub fn gather(domain: &Domain) -> ModelEffects {
-        let mut effects = ModelEffects::default();
+        let states = domain
+            .classes
+            .iter()
+            .filter_map(|c| c.state_machine.as_ref())
+            .map(|m| m.states.len())
+            .sum();
+        let mut effects = ModelEffects {
+            actions: Vec::with_capacity(states),
+            sends: Vec::new(),
+        };
         for (ci, class) in domain.classes.iter().enumerate() {
             let class_id = ClassId::new(ci as u32);
             let Some(machine) = &class.state_machine else {
                 continue;
             };
             for (si, state) in machine.states.iter().enumerate() {
+                let first_send = effects.sends.len();
                 let mut eff = ActionEffects {
                     class: class_id,
                     state: StateId::new(si as u32),
@@ -185,27 +225,35 @@ impl ModelEffects {
                     env: BTreeMap::new(),
                     selected: None,
                     eff: &mut eff,
+                    sends: &mut effects.sends,
                 };
                 w.block(&state.action);
+                eff.sends = first_send..effects.sends.len();
                 effects.actions.push(eff);
             }
         }
         effects
     }
+
+    /// The instance-directed send sites of one action.
+    pub fn sends_of(&self, eff: &ActionEffects) -> &[SendSite] {
+        &self.sends[eff.sends.clone()]
+    }
 }
 
 /// Per-action walker tracking the receiver shape of every instance-typed
 /// binding.
-struct EffectWalker<'a> {
-    domain: &'a Domain,
+struct EffectWalker<'d, 'w> {
+    domain: &'d Domain,
     self_class: ClassId,
-    env: BTreeMap<String, (ClassId, Receiver)>,
+    env: BTreeMap<&'d str, (ClassId, Receiver)>,
     selected: Option<ClassId>,
-    eff: &'a mut ActionEffects,
+    eff: &'w mut ActionEffects,
+    sends: &'w mut Vec<SendSite>,
 }
 
-impl EffectWalker<'_> {
-    fn block(&mut self, block: &Block) {
+impl<'d> EffectWalker<'d, '_> {
+    fn block(&mut self, block: &'d Block) {
         for stmt in &block.stmts {
             self.stmt(stmt);
         }
@@ -216,7 +264,7 @@ impl EffectWalker<'_> {
     fn infer(&self, expr: &Expr) -> Option<(ClassId, Receiver)> {
         match expr {
             Expr::SelfRef => Some((self.self_class, Receiver::This)),
-            Expr::Var(name) => self.env.get(name).copied(),
+            Expr::Var(name) => self.env.get(name.as_str()).copied(),
             Expr::Nav(base, class_name, assoc_name) => {
                 let class = self.domain.class_id(class_name).ok()?;
                 let recv = match self.infer(base) {
@@ -232,6 +280,24 @@ impl EffectWalker<'_> {
             Expr::Unary(UnOp::Any, inner) => self.infer(inner),
             Expr::Selected => self.selected.map(|c| (c, Receiver::Other)),
             _ => None,
+        }
+    }
+
+    /// The inferred class of an instance-valued expression.
+    fn class_of(&self, expr: &Expr) -> Option<ClassId> {
+        self.infer(expr).map(|(class, _)| class)
+    }
+
+    /// Binds `name` to the shape of `expr`; a scalar or uninferable value
+    /// kills any previous instance binding of the name.
+    fn bind(&mut self, name: &'d str, expr: &Expr) {
+        match self.infer(expr) {
+            Some(binding) => {
+                self.env.insert(name, binding);
+            }
+            None => {
+                self.env.remove(name);
+            }
         }
     }
 
@@ -277,22 +343,13 @@ impl EffectWalker<'_> {
         }
     }
 
-    fn stmt(&mut self, stmt: &Stmt) {
+    fn stmt(&mut self, stmt: &'d Stmt) {
         let pos = stmt.pos();
         match stmt {
             Stmt::Assign { lhs, expr, .. } => {
                 self.reads(expr, pos);
                 match lhs {
-                    LValue::Var(name) => match self.infer(expr) {
-                        Some(binding) => {
-                            self.env.insert(name.clone(), binding);
-                        }
-                        // A scalar assignment kills any previous
-                        // instance binding of the name.
-                        None => {
-                            self.env.remove(name);
-                        }
-                    },
+                    LValue::Var(name) => self.bind(name, expr),
                     LValue::Attr(base, attr) => {
                         self.reads(base, pos);
                         self.access(base, attr, true, pos);
@@ -302,11 +359,11 @@ impl EffectWalker<'_> {
             Stmt::Create { var, class, .. } => {
                 if let Ok(id) = self.domain.class_id(class) {
                     self.eff.creates.push((id, pos));
-                    self.env.insert(var.clone(), (id, Receiver::Created));
+                    self.env.insert(var, (id, Receiver::Created));
                 }
             }
             Stmt::Delete { expr, .. } => {
-                self.eff.deletes.push(pos);
+                self.eff.deletes.push((self.class_of(expr), pos));
                 self.reads(expr, pos);
             }
             Stmt::SelectAny {
@@ -322,22 +379,25 @@ impl EffectWalker<'_> {
                         self.reads(f, pos);
                         self.selected = saved;
                     }
-                    self.env.insert(var.clone(), (id, Receiver::Other));
+                    self.env.insert(var, (id, Receiver::Other));
                 } else if let Some(f) = filter {
                     self.reads(f, pos);
                 }
             }
             Stmt::Relate { a, b, .. } => {
-                self.eff.relates.push(pos);
+                let operands = [self.class_of(a), self.class_of(b)];
+                self.eff.relates.push((operands, pos));
                 self.reads(a, pos);
                 self.reads(b, pos);
             }
             Stmt::Unrelate { a, b, .. } => {
-                self.eff.unrelates.push(pos);
+                let operands = [self.class_of(a), self.class_of(b)];
+                self.eff.unrelates.push((operands, pos));
                 self.reads(a, pos);
                 self.reads(b, pos);
             }
             Stmt::Generate {
+                event,
                 args,
                 target,
                 delay,
@@ -355,13 +415,26 @@ impl EffectWalker<'_> {
                         // A bare unbound variable resolves to an actor at
                         // run time (observable send).
                         let is_actor_fallback = matches!(texpr, Expr::Var(name)
-                            if !self.env.contains_key(name)
+                            if !self.env.contains_key(name.as_str())
                                 && self.domain.actor_id(name).is_ok());
                         if is_actor_fallback {
                             self.eff.actor_sends += 1;
                         } else {
                             self.reads(texpr, pos);
-                            self.eff.sends += 1;
+                            let target = self.class_of(texpr);
+                            self.sends.push(SendSite {
+                                target,
+                                event: target.and_then(|c| self.domain.class(c).event_id(event)),
+                                after: delay.is_some(),
+                                pos,
+                                unresolved: target.is_none().then(|| {
+                                    format!(
+                                        "cannot statically resolve the class of signal \
+                                         target `{texpr}` for event `{event}`"
+                                    )
+                                    .into()
+                                }),
+                            });
                         }
                     }
                     GenTarget::Actor(_) => self.eff.actor_sends += 1,
@@ -385,14 +458,7 @@ impl EffectWalker<'_> {
             }
             Stmt::ForEach { var, set, body, .. } => {
                 self.reads(set, pos);
-                match self.infer(set) {
-                    Some(binding) => {
-                        self.env.insert(var.clone(), binding);
-                    }
-                    None => {
-                        self.env.remove(var);
-                    }
-                }
+                self.bind(var, set);
                 self.block(body);
             }
             Stmt::ExprStmt { expr, .. } => {
@@ -714,13 +780,13 @@ pub fn analyze(domain: &Domain) -> ShardPlan {
             .map(|m| m.states[eff.state.index()].name.as_str())
             .unwrap_or("?");
         let mut local: Vec<(Pos, ShardReason)> = Vec::new();
-        for &pos in &eff.deletes {
+        for &(_, pos) in &eff.deletes {
             local.push((pos, ShardReason::Deletes));
         }
-        for &pos in &eff.relates {
+        for &(_, pos) in &eff.relates {
             local.push((pos, ShardReason::Relates));
         }
-        for &pos in &eff.unrelates {
+        for &(_, pos) in &eff.unrelates {
             local.push((pos, ShardReason::Unrelates));
         }
         for &(c, pos) in &eff.creates {
@@ -884,8 +950,8 @@ impl ShardPlan {
                     parts.push(format!("{label} x{n}"));
                 }
             }
-            if eff.sends > 0 {
-                parts.push(format!("sends {}", eff.sends));
+            if !eff.sends.is_empty() {
+                parts.push(format!("sends {}", eff.sends.len()));
             }
             if eff.actor_sends > 0 {
                 parts.push(format!("actor-sends {}", eff.actor_sends));
@@ -1013,7 +1079,7 @@ impl ShardPlan {
                 eff.relates.len(),
                 eff.unrelates.len(),
                 eff.selects.len(),
-                eff.sends,
+                eff.sends.len(),
                 eff.actor_sends,
                 eff.timers_set,
                 eff.timers_cancelled,
@@ -1344,6 +1410,44 @@ mod tests {
             .any(|a| a.class == c && a.attr == k && matches!(a.receiver, Receiver::Via(_))));
         // And it is admitted: `k` is const.
         assert!(analyze(&d).admitted());
+    }
+
+    /// Send sites carry the inferred target class, event and timer flag
+    /// in one model-wide list; deletes and relate operands carry their
+    /// inferred classes.
+    #[test]
+    fn footprints_carry_inferred_classes() {
+        let mut b = DomainBuilder::new("d");
+        b.class("P")
+            .event("Go", &[])
+            .state("I", "")
+            .state(
+                "W",
+                "c = any(self -> C[R1]); gen Nudge() to c after 5; \
+                 unrelate self from c across R1; delete c; gen Go() to self;",
+            )
+            .initial("I")
+            .transition("I", "Go", "W")
+            .transition("W", "Go", "W");
+        b.class("C")
+            .event("Nudge", &[])
+            .state("S", "")
+            .initial("S")
+            .transition("S", "Nudge", "S");
+        b.association("R1", "P", Multiplicity::One, "C", Multiplicity::One);
+        let d = b.build().unwrap();
+        let (p, c) = (d.class_id("P").unwrap(), d.class_id("C").unwrap());
+        let effects = ModelEffects::gather(&d);
+        let w = &effects.actions[1];
+        let sends = effects.sends_of(w);
+        assert_eq!(sends.len(), 2);
+        assert_eq!((sends[0].target, sends[0].after), (Some(c), true));
+        assert_eq!(sends[0].event, d.class(c).event_id("Nudge"));
+        assert_eq!((sends[1].target, sends[1].after), (Some(p), false));
+        assert!(sends.iter().all(|s| s.unresolved.is_none()));
+        assert_eq!(w.deletes[0].0, Some(c));
+        assert_eq!(w.unrelates[0].0, [Some(p), Some(c)]);
+        assert!(effects.sends_of(&effects.actions[0]).is_empty());
     }
 
     /// Renders are deterministic and name the key facts.

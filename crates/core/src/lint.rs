@@ -12,19 +12,18 @@
 //! specification rot: elements the model declares but can never exercise,
 //! which formal test cases run against the model (§2) would silently skip.
 //!
-//! All facts are gathered in one pass ([`ModelFacts::gather`]) using the
-//! same class-inference over instance-valued expressions as the model
-//! compiler's usage analysis: instance-typed values come only from
-//! `self`, `create`/`select`/`foreach` bindings, navigation and
-//! `any(...)`, so the inference is complete for parser-produced models.
+//! The facts are no walk of their own: [`ModelFacts::gather`] folds the
+//! per-action summaries of [`crate::effects`], whose one class-inference
+//! walk also feeds sharding admission and the model compiler's usage
+//! analysis. Instance-typed values come only from `self`,
+//! `create`/`select`/`foreach` bindings, navigation and `any(...)`, so the
+//! inference is complete for validated models.
 
-use crate::action::{Block, Expr, GenTarget, LValue, Stmt};
 use crate::diag::{Code, Diagnostic, Diagnostics, SourceMap};
-use crate::effects;
+use crate::effects::{self, ModelEffects};
 use crate::error::Pos;
 use crate::ids::{AttrId, ClassId, EventId, StateId};
 use crate::model::{Domain, TransitionTarget};
-use crate::value::UnOp;
 use std::collections::{BTreeMap, BTreeSet};
 
 pub use crate::effects::{ShardOffense, ShardReason};
@@ -68,25 +67,37 @@ pub struct ModelFacts {
 }
 
 impl ModelFacts {
-    /// Walks every state entry action in the domain.
-    pub fn gather(domain: &Domain) -> ModelFacts {
+    /// Folds the effect analysis's per-action summaries into the
+    /// cross-machine facts.
+    pub fn gather(effects: &ModelEffects) -> ModelFacts {
         let mut facts = ModelFacts::default();
-        for (ci, class) in domain.classes.iter().enumerate() {
-            let class_id = ClassId::new(ci as u32);
-            let Some(machine) = &class.state_machine else {
-                continue;
-            };
-            for (si, state) in machine.states.iter().enumerate() {
-                let sid = StateId::new(si as u32);
-                let mut w = Walker {
-                    domain,
-                    self_class: class_id,
-                    state: sid,
-                    env: BTreeMap::new(),
-                    selected: None,
-                    facts: &mut facts,
+        for eff in &effects.actions {
+            let action = (eff.class, eff.state);
+            for a in &eff.accesses {
+                let (first, per_state) = if a.write {
+                    (&mut facts.attr_writes, &mut facts.state_writes)
+                } else {
+                    (&mut facts.attr_reads, &mut facts.state_reads)
                 };
-                w.block(&state.action);
+                first.entry((a.class, a.attr)).or_insert(a.pos);
+                per_state
+                    .entry(action)
+                    .or_default()
+                    .insert((a.class, a.attr));
+            }
+            for site in effects.sends_of(eff) {
+                let (Some(target), Some(event)) = (site.target, site.event) else {
+                    continue;
+                };
+                facts.generated.insert((target, event));
+                facts.sends.push(SendFact {
+                    sender: eff.class,
+                    state: eff.state,
+                    target,
+                    event,
+                    delayed: site.after,
+                    pos: site.pos,
+                });
             }
         }
         facts
@@ -137,190 +148,12 @@ impl ModelFacts {
     }
 }
 
-/// Per-action walker: tracks instance-typed bindings for class inference.
-struct Walker<'a> {
-    domain: &'a Domain,
-    self_class: ClassId,
-    state: StateId,
-    env: BTreeMap<String, ClassId>,
-    selected: Option<ClassId>,
-    facts: &'a mut ModelFacts,
-}
-
-impl Walker<'_> {
-    fn block(&mut self, block: &Block) {
-        for stmt in &block.stmts {
-            self.stmt(stmt);
-        }
-    }
-
-    fn infer(&self, expr: &Expr) -> Option<ClassId> {
-        match expr {
-            Expr::SelfRef => Some(self.self_class),
-            Expr::Var(name) => self.env.get(name).copied(),
-            Expr::Nav(_, class_name, _) => self.domain.class_id(class_name).ok(),
-            Expr::Unary(UnOp::Any, inner) => self.infer(inner),
-            Expr::Selected => self.selected,
-            _ => None,
-        }
-    }
-
-    /// Records attribute reads in an expression (recursively).
-    fn reads(&mut self, expr: &Expr, pos: Pos) {
-        match expr {
-            Expr::Attr(base, name) => {
-                if let Some(class) = self.infer(base) {
-                    if let Some(attr) = self.domain.class(class).attr_id(name) {
-                        self.facts.attr_reads.entry((class, attr)).or_insert(pos);
-                        self.facts
-                            .state_reads
-                            .entry((self.self_class, self.state))
-                            .or_default()
-                            .insert((class, attr));
-                    }
-                }
-                self.reads(base, pos);
-            }
-            Expr::Nav(base, _, _) => self.reads(base, pos),
-            Expr::Unary(_, e) => self.reads(e, pos),
-            Expr::Binary(_, a, b) => {
-                self.reads(a, pos);
-                self.reads(b, pos);
-            }
-            Expr::BridgeCall(_, _, args) => {
-                for a in args {
-                    self.reads(a, pos);
-                }
-            }
-            Expr::Lit(_) | Expr::Var(_) | Expr::SelfRef | Expr::Selected | Expr::Param(_) => {}
-        }
-    }
-
-    fn stmt(&mut self, stmt: &Stmt) {
-        let pos = stmt.pos();
-        match stmt {
-            Stmt::Assign { lhs, expr, .. } => {
-                self.reads(expr, pos);
-                match lhs {
-                    LValue::Var(name) => {
-                        if let Some(class) = self.infer(expr) {
-                            self.env.insert(name.clone(), class);
-                        }
-                    }
-                    LValue::Attr(base, attr) => {
-                        self.reads(base, pos);
-                        if let Some(class) = self.infer(base) {
-                            if let Some(attr) = self.domain.class(class).attr_id(attr) {
-                                self.facts.attr_writes.entry((class, attr)).or_insert(pos);
-                                self.facts
-                                    .state_writes
-                                    .entry((self.self_class, self.state))
-                                    .or_default()
-                                    .insert((class, attr));
-                            }
-                        }
-                    }
-                }
-            }
-            Stmt::Create { var, class, .. } => {
-                if let Ok(id) = self.domain.class_id(class) {
-                    self.env.insert(var.clone(), id);
-                }
-            }
-            Stmt::Delete { expr, .. } => self.reads(expr, pos),
-            Stmt::SelectAny {
-                var, class, filter, ..
-            }
-            | Stmt::SelectMany {
-                var, class, filter, ..
-            } => {
-                if let Ok(id) = self.domain.class_id(class) {
-                    if let Some(f) = filter {
-                        let saved = self.selected.replace(id);
-                        self.reads(f, pos);
-                        self.selected = saved;
-                    }
-                    self.env.insert(var.clone(), id);
-                } else if let Some(f) = filter {
-                    self.reads(f, pos);
-                }
-            }
-            Stmt::Relate { a, b, .. } | Stmt::Unrelate { a, b, .. } => {
-                self.reads(a, pos);
-                self.reads(b, pos);
-            }
-            Stmt::Generate {
-                event,
-                args,
-                target,
-                delay,
-                ..
-            } => {
-                for a in args {
-                    self.reads(a, pos);
-                }
-                if let Some(d) = delay {
-                    self.reads(d, pos);
-                }
-                if let GenTarget::Inst(texpr) = target {
-                    // A bare unbound variable resolves to an actor at run
-                    // time; actor signals leave the domain and cannot race.
-                    let is_actor_fallback = matches!(texpr, Expr::Var(name)
-                        if !self.env.contains_key(name) && self.domain.actor_id(name).is_ok());
-                    if !is_actor_fallback {
-                        self.reads(texpr, pos);
-                        if let Some(tclass) = self.infer(texpr) {
-                            if let Some(ev) = self.domain.class(tclass).event_id(event) {
-                                self.facts.generated.insert((tclass, ev));
-                                self.facts.sends.push(SendFact {
-                                    sender: self.self_class,
-                                    state: self.state,
-                                    target: tclass,
-                                    event: ev,
-                                    delayed: delay.is_some(),
-                                    pos,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-            Stmt::If {
-                arms, otherwise, ..
-            } => {
-                for (cond, body) in arms {
-                    self.reads(cond, pos);
-                    self.block(body);
-                }
-                if let Some(body) = otherwise {
-                    self.block(body);
-                }
-            }
-            Stmt::While { cond, body, .. } => {
-                self.reads(cond, pos);
-                self.block(body);
-            }
-            Stmt::ForEach { var, set, body, .. } => {
-                self.reads(set, pos);
-                if let Some(id) = self.infer(set) {
-                    self.env.insert(var.clone(), id);
-                }
-                self.block(body);
-            }
-            Stmt::ExprStmt { expr, .. } => self.reads(expr, pos),
-            Stmt::Cancel { .. }
-            | Stmt::Break { .. }
-            | Stmt::Continue { .. }
-            | Stmt::Return { .. } => {}
-        }
-    }
-}
-
 /// Runs every whole-model lint (`X0006`..`X0011`, `X0015`, `X0017`)
-/// over the domain.
+/// over the domain. The shard plan's effect summaries are walked once
+/// and also folded into the [`ModelFacts`].
 pub fn lint_domain(domain: &Domain, spans: &SourceMap, diags: &mut Diagnostics) {
-    let facts = ModelFacts::gather(domain);
     let plan = effects::analyze(domain);
+    let facts = ModelFacts::gather(&plan.effects);
     lint_dead_events(domain, spans, diags);
     lint_dead_transitions(domain, &facts, spans, diags);
     lint_attr_usage(domain, &facts, spans, diags);

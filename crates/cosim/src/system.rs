@@ -168,42 +168,6 @@ impl<H: HwModel, S: SwModel> CoSystem<H, S> {
         Ok(self.stats())
     }
 
-    /// [`CoSystem::run_to_quiescence`] with telemetry: wraps the run in
-    /// a `cosim.run` span on the sink's track and mirrors the final
-    /// [`CosimStats`] into the counter catalogue (`cosim_hw_cycles`,
-    /// `cosim_cpu_cycles`, `cosim_msgs_sw_to_hw`, `cosim_msgs_hw_to_sw`,
-    /// `cosim_bus_beats`). With a disabled sink this is exactly
-    /// `run_to_quiescence` plus a handful of no-op calls.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`CoSystem::run_to_quiescence`].
-    pub fn run_to_quiescence_obs(
-        &mut self,
-        sink: &mut dyn xtuml_obs::Sink,
-    ) -> Result<CosimStats, CosimError> {
-        use xtuml_obs::Counter;
-        let span = sink.spans_enabled();
-        let track = sink.track();
-        if span {
-            sink.span_begin(track, "cosim", "cosim.run");
-        }
-        let out = self.run_to_quiescence();
-        if span {
-            sink.span_end(track);
-        }
-        if sink.enabled() {
-            if let Ok(stats) = &out {
-                sink.count(Counter::CosimHwCycles, stats.hw_cycles);
-                sink.count(Counter::CosimCpuCycles, stats.cpu_cycles);
-                sink.count(Counter::CosimMsgsSwToHw, stats.msgs_sw_to_hw);
-                sink.count(Counter::CosimMsgsHwToSw, stats.msgs_hw_to_sw);
-                sink.count(Counter::CosimBusBeats, stats.bus_beats);
-            }
-        }
-        out
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> CosimStats {
         let b = self.bridge.stats();
@@ -332,29 +296,6 @@ mod tests {
         assert_eq!(stats.msgs_hw_to_sw, 5);
         assert!(stats.hw_cycles > 0);
         assert!(stats.cpu_cycles > 0);
-    }
-
-    #[test]
-    fn obs_run_mirrors_stats_into_counters() {
-        let hw = EchoHw { pending: 0 };
-        let sw = PingSw {
-            to_send: 5,
-            replies: Vec::new(),
-            next: 100,
-            credit: 0,
-        };
-        let mut sys = CoSystem::new(hw, sw, bridge(), CoClock::new(50_000, 200_000));
-        let mut rec = xtuml_obs::Recorder::with_spans(xtuml_obs::Clock::start());
-        let stats = sys.run_to_quiescence_obs(&mut rec).unwrap();
-        use xtuml_obs::{Counter, Sink as _};
-        assert_eq!(rec.metrics.get(Counter::CosimHwCycles), stats.hw_cycles);
-        assert_eq!(rec.metrics.get(Counter::CosimMsgsSwToHw), 5);
-        assert_eq!(rec.metrics.get(Counter::CosimMsgsHwToSw), 5);
-        assert_eq!(rec.spans().unwrap().events().len(), 1);
-        assert_eq!(rec.spans().unwrap().events()[0].name, "cosim.run");
-        // Disabled path: a NullSink records nothing and changes nothing.
-        let null = xtuml_obs::NullSink;
-        assert!(!null.enabled());
     }
 
     #[test]

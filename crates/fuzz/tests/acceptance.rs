@@ -7,7 +7,9 @@
 //! * an intentionally injected scheduler bug (pair-order ablation) is
 //!   caught by the differential oracle and shrunk to a tiny case;
 //! * minimized cases serialize to corpus triples that replay to the same
-//!   verdict.
+//!   verdict;
+//! * the effect analysis's class inference is complete on validated
+//!   models: every send target resolves and no access goes untyped.
 
 use xtuml_fuzz::{
     entry, fuzz, generate, replay, run_spec, shrink, Ablation, CaseOutcome, FuzzConfig,
@@ -128,4 +130,67 @@ fn minimized_case_serializes_and_replays() {
     assert!(!clean.is_failure(), "replay: {}", clean.describe());
     let faulty = replay(&e.model, &e.marks, &e.stim, Ablation::PairOrder, false).unwrap();
     assert!(matches!(faulty, CaseOutcome::Divergence { .. }));
+}
+
+/// Completeness of the one class-inference walk (`effects::ModelEffects`):
+/// on a validated model every instance-directed send resolves its target
+/// class and event, and every attribute access its base, so
+/// `ActionEffects::unknown` stays empty. The model compiler's
+/// unresolvable-target mapping error and the const-fold's
+/// unknown-write guard rely on this never firing for parsed models.
+#[test]
+fn effect_inference_is_complete_on_validated_models() {
+    use xtuml_core::effects::ModelEffects;
+    use xtuml_core::model::Domain;
+    fn check(what: &str, domain: &Domain) -> usize {
+        let effects = ModelEffects::gather(domain);
+        for site in &effects.sends {
+            assert!(
+                site.target.is_some() && site.event.is_some() && site.unresolved.is_none(),
+                "{what}: unresolved send at {}: {site:?}",
+                site.pos
+            );
+        }
+        for eff in &effects.actions {
+            assert!(
+                eff.unknown.is_empty(),
+                "{what}: untyped accesses in {:?}/{:?}: {:?}",
+                eff.class,
+                eff.state,
+                eff.unknown
+            );
+        }
+        effects.sends.len()
+    }
+    let files = [
+        ("doorbell", include_str!("../../../models/doorbell.xtuml")),
+        ("elevator", include_str!("../../../models/elevator.xtuml")),
+        (
+            "seed2",
+            include_str!("../../../models/fuzz-corpus/seed2.xtuml"),
+        ),
+        (
+            "seed5",
+            include_str!("../../../models/fuzz-corpus/seed5.xtuml"),
+        ),
+        ("cycle", include_str!("../../../models/lints/cycle.xtuml")),
+        ("dead", include_str!("../../../models/lints/dead.xtuml")),
+        ("marked", include_str!("../../../models/lints/marked.xtuml")),
+        ("race", include_str!("../../../models/lints/race.xtuml")),
+        (
+            "shardrace",
+            include_str!("../../../models/lints/shardrace.xtuml"),
+        ),
+    ];
+    let mut sends = 0;
+    for (name, src) in files {
+        let domain = parse_domain(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        sends += check(name, &domain);
+    }
+    for seed in 0..500 {
+        let domain = generate(seed).lower().unwrap();
+        sends += check(&format!("seed {seed}"), &domain);
+    }
+    // Real sends were checked, not an empty sweep.
+    assert!(sends > 500, "only {sends} send sites");
 }

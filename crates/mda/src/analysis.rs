@@ -1,23 +1,25 @@
-//! Static analysis of action blocks for the mapping rules.
+//! Per-class usage for the mapping rules.
 //!
 //! The model compiler needs to know, per class: which classes its actions
 //! *create*, *delete*, *select* or *relate* (these must be
 //! partition-local), and which `(target class, event)` pairs it *signals*
 //! (these define the interface channels when the target is remote).
 //!
-//! Signal targets are resolved by a lightweight class-inference over
-//! instance-valued expressions. The action language restricts
-//! instance-typed values to `self`, `create`/`select`/`foreach` bindings,
-//! association navigation and `any(...)` — attributes and event
-//! parameters are scalars — so the inference is *complete*: a target whose
-//! class cannot be inferred is a malformed block, reported as an error.
+//! This is no walk of its own: [`class_usage`] folds the per-action
+//! summaries of [`xtuml_core::effects`], whose one class-inference walk
+//! also feeds sharding admission and the whole-model lints. The action
+//! language restricts instance-typed values to `self`,
+//! `create`/`select`/`foreach` bindings, association navigation and
+//! `any(...)` — attributes and event parameters are scalars — so the
+//! inference is *complete* for validated models: every send target
+//! resolves. A target whose class cannot be inferred (a hand-built AST
+//! typeck would reject) is reported as a mapping error.
 
 use crate::{MdaError, Result};
-use std::collections::{BTreeMap, BTreeSet};
-use xtuml_core::action::{Block, Expr, GenTarget, Stmt};
+use std::collections::BTreeSet;
+use xtuml_core::effects::ModelEffects;
 use xtuml_core::ids::{ClassId, EventId};
 use xtuml_core::model::Domain;
-use xtuml_core::value::UnOp;
 
 /// What one class's actions do to the rest of the domain.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -34,142 +36,47 @@ pub struct ClassUsage {
     pub sends: BTreeSet<(ClassId, EventId)>,
 }
 
-/// Analyses every state action of `class`.
+/// The usage of every class, in class order, from one effects walk.
 ///
-/// # Errors
-///
-/// Returns [`MdaError::Mapping`] if a signal target's class cannot be
-/// statically inferred (not expressible through the surface language, but
-/// possible with hand-built ASTs).
-pub fn analyze_class(domain: &Domain, class: ClassId) -> Result<ClassUsage> {
-    let mut usage = ClassUsage::default();
-    let c = domain.class(class);
-    if let Some(machine) = &c.state_machine {
-        for state in &machine.states {
-            let mut env: BTreeMap<String, ClassId> = BTreeMap::new();
-            walk_block(domain, class, &state.action, &mut env, &mut usage).map_err(|e| {
-                MdaError::mapping(format!("class {}, state {}: {e}", c.name, state.name))
-            })?;
+/// A class maps to [`MdaError::Mapping`] if one of its signal targets'
+/// class cannot be statically inferred (not expressible through the
+/// surface language, but possible with hand-built ASTs); the first such
+/// send, in state and statement order, names the error.
+pub fn class_usage(domain: &Domain) -> Vec<Result<ClassUsage>> {
+    let effects = ModelEffects::gather(domain);
+    let mut usages: Vec<Result<ClassUsage>> = vec![Ok(ClassUsage::default()); domain.classes.len()];
+    for eff in &effects.actions {
+        let slot = &mut usages[eff.class.index()];
+        let Ok(usage) = slot else {
+            continue;
+        };
+        usage.creates.extend(eff.creates.iter().map(|&(c, _)| c));
+        usage.selects.extend(eff.selects.iter().map(|&(c, _)| c));
+        usage
+            .deletes
+            .extend(eff.deletes.iter().filter_map(|&(c, _)| c));
+        for (operands, _) in eff.relates.iter().chain(&eff.unrelates) {
+            usage.relates.extend(operands.iter().flatten());
+        }
+        for site in effects.sends_of(eff) {
+            if let Some(why) = &site.unresolved {
+                let class = domain.class(eff.class);
+                let state = class
+                    .state_machine
+                    .as_ref()
+                    .map_or("?", |m| m.states[eff.state.index()].name.as_str());
+                *slot = Err(MdaError::mapping(format!(
+                    "class {}, state {state}: {why}",
+                    class.name
+                )));
+                break;
+            }
+            if let (Some(target), Some(event)) = (site.target, site.event) {
+                usage.sends.insert((target, event));
+            }
         }
     }
-    Ok(usage)
-}
-
-/// Infers the class of an instance-valued expression, if any.
-fn infer(
-    domain: &Domain,
-    self_class: ClassId,
-    env: &BTreeMap<String, ClassId>,
-    expr: &Expr,
-) -> Option<ClassId> {
-    match expr {
-        Expr::SelfRef => Some(self_class),
-        Expr::Var(name) => env.get(name).copied(),
-        Expr::Nav(_, class_name, _) => domain.class_id(class_name).ok(),
-        Expr::Unary(UnOp::Any, inner) => infer(domain, self_class, env, inner),
-        Expr::Selected => None, // select target recorded separately
-        _ => None,
-    }
-}
-
-fn walk_block(
-    domain: &Domain,
-    self_class: ClassId,
-    block: &Block,
-    env: &mut BTreeMap<String, ClassId>,
-    usage: &mut ClassUsage,
-) -> Result<(), String> {
-    for stmt in &block.stmts {
-        walk_stmt(domain, self_class, stmt, env, usage)?;
-    }
-    Ok(())
-}
-
-fn walk_stmt(
-    domain: &Domain,
-    self_class: ClassId,
-    stmt: &Stmt,
-    env: &mut BTreeMap<String, ClassId>,
-    usage: &mut ClassUsage,
-) -> Result<(), String> {
-    match stmt {
-        Stmt::Create { var, class, .. } => {
-            if let Ok(id) = domain.class_id(class) {
-                usage.creates.insert(id);
-                env.insert(var.clone(), id);
-            }
-        }
-        Stmt::Delete { expr, .. } => {
-            if let Some(id) = infer(domain, self_class, env, expr) {
-                usage.deletes.insert(id);
-            }
-        }
-        Stmt::SelectAny { var, class, .. } | Stmt::SelectMany { var, class, .. } => {
-            if let Ok(id) = domain.class_id(class) {
-                usage.selects.insert(id);
-                env.insert(var.clone(), id);
-            }
-        }
-        Stmt::Relate { a, b, .. } | Stmt::Unrelate { a, b, .. } => {
-            for e in [a, b] {
-                if let Some(id) = infer(domain, self_class, env, e) {
-                    usage.relates.insert(id);
-                }
-            }
-        }
-        Stmt::Generate {
-            event,
-            target: GenTarget::Inst(texpr),
-            ..
-        } => {
-            // A bare non-bound variable as target resolves to an actor at
-            // run time; only instance-directed sends define channels.
-            let is_actor_fallback = matches!(texpr, Expr::Var(name)
-                if !env.contains_key(name) && domain.actor_id(name).is_ok());
-            if !is_actor_fallback {
-                let Some(target) = infer(domain, self_class, env, texpr) else {
-                    return Err(format!(
-                        "cannot statically resolve the class of signal target `{texpr}` \
-                         for event `{event}`"
-                    ));
-                };
-                if let Some(ev) = domain.class(target).event_id(event) {
-                    usage.sends.insert((target, ev));
-                }
-            }
-        }
-        Stmt::Generate { .. } => {} // actor-directed: observable, no channel
-        Stmt::Assign { lhs, expr, .. } => {
-            if let xtuml_core::action::LValue::Var(name) = lhs {
-                if let Some(id) = infer(domain, self_class, env, expr) {
-                    env.insert(name.clone(), id);
-                }
-            }
-        }
-        Stmt::If {
-            arms, otherwise, ..
-        } => {
-            for (_, body) in arms {
-                walk_block(domain, self_class, body, env, usage)?;
-            }
-            if let Some(body) = otherwise {
-                walk_block(domain, self_class, body, env, usage)?;
-            }
-        }
-        Stmt::While { body, .. } => walk_block(domain, self_class, body, env, usage)?,
-        Stmt::ForEach { var, set, body, .. } => {
-            if let Some(id) = infer(domain, self_class, env, set) {
-                env.insert(var.clone(), id);
-            }
-            walk_block(domain, self_class, body, env, usage)?;
-        }
-        Stmt::Cancel { .. }
-        | Stmt::Break { .. }
-        | Stmt::Continue { .. }
-        | Stmt::Return { .. }
-        | Stmt::ExprStmt { .. } => {}
-    }
-    Ok(())
+    usages
 }
 
 #[cfg(test)]
@@ -231,7 +138,7 @@ mod tests {
         let worker = d.class_id("Worker").unwrap();
         let lamp = d.class_id("Lamp").unwrap();
         let helper = d.class_id("Helper").unwrap();
-        let u = analyze_class(&d, worker).unwrap();
+        let u = class_usage(&d)[worker.index()].clone().unwrap();
         assert!(u.creates.contains(&lamp));
         assert!(u.selects.contains(&lamp));
         assert!(u.deletes.contains(&lamp));
@@ -248,7 +155,7 @@ mod tests {
     fn passive_class_has_empty_usage() {
         let d = domain();
         let lamp = d.class_id("Lamp").unwrap();
-        let u = analyze_class(&d, lamp).unwrap();
+        let u = class_usage(&d)[lamp.index()].clone().unwrap();
         assert!(u.creates.is_empty() && u.sends.is_empty());
     }
 
@@ -262,7 +169,7 @@ mod tests {
             .transition("S", "E", "S");
         let d = b.build().unwrap();
         let c = d.class_id("C").unwrap();
-        let u = analyze_class(&d, c).unwrap();
+        let u = class_usage(&d)[c.index()].clone().unwrap();
         assert!(u.sends.contains(&(c, EventId::new(0))));
     }
 }

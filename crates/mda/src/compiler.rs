@@ -1,7 +1,7 @@
 //! The model compiler: repeatable mapping rules from marked model to
 //! implementation (paper §4).
 
-use crate::analysis;
+use crate::analysis::{self, ClassUsage};
 use crate::host::{ActionCode, PCore};
 use crate::hw::HwPartition;
 use crate::interface::InterfaceSpec;
@@ -9,7 +9,7 @@ use crate::partition::{Partition, Side};
 use crate::swpart::SwPartition;
 use crate::system::CompiledSystem;
 use crate::{cgen, icd, vgen, MdaError, Result};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use xtuml_core::ids::ClassId;
 use xtuml_core::marks::{keys, ElemRef, MarkSet};
@@ -185,8 +185,9 @@ impl ModelCompiler {
     /// crate docs) and propagates analysis errors.
     pub fn compile<'d>(&self, domain: &'d Domain, marks: &MarkSet) -> Result<CompiledDesign<'d>> {
         let partition = Partition::from_marks(domain, marks);
-        self.check_locality(domain, &partition)?;
-        let interface = InterfaceSpec::derive(domain, &partition)?;
+        let usage = analysis::class_usage(domain);
+        check_locality(domain, &partition, &usage)?;
+        let interface = InterfaceSpec::derive_from(domain, &partition, &usage)?;
         let params = PlatformParams::from_marks(domain, marks);
         let c_code = cgen::generate_c(domain, &partition, &interface, &params);
         let vhdl_code = vgen::generate_vhdl(domain, &partition, &interface, &params);
@@ -202,97 +203,39 @@ impl ModelCompiler {
             options: self.options,
         })
     }
+}
 
-    /// [`ModelCompiler::compile`] with telemetry: one `mda_compiles`
-    /// count per invocation, plus per-phase spans (`partition`,
-    /// `interface`, `cgen`, `vgen`, `icd`) on the sink's track so a
-    /// profile shows where compile time goes.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`ModelCompiler::compile`].
-    pub fn compile_obs<'d>(
-        &self,
-        sink: &mut dyn xtuml_obs::Sink,
-        domain: &'d Domain,
-        marks: &MarkSet,
-    ) -> Result<CompiledDesign<'d>> {
-        if sink.enabled() {
-            sink.count(xtuml_obs::Counter::MdaCompiles, 1);
-        }
-        if !sink.spans_enabled() {
-            return self.compile(domain, marks);
-        }
-        let track = sink.track();
-        let phase = |sink: &mut dyn xtuml_obs::Sink, name: &str| {
-            sink.span_end(track);
-            sink.span_begin(track, "mda", name);
-        };
-        sink.span_begin(track, "mda", "mda.compile");
-        sink.span_begin(track, "mda", "partition");
-        let partition = Partition::from_marks(domain, marks);
-        let locality = self.check_locality(domain, &partition);
-        phase(sink, "interface");
-        let interface = InterfaceSpec::derive(domain, &partition);
-        phase(sink, "cgen");
-        let params = PlatformParams::from_marks(domain, marks);
-        let (c_code, interface) = match (locality, interface) {
-            (Err(e), _) | (_, Err(e)) => {
-                sink.span_end(track);
-                sink.span_end(track);
-                return Err(e);
-            }
-            (Ok(()), Ok(i)) => {
-                let c = cgen::generate_c(domain, &partition, &i, &params);
-                (c, i)
-            }
-        };
-        phase(sink, "vgen");
-        let vhdl_code = vgen::generate_vhdl(domain, &partition, &interface, &params);
-        phase(sink, "icd");
-        let icd = icd::generate_icd(domain, &partition, &interface, &params);
-        sink.span_end(track);
-        sink.span_end(track);
-        Ok(CompiledDesign {
-            domain,
-            partition,
-            interface,
-            params,
-            c_code,
-            vhdl_code,
-            icd,
-            options: self.options,
-        })
-    }
-
-    /// Mapping rule: create/delete/select/relate must be partition-local.
-    fn check_locality(&self, domain: &Domain, partition: &Partition) -> Result<()> {
-        for (ci, class) in domain.classes.iter().enumerate() {
-            let id = ClassId::new(ci as u32);
-            let my_side = partition.side(id);
-            let usage = analysis::analyze_class(domain, id)?;
-            let check = |set: &std::collections::BTreeSet<ClassId>, what: &str| -> Result<()> {
-                for t in set {
-                    if partition.side(*t) != my_side {
-                        return Err(MdaError::mapping(format!(
-                            "class {} ({my_side}) {what} class {} ({}); \
-                             {what} must be partition-local",
-                            class.name,
-                            domain.class(*t).name,
-                            partition.side(*t),
-                        )));
-                    }
+/// Mapping rule: create/delete/select/relate must be partition-local.
+/// Classes are checked in order; a class whose usage failed to resolve
+/// reports that error first.
+fn check_locality(
+    domain: &Domain,
+    partition: &Partition,
+    usage: &[Result<ClassUsage>],
+) -> Result<()> {
+    for (ci, (class, usage)) in domain.classes.iter().zip(usage).enumerate() {
+        let my_side = partition.side(ClassId::new(ci as u32));
+        let usage = usage.as_ref().map_err(Clone::clone)?;
+        let check = |set: &BTreeSet<ClassId>, what: &str| -> Result<()> {
+            for t in set {
+                if partition.side(*t) != my_side {
+                    return Err(MdaError::mapping(format!(
+                        "class {} ({my_side}) {what} class {} ({}); \
+                         {what} must be partition-local",
+                        class.name,
+                        domain.class(*t).name,
+                        partition.side(*t),
+                    )));
                 }
-                Ok(())
-            };
-            check(&usage.creates, "creates")?;
-            check(&usage.deletes, "deletes")?;
-            check(&usage.selects, "selects")?;
-            check(&usage.relates, "relates")?;
-        }
-        let _ = Side::Hw;
-        Ok(())
+            }
+            Ok(())
+        };
+        check(&usage.creates, "creates")?;
+        check(&usage.deletes, "deletes")?;
+        check(&usage.selects, "selects")?;
+        check(&usage.relates, "relates")?;
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -471,6 +414,31 @@ mod tests {
         m.mark_hardware("Finder");
         let err = ModelCompiler::new().compile(&d, &m).unwrap_err();
         assert!(err.to_string().contains("selects"));
+    }
+
+    /// A send target whose class no inference can resolve (typeck would
+    /// reject the scalar binding, so only an unvalidated domain has one)
+    /// is a mapping error naming the class, state, target and event.
+    #[test]
+    fn unresolvable_signal_target_is_a_mapping_error() {
+        let mut b = DomainBuilder::new("bad");
+        b.class("C")
+            .event("E", &[])
+            .state("S", "x = 5; gen E() to x;")
+            .initial("S")
+            .transition("S", "E", "S");
+        let d = b.build_unvalidated().unwrap();
+        let err = ModelCompiler::new()
+            .compile(&d, &MarkSet::new())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            MdaError::mapping(
+                "class C, state S: cannot statically resolve the class of signal \
+                 target `x` for event `E`"
+            )
+        );
+        assert!(InterfaceSpec::derive(&d, &Partition::from_marks(&d, &MarkSet::new())).is_err());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! (hardware has no string type); a cross-partition event with a string
 //! parameter is a mapping error.
 
-use crate::analysis;
+use crate::analysis::{self, ClassUsage};
 use crate::partition::{Partition, Side};
 use crate::{MdaError, Result};
 use xtuml_core::ids::{ClassId, EventId, InstId};
@@ -62,12 +62,26 @@ impl InterfaceSpec {
     /// Returns [`MdaError::Mapping`] for unmarshallable cross-partition
     /// payloads or statically unresolvable signal targets.
     pub fn derive(domain: &Domain, partition: &Partition) -> Result<InterfaceSpec> {
+        Self::derive_from(domain, partition, &analysis::class_usage(domain))
+    }
+
+    /// [`InterfaceSpec::derive`] over an already-computed
+    /// [`analysis::class_usage`].
+    ///
+    /// # Errors
+    ///
+    /// As [`InterfaceSpec::derive`].
+    pub fn derive_from(
+        domain: &Domain,
+        partition: &Partition,
+        usage: &[Result<ClassUsage>],
+    ) -> Result<InterfaceSpec> {
         // Union of cross-partition (target, event) pairs over all classes.
         let mut pairs: Vec<(ClassId, EventId)> = Vec::new();
-        for (ci, _) in domain.classes.iter().enumerate() {
+        for (ci, usage) in usage.iter().enumerate() {
             let sender = ClassId::new(ci as u32);
-            let usage = analysis::analyze_class(domain, sender)?;
-            for (target, event) in usage.sends {
+            let usage = usage.as_ref().map_err(Clone::clone)?;
+            for &(target, event) in &usage.sends {
                 if partition.side(sender) != partition.side(target)
                     && !pairs.contains(&(target, event))
                 {

@@ -177,14 +177,15 @@ fn lint_partition_channels(
     // (target, event) pairs reported already, so two senders of the same
     // unmarshallable event yield one diagnostic (one channel, one ICD row).
     let mut reported = BTreeSet::new();
-    for (ci, sender_class) in domain.classes.iter().enumerate() {
+    let usage = analysis::class_usage(domain);
+    for (ci, (sender_class, usage)) in domain.classes.iter().zip(&usage).enumerate() {
         let sender = ClassId::new(ci as u32);
         // Analysis fails only on hand-built ASTs the surface language
         // cannot produce; such blocks are beyond mark linting.
-        let Ok(usage) = analysis::analyze_class(domain, sender) else {
+        let Ok(usage) = usage else {
             continue;
         };
-        for (target, event) in usage.sends {
+        for &(target, event) in &usage.sends {
             if partition.side(sender) == partition.side(target) {
                 continue;
             }

@@ -75,17 +75,26 @@ pub enum Counter {
     PoolScopes,
     /// Tasks distributed across fork-join scopes.
     PoolTasks,
-    /// Hardware cycles simulated by the co-simulation executive.
+    /// Retired: hardware cycles simulated by the co-simulation executive.
+    /// This and the four `Cosim*` counters below had one emitter, a
+    /// telemetry wrapper nothing called, now deleted; each is kept at its
+    /// place in the snapshot order, so it always reads 0.
     CosimHwCycles,
-    /// CPU cycles consumed by the co-simulated software partition.
+    /// Retired (see [`Counter::CosimHwCycles`]): CPU cycles consumed by
+    /// the co-simulated software partition.
     CosimCpuCycles,
-    /// Bus messages delivered sw→hw.
+    /// Retired (see [`Counter::CosimHwCycles`]): bus messages delivered
+    /// sw→hw.
     CosimMsgsSwToHw,
-    /// Bus messages delivered hw→sw.
+    /// Retired (see [`Counter::CosimHwCycles`]): bus messages delivered
+    /// hw→sw.
     CosimMsgsHwToSw,
-    /// Total bus beats moved by the co-simulation bridge.
+    /// Retired (see [`Counter::CosimHwCycles`]): total bus beats moved by
+    /// the co-simulation bridge.
     CosimBusBeats,
-    /// Model compilations performed by the MDA pipeline.
+    /// Retired: model compilations performed by the MDA pipeline. Its one
+    /// emitter, a telemetry wrapper nothing called, is deleted; kept at
+    /// its place in the snapshot order, so it always reads 0.
     MdaCompiles,
     /// Action dispatches executed by the bytecode VM engine.
     BcActions,

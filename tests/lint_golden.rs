@@ -202,3 +202,110 @@ fn elevator_warnings_do_not_fail_the_run() {
     assert!(!deny_hit, "{out}");
     assert!(out.contains("0 error(s)"), "{out}");
 }
+
+/// Pins the elevator's full lint output. It is the one shipped model
+/// whose actions select, iterate, delete and arm timers, so its
+/// findings exercise the signal-graph and attribute-usage passes
+/// (`X0009`–`X0011`) and the shard-safety passes (`X0015`, `X0017`)
+/// on real action bodies.
+#[test]
+fn elevator_matches_golden() {
+    let (out, deny_hit) = human(
+        "models/elevator.xtuml",
+        include_str!("../models/elevator.xtuml"),
+        None,
+    );
+    assert_eq!(out, include_str!("golden/elevator.txt"));
+    assert!(!deny_hit);
+}
+
+#[test]
+fn elevator_json_matches_golden() {
+    let opts = LintOptions {
+        format: LintFormat::Json,
+        ..LintOptions::default()
+    };
+    let (out, _) = lint(
+        "models/elevator.xtuml",
+        include_str!("../models/elevator.xtuml"),
+        None,
+        &opts,
+    );
+    assert_eq!(out, include_str!("golden/elevator.json"));
+}
+
+/// The two fuzz-corpus seeds, linted with their marks: generated models
+/// with navigation, selects and cross-partition sends.
+#[test]
+fn corpus_seeds_match_their_goldens() {
+    let cases = [
+        (
+            "models/fuzz-corpus/seed2.xtuml",
+            include_str!("../models/fuzz-corpus/seed2.xtuml"),
+            "models/fuzz-corpus/seed2.marks",
+            include_str!("../models/fuzz-corpus/seed2.marks"),
+            include_str!("golden/seed2.txt"),
+        ),
+        (
+            "models/fuzz-corpus/seed5.xtuml",
+            include_str!("../models/fuzz-corpus/seed5.xtuml"),
+            "models/fuzz-corpus/seed5.marks",
+            include_str!("../models/fuzz-corpus/seed5.marks"),
+            include_str!("golden/seed5.txt"),
+        ),
+    ];
+    for (model_path, model, marks_path, marks, golden) in cases {
+        let (out, deny_hit) = human(model_path, model, Some((marks_path, marks)));
+        assert_eq!(out, golden, "{model_path}");
+        assert!(!deny_hit, "{model_path}");
+    }
+}
+
+/// A send target no inference can resolve (`x` is bound to a scalar,
+/// which typeck rejects) makes interface derivation fail for its class.
+/// The mark lints skip that class instead of panicking, and still lint
+/// the rest: the other class's unmarshallable cross-partition send is
+/// reported.
+#[test]
+fn mark_lints_skip_a_class_with_an_unresolvable_send_target() {
+    let model = "domain Bad;\n\
+                 class C {\n\
+                     event E();\n\
+                     initial S;\n\
+                     state S {\n\
+                         x = 5;\n\
+                         gen E() to x;\n\
+                     }\n\
+                     on S: E -> S;\n\
+                 }\n\
+                 class D {\n\
+                     event Go();\n\
+                     initial S;\n\
+                     state S {\n\
+                         select any h from H;\n\
+                         gen Set(\"on\") to h;\n\
+                     }\n\
+                     on S: Go -> S;\n\
+                 }\n\
+                 class H {\n\
+                     event Set(mode: string);\n\
+                     initial S;\n\
+                     state S {\n\
+                     }\n\
+                     on S: Set -> S;\n\
+                 }\n";
+    let marks =
+        "marks for Bad;\nmark class C isHardware = true;\nmark class H isHardware = true;\n";
+    let (out, deny_hit) = human("bad.xtuml", model, Some(("bad.marks", marks)));
+    assert!(deny_hit, "{out}");
+    assert!(
+        out.contains("error[X0003]"),
+        "typeck rejects the model: {out}"
+    );
+    assert!(out.contains("error[X0014]"), "{out}");
+    assert!(
+        out.contains("event `H.Set` crosses the partition boundary"),
+        "{out}"
+    );
+    assert!(!out.contains("event `C.E`"), "{out}");
+}
