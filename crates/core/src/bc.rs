@@ -32,7 +32,7 @@
 //! (`bc-unsupported`) in that action's entry, and executors raise it when
 //! the pair is dispatched, exactly like a block that failed to compile.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use crate::code::{CAction, CExpr, CStmt, CompiledProgram, FrameLayout, Slot};
@@ -252,12 +252,18 @@ impl BcProgram {
     /// to compile keeps that error, and a pair the lowering cannot encode
     /// stores an X0016 error naming the action and the reason. Either is
     /// raised when — and only when — the pair is dispatched.
-    pub fn new(domain: &Domain, program: &CompiledProgram) -> BcProgram {
-        // Whole-model constant-attribute facts from the effect analysis:
-        // an attribute written nowhere always holds its declared default,
-        // so `self.attr` reads of it lower to `Op::Const`.
+    ///
+    /// `const_attrs` are the whole-model constant-attribute facts of the
+    /// effect analysis ([`ShardPlan::const_attrs`](crate::effects::ShardPlan::const_attrs)):
+    /// an attribute written nowhere always holds its declared default, so
+    /// `self.attr` reads of it lower to `Op::Const`.
+    pub fn new(
+        domain: &Domain,
+        program: &CompiledProgram,
+        const_attrs: &BTreeSet<(ClassId, AttrId)>,
+    ) -> BcProgram {
         let empty = BTreeMap::new();
-        let folds = const_fold_maps(domain);
+        let folds = const_fold_maps(domain, const_attrs);
         let classes = program
             .classes
             .iter()
@@ -354,9 +360,12 @@ fn unsupported(domain: &Domain, ci: usize, idx: usize, n_events: usize, why: &st
 /// Per-class maps from attribute index to declared default, restricted to
 /// attributes the effect analysis proves constant (written nowhere in the
 /// model).
-fn const_fold_maps(domain: &Domain) -> Vec<BTreeMap<AttrId, Value>> {
+fn const_fold_maps(
+    domain: &Domain,
+    const_attrs: &BTreeSet<(ClassId, AttrId)>,
+) -> Vec<BTreeMap<AttrId, Value>> {
     let mut maps = vec![BTreeMap::new(); domain.classes.len()];
-    for (class, attr) in crate::effects::const_attrs(domain) {
+    for &(class, attr) in const_attrs {
         let default = domain.classes[class.index()].attributes[attr.index()]
             .default
             .clone();
@@ -414,7 +423,7 @@ pub fn lower_action(action: &CAction) -> LRes<BcAction> {
 }
 
 /// Like [`lower_action`], with whole-model constant-attribute facts from
-/// the effect analysis (see [`crate::effects::const_attrs`]).
+/// the effect analysis (see [`ShardPlan::const_attrs`](crate::effects::ShardPlan::const_attrs)).
 ///
 /// `const_attrs` maps attributes of the action's `self` class to their
 /// declared defaults, restricted to attributes written nowhere in the
@@ -2525,7 +2534,8 @@ mod tests {
         );
 
         // The program keeps the pair, with the reason as its X0016 error.
-        let bc = BcProgram::new(&domain, &program);
+        let consts = crate::effects::analyze(&domain).const_attrs;
+        let bc = BcProgram::new(&domain, &program, &consts);
         assert_eq!(bc.vm_entries(), 0);
         let err = bc
             .entry(ClassId::new(0), StateId::new(0), EventId::new(0))
@@ -2542,7 +2552,8 @@ mod tests {
     fn whole_program_lowering_and_entry_indexing() {
         let domain = crate::builder::pipeline_domain(3).unwrap();
         let program = crate::code::CompiledProgram::new(&domain);
-        let bc = BcProgram::new(&domain, &program);
+        let consts = crate::effects::analyze(&domain).const_attrs;
+        let bc = BcProgram::new(&domain, &program, &consts);
         assert_eq!(bc.errors().count(), 0);
         assert!(bc.vm_entries() > 0);
         // Every compiled frame action has a VM entry at the same index.
@@ -2571,7 +2582,8 @@ mod tests {
     fn disassembler_renders_annotated_stream() {
         let domain = crate::builder::pipeline_domain(2).unwrap();
         let program = crate::code::CompiledProgram::new(&domain);
-        let bc = BcProgram::new(&domain, &program);
+        let consts = crate::effects::analyze(&domain).const_attrs;
+        let bc = BcProgram::new(&domain, &program, &consts);
         let text = disasm(&domain, &bc);
         assert!(text.contains("Stage0"), "{text}");
         assert!(
@@ -2666,7 +2678,8 @@ mod tests {
             .transition("S", "Go", "S");
         let domain = b.build().unwrap();
         let program = crate::code::CompiledProgram::new(&domain);
-        let bc = BcProgram::new(&domain, &program);
+        let consts = crate::effects::analyze(&domain).const_attrs;
+        let bc = BcProgram::new(&domain, &program, &consts);
         assert_eq!(bc.errors().count(), 0);
         assert_eq!(bc.const_folds(), 1, "`k` is never written, `w` is");
         let text = disasm(&domain, &bc);

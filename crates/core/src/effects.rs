@@ -74,6 +74,7 @@ use crate::error::Pos;
 use crate::ids::{AssocId, AttrId, ClassId, EventId, StateId};
 use crate::model::Domain;
 use crate::value::UnOp;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -628,13 +629,9 @@ impl ShardPlan {
 }
 
 /// Attributes written nowhere in the domain — every read of one yields
-/// the declared default. This is the `bc` lowering's const-fold fact
-/// source; [`analyze`] embeds the same set in its [`ShardPlan`].
-pub fn const_attrs(domain: &Domain) -> BTreeSet<(ClassId, AttrId)> {
-    const_attrs_from(domain, &ModelEffects::gather(domain))
-}
-
-fn const_attrs_from(domain: &Domain, effects: &ModelEffects) -> BTreeSet<(ClassId, AttrId)> {
+/// the declared default. [`analyze`] embeds the set in its [`ShardPlan`],
+/// where the `bc` lowering reads its const-fold facts.
+fn const_attrs(domain: &Domain, effects: &ModelEffects) -> BTreeSet<(ClassId, AttrId)> {
     let mut written: BTreeSet<(ClassId, AttrId)> = BTreeSet::new();
     let mut any_unknown_write = false;
     for eff in &effects.actions {
@@ -677,79 +674,87 @@ enum GroupFate {
 /// Runs the whole-model admission analysis.
 pub fn analyze(domain: &Domain) -> ShardPlan {
     let effects = ModelEffects::gather(domain);
-    let const_set = const_attrs_from(domain, &effects);
+    let const_set = const_attrs(domain, &effects);
 
-    // Group every access by (class, attr), keeping acting-action sites.
-    let mut groups: BTreeMap<(ClassId, AttrId), Vec<Site>> = BTreeMap::new();
+    // Group every access by (class, attr), keeping acting-action sites:
+    // one sorted list, where a stable sort keeps each group in model
+    // order.
+    let accesses = effects.actions.iter().map(|e| e.accesses.len()).sum();
+    let mut sites: Vec<((ClassId, AttrId), Site)> = Vec::with_capacity(accesses);
     let mut selects_over: BTreeSet<ClassId> = BTreeSet::new();
     for eff in &effects.actions {
         for a in &eff.accesses {
-            groups.entry((a.class, a.attr)).or_default().push(Site {
+            let site = Site {
                 class: eff.class,
                 state: eff.state,
                 receiver: a.receiver,
                 write: a.write,
                 pos: a.pos,
-            });
+            };
+            sites.push(((a.class, a.attr), site));
         }
         for &(c, _) in &eff.selects {
             selects_over.insert(c);
         }
     }
+    sites.sort_by_key(|&(key, _)| key);
 
-    // Resolve each group's fate and collect race witnesses.
-    let mut fates: BTreeMap<(ClassId, AttrId), GroupFate> = BTreeMap::new();
+    // Resolve each group's fate and collect race witnesses. Fates are
+    // kept in key order, for lookup by binary search.
+    let mut fates: Vec<((ClassId, AttrId), GroupFate)> = Vec::new();
     let mut races: Vec<Race> = Vec::new();
     let mut coloc_assocs: BTreeSet<AssocId> = BTreeSet::new();
-    for (&key, sites) in &groups {
-        let nonself: Vec<&Site> = sites
-            .iter()
-            .filter(|s| matches!(s.receiver, Receiver::Via(_) | Receiver::Other))
-            .collect();
-        let fate = if nonself.is_empty() {
+    for group in sites.chunk_by(|a, b| a.0 == b.0) {
+        let key = group[0].0;
+        let sites = || group.iter().map(|(_, s)| s);
+        let nonself =
+            || sites().filter(|s| matches!(s.receiver, Receiver::Via(_) | Receiver::Other));
+        let fate = if nonself().next().is_none() {
             GroupFate::SelfOnly
         } else if const_set.contains(&key) {
             GroupFate::ConstRead
         } else {
-            let assocs: BTreeSet<AssocId> = nonself
-                .iter()
-                .filter_map(|s| match s.receiver {
-                    Receiver::Via(r) => Some(r),
-                    _ => None,
-                })
-                .collect();
-            let all_via = nonself
-                .iter()
-                .all(|s| matches!(s.receiver, Receiver::Via(_)));
-            if all_via && assocs.len() == 1 {
-                let r = *assocs.iter().next().expect("one assoc");
-                coloc_assocs.insert(r);
-                GroupFate::Coloc(r)
-            } else {
-                // The attribute is written somewhere and non-self sites
-                // disagree on how they reach it: a genuine race. Witness
-                // with a write site plus a conflicting site, preferring
-                // one in a different action.
-                if let Some(wr) = sites.iter().find(|s| s.write) {
-                    let other = sites
-                        .iter()
-                        .filter(|s| !std::ptr::eq(*s, wr))
-                        .find(|s| (s.class, s.state) != (wr.class, wr.state))
-                        .or_else(|| sites.iter().find(|s| !std::ptr::eq(*s, wr)));
-                    if let Some(b) = other {
-                        races.push(Race {
-                            class: key.0,
-                            attr: key.1,
-                            a: *wr,
-                            b: *b,
-                        });
-                    }
+            let mut via = nonself().map(|s| match s.receiver {
+                Receiver::Via(r) => Some(r),
+                _ => None,
+            });
+            let first = via.next().flatten();
+            match first {
+                Some(r) if via.all(|v| v == Some(r)) => {
+                    coloc_assocs.insert(r);
+                    GroupFate::Coloc(r)
                 }
-                GroupFate::Blocked
+                _ => {
+                    // The attribute is written somewhere and non-self
+                    // sites disagree on how they reach it: a genuine
+                    // race. Witness with a write site plus a conflicting
+                    // site, preferring one in a different action.
+                    if let Some(wr) = sites().find(|s| s.write) {
+                        let other = sites()
+                            .filter(|s| !std::ptr::eq(*s, wr))
+                            .find(|s| (s.class, s.state) != (wr.class, wr.state))
+                            .or_else(|| sites().find(|s| !std::ptr::eq(*s, wr)));
+                        if let Some(b) = other {
+                            races.push(Race {
+                                class: key.0,
+                                attr: key.1,
+                                a: *wr,
+                                b: *b,
+                            });
+                        }
+                    }
+                    GroupFate::Blocked
+                }
             }
         };
-        fates.insert(key, fate);
+        fates.push((key, fate));
     }
+    let fate_of = |key| {
+        fates
+            .binary_search_by_key(&key, |&(k, _)| k)
+            .ok()
+            .map(|i| &fates[i].1)
+    };
 
     // Creation confinement: a created class must never be selected over.
     let mut creatable: BTreeSet<ClassId> = BTreeSet::new();
@@ -768,9 +773,14 @@ pub fn analyze(domain: &Domain) -> ShardPlan {
     let mut first_witness: BTreeMap<ClassId, (Pos, String)> = BTreeMap::new();
     let witness =
         |map: &mut BTreeMap<ClassId, (Pos, String)>, class: ClassId, pos: Pos, what: String| {
-            let entry = map.entry(class).or_insert((pos, what.clone()));
-            if pos < entry.0 {
-                *entry = (pos, what);
+            match map.entry(class) {
+                Entry::Vacant(slot) => {
+                    slot.insert((pos, what));
+                }
+                Entry::Occupied(mut slot) if pos < slot.get().0 => {
+                    slot.insert((pos, what));
+                }
+                Entry::Occupied(_) => {}
             }
         };
     for eff in &effects.actions {
@@ -803,20 +813,21 @@ pub fn analyze(domain: &Domain) -> ShardPlan {
             if !matches!(a.receiver, Receiver::Via(_) | Receiver::Other) {
                 continue;
             }
-            let attr_name = format!(
-                "{}.{}",
-                domain.class(a.class).name,
-                domain.class(a.class).attributes[a.attr.index()].name
-            );
-            match fates.get(&(a.class, a.attr)) {
+            let attr_name = || {
+                let class = domain.class(a.class);
+                format!("{}.{}", class.name, class.attributes[a.attr.index()].name)
+            };
+            match fate_of((a.class, a.attr)) {
                 Some(GroupFate::ConstRead) => {
                     reasons.entry(eff.class).or_default().insert(format!(
-                        "reads `{attr_name}` (written nowhere: replicas hold the default)"
+                        "reads `{}` (written nowhere: replicas hold the default)",
+                        attr_name()
                     ));
                 }
                 Some(GroupFate::Coloc(r)) => {
                     reasons.entry(eff.class).or_default().insert(format!(
-                        "accesses `{attr_name}` only via `{}` (colocated partition)",
+                        "accesses `{}` only via `{}` (colocated partition)",
+                        attr_name(),
                         domain.association(*r).name
                     ));
                 }
@@ -857,18 +868,19 @@ pub fn analyze(domain: &Domain) -> ShardPlan {
     }
 
     // Per-class verdicts, one per domain class.
-    let mut verdicts = Vec::new();
-    for ci in 0..domain.classes.len() {
-        let class_id = ClassId::new(ci as u32);
-        let verdict = if let Some((_, what)) = first_witness.get(&class_id) {
-            Verdict::Unsafe(what.clone())
-        } else if let Some(rs) = reasons.get(&class_id) {
-            Verdict::Safe(rs.iter().cloned().collect())
-        } else {
-            Verdict::Local
-        };
-        verdicts.push((class_id, verdict));
-    }
+    let verdicts = (0..domain.classes.len())
+        .map(|ci| {
+            let class_id = ClassId::new(ci as u32);
+            let verdict = if let Some((_, what)) = first_witness.remove(&class_id) {
+                Verdict::Unsafe(what)
+            } else if let Some(rs) = reasons.remove(&class_id) {
+                Verdict::Safe(rs.into_iter().collect())
+            } else {
+                Verdict::Local
+            };
+            (class_id, verdict)
+        })
+        .collect();
 
     ShardPlan {
         effects,
@@ -1477,7 +1489,7 @@ mod tests {
             .initial("S")
             .transition("S", "Tick", "S");
         let d = b.build().unwrap();
-        let consts = const_attrs(&d);
+        let consts = analyze(&d).const_attrs;
         let c = d.class_id("C").unwrap();
         assert!(!consts.contains(&(c, d.class(c).attr_id("w").unwrap())));
         assert!(consts.contains(&(c, d.class(c).attr_id("k").unwrap())));

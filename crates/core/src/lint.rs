@@ -600,22 +600,6 @@ fn tarjan(
 // Shard-safety analysis (X0015, X0017)
 // ---------------------------------------------------------------------------
 
-/// Finds every construct that blocks sharded execution, in model order,
-/// at statement granularity (one entry per offending statement position
-/// per distinct reason). Empty means the model shards without
-/// restriction.
-///
-/// Since the effect analysis ([`crate::effects`]) replaced the syntactic
-/// reject-list, this is a query against the whole-model admission plan:
-/// read-only non-self access to never-written attributes, writes to
-/// instances created in the same run-to-completion step, and navigation
-/// confined to a single (runtime-colocated) association are *admitted*
-/// and produce no offense. The sharded executor's static gate and the
-/// `X0015` lint both call this.
-pub fn shard_offenses(domain: &Domain) -> Vec<ShardOffense> {
-    effects::analyze(domain).offenses
-}
-
 /// `X0015`: notes every statement that forces `--shards N` back to
 /// sequential execution, anchored at the statement itself.
 fn lint_shard_safety(plan: &effects::ShardPlan, spans: &SourceMap, diags: &mut Diagnostics) {

@@ -6,10 +6,10 @@
 //! payload buffers, an optional telemetry recorder, and the effects that
 //! leave the core — cross-shard signals (the outbox), armed timers and
 //! timer cancellations. [`Core::dispatch`] is the crate's only signal
-//! dispatch and [`Host`] its only [`ActionHost`]. The read-only per-domain
-//! [`Tables`] (the dispatch table, holding each pair's lowered bytecode,
-//! and span names) are passed in by reference, so a dispatch clones no
-//! handle and moves no table.
+//! dispatch and [`Host`] its only [`ActionHost`]. The read-only
+//! [`Program`] (the dispatch table, holding each pair's lowered bytecode,
+//! and span names) is passed in by reference once per run call, so a
+//! dispatch clones no handle, touches no refcount and moves no table.
 //!
 //! A core is shard `id` of `nshards`. The sequential
 //! [`Simulation`](crate::Simulation) coordinates one core (`0` of `1`);
@@ -28,18 +28,18 @@
 //! * time advances per dispatch at one shard, and stays at the epoch's
 //!   start time across a shard's epoch.
 
+use crate::program::{Exec, Program, Slot};
 use crate::sched::{SchedPolicy, SplitMix64};
 use crate::snapshot::{self, SnapError, SnapResult};
 use crate::store::ObjectStore;
 use crate::trace::Trace;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use xtuml_core::bc::{self, BcAction, BcProgram};
-use xtuml_core::code::CompiledProgram;
+use xtuml_core::bc;
 use xtuml_core::error::{CoreError, Result};
-use xtuml_core::ids::{ActorId, AssocId, AttrId, ClassId, EventId, InstId, StateId};
+use xtuml_core::ids::{ActorId, AssocId, AttrId, ClassId, EventId, InstId};
 use xtuml_core::interp::{ActionHost, ExecCtx, Outcome};
-use xtuml_core::model::{Domain, TransitionTarget};
+use xtuml_core::model::Domain;
 use xtuml_core::value::Value;
 use xtuml_obs::{Counter, Gauge, Recorder, Sink as _};
 use xtuml_pool::stream_seed;
@@ -217,147 +217,6 @@ impl PayloadPool {
     }
 }
 
-/// How a resolved dispatch slot executes its action.
-#[derive(Debug, Clone)]
-enum Exec {
-    /// Run the lowered bytecode action.
-    Vm(Arc<BcAction>),
-    /// The lowered body is provably effect-free ([`BcAction::is_nop`]):
-    /// skip frame setup and execution entirely. The state change, the
-    /// trace record and the `BcActions` count still happen, exactly as
-    /// for a run that entered the VM.
-    Nop,
-    /// The pair has no lowered action: its block failed to compile, or
-    /// the lowering cannot encode it (X0016). Dispatching it raises the
-    /// error after the state change, where the action would have run.
-    Fail(Box<CoreError>),
-}
-
-/// One pre-resolved `(from_state, event)` dispatch decision.
-#[derive(Debug, Clone)]
-enum Slot {
-    /// Transition to `to`, executing per `exec`.
-    Run { to: StateId, exec: Exec },
-    /// Declared ignore: consume silently.
-    Ignore,
-    /// Undeclared pair: error in strict mode, drop otherwise.
-    CantHappen,
-}
-
-/// Dense per-class slot table, indexed `state * n_events + event`.
-#[derive(Debug, Clone)]
-struct ClassSlots {
-    n_events: usize,
-    slots: Vec<Slot>,
-}
-
-impl ClassSlots {
-    /// Ids come from the store and from typechecked sends; restore
-    /// validates both against the domain, so they are always in range.
-    #[inline]
-    fn slot(&self, state: StateId, event: EventId) -> &Slot {
-        &self.slots[state.index() * self.n_events + event.index()]
-    }
-}
-
-/// Resolves every `(class, state, event)` to its dispatch slot, per
-/// class (`None` for passive classes). Decided once here, not
-/// re-discovered per signal.
-fn resolve_slots(
-    domain: &Domain,
-    program: &CompiledProgram,
-    bc: &BcProgram,
-) -> Vec<Option<ClassSlots>> {
-    domain
-        .classes
-        .iter()
-        .enumerate()
-        .map(|(ci, c)| {
-            let class = ClassId::new(ci as u32);
-            let machine = c.state_machine.as_ref()?;
-            let n_events = c.events.len();
-            let mut slots = Vec::with_capacity(machine.states.len() * n_events);
-            for s in 0..machine.states.len() {
-                for e in 0..n_events {
-                    let (state, event) = (StateId::new(s as u32), EventId::new(e as u32));
-                    slots.push(match program.target(class, state, event) {
-                        TransitionTarget::To(to) => {
-                            let exec = match bc.entry(class, to, event) {
-                                Some(Ok(a)) if a.is_nop() => Exec::Nop,
-                                Some(Ok(a)) => Exec::Vm(Arc::clone(a)),
-                                Some(Err(e)) => Exec::Fail(Box::new(e)),
-                                None => Exec::Fail(Box::new(CoreError::runtime(
-                                    "internal: dispatched pair has no compiled action",
-                                ))),
-                            };
-                            Slot::Run { to, exec }
-                        }
-                        TransitionTarget::Ignore => Slot::Ignore,
-                        TransitionTarget::CantHappen => Slot::CantHappen,
-                    });
-                }
-            }
-            Some(ClassSlots { n_events, slots })
-        })
-        .collect()
-}
-
-/// The read-only per-domain tables every dispatch consults, built once
-/// per engine construction and shared by reference with every core
-/// (`Sync`: shard workers read one copy).
-pub(crate) struct Tables<'d> {
-    pub(crate) domain: &'d Domain,
-    /// Dispatch slots (see [`resolve_slots`]). The hot path indexes them
-    /// with two loads, and a slot holds a direct reference to the lowered
-    /// [`BcAction`].
-    slots: Vec<Option<ClassSlots>>,
-    /// Pre-interned span names, `[class][event]` = `"Class.Event"` and
-    /// `[class][state]` = `"action Class.State"`, so `--profile` runs
-    /// never format per signal. Interned when a span-recording recorder
-    /// attaches — the only way spans reach a core, since replicas fork
-    /// their recorder from an attached one.
-    rtc_names: Vec<Vec<String>>,
-    action_names: Vec<Vec<String>>,
-}
-
-impl<'d> Tables<'d> {
-    pub(crate) fn new(domain: &'d Domain) -> Tables<'d> {
-        let program = CompiledProgram::new(domain);
-        let bc = BcProgram::new(domain, &program);
-        Tables {
-            domain,
-            slots: resolve_slots(domain, &program, &bc),
-            rtc_names: Vec::new(),
-            action_names: Vec::new(),
-        }
-    }
-
-    /// Interns span names when `rec` records spans.
-    pub(crate) fn prepare_spans(&mut self, rec: &Recorder) {
-        if !rec.spans_enabled() || !self.rtc_names.is_empty() {
-            return;
-        }
-        let classes = &self.domain.classes;
-        self.rtc_names = classes
-            .iter()
-            .map(|c| {
-                let name = |e: &xtuml_core::model::EventDecl| format!("{}.{}", c.name, e.name);
-                c.events.iter().map(name).collect()
-            })
-            .collect();
-        self.action_names = classes
-            .iter()
-            .map(|c| {
-                let states = c.state_machine.as_ref().map_or(&[][..], |m| &m.states);
-                states
-                    .iter()
-                    .map(|s| format!("action {}.{}", c.name, s.name))
-                    .collect()
-            })
-            .collect();
-    }
-}
-
 /// One run-to-completion executor: shard `id` of `nshards` (see the
 /// module docs).
 pub(crate) struct Core {
@@ -512,7 +371,7 @@ impl Core {
     }
 
     /// Picks a ready instance and dispatches one of its signals.
-    pub(crate) fn dispatch_next(&mut self, t: &Tables<'_>) -> Result<()> {
+    pub(crate) fn dispatch_next(&mut self, t: &Program<'_>) -> Result<()> {
         let pick = self.ready[self.rng.below(self.ready.len())];
         let env = self.pop_envelope(pick);
         if self.queues[pick.index()].is_empty() {
@@ -538,7 +397,7 @@ impl Core {
     /// scheduler draw (`below(1)`), so the PRNG stream is unchanged.
     pub(crate) fn run_ready(
         &mut self,
-        t: &Tables<'_>,
+        t: &Program<'_>,
         budget: u64,
         steps: &mut u64,
         stop_at: u64,
@@ -579,12 +438,12 @@ impl Core {
     /// Dispatches one signal to `inst`: look up the transition, run the
     /// destination state's action to completion, record the trace.
     #[inline]
-    pub(crate) fn dispatch(&mut self, t: &Tables<'_>, inst: InstId, env: Envelope) -> Result<()> {
+    pub(crate) fn dispatch(&mut self, t: &Program<'_>, inst: InstId, env: Envelope) -> Result<()> {
         let (class, from_state) = self.store.class_state(inst)?;
         let Some(cs) = t.slots[class.index()].as_ref() else {
             return Err(CoreError::runtime(format!(
                 "signal sent to passive class {}",
-                t.domain.class(class).name
+                t.domain().class(class).name
             )));
         };
         let mut rtc_span = false;
@@ -592,7 +451,8 @@ impl Core {
             o.count(Counter::SignalsDispatched, 1);
             if o.spans_enabled() {
                 let track = o.track;
-                o.span_begin(track, "rtc", &t.rtc_names[class.index()][env.event.index()]);
+                let name = &t.span_names().rtc[class.index()][env.event.index()];
+                o.span_begin(track, "rtc", name);
                 rtc_span = true;
             }
         }
@@ -608,7 +468,7 @@ impl Core {
                     o.count(Counter::TransitionsFired, 1);
                     if o.spans_enabled() {
                         let track = o.track;
-                        let name = &t.action_names[class.index()][to_state.index()];
+                        let name = &t.span_names().action[class.index()][to_state.index()];
                         o.span_begin(track, "action", name);
                         action_span = true;
                     }
@@ -651,7 +511,7 @@ impl Core {
             }
             Slot::CantHappen => {
                 if self.policy.strict {
-                    let c = t.domain.class(class);
+                    let c = t.domain().class(class);
                     let machine = c.state_machine.as_ref().expect("active class");
                     Err(CoreError::CantHappen {
                         class: c.name.clone(),
@@ -765,7 +625,7 @@ impl Core {
 }
 
 /// The [`ActionHost`] every dispatch executes against: a core plus the
-/// read-only tables. At one shard every access is local; a shard replica
+/// read-only program. At one shard every access is local; a shard replica
 /// delivers local sends immediately, buffers cross-shard sends, timers
 /// and cancels for the barrier, allocates shard-congruent ids, and
 /// rejects the accesses the effect analysis blocks (structure mutation,
@@ -773,7 +633,7 @@ impl Core {
 /// [`shard_safety`](crate::shard_safety), but enforced anyway).
 pub(crate) struct Host<'a, 'd> {
     pub(crate) core: &'a mut Core,
-    pub(crate) t: &'a Tables<'d>,
+    pub(crate) t: &'a Program<'d>,
 }
 
 impl Host<'_, '_> {
@@ -803,7 +663,7 @@ impl Host<'_, '_> {
 
 impl ActionHost for Host<'_, '_> {
     fn domain(&self) -> &Domain {
-        self.t.domain
+        self.t.domain()
     }
 
     fn create(&mut self, class: ClassId) -> Result<InstId> {
@@ -820,7 +680,7 @@ impl ActionHost for Host<'_, '_> {
         };
         let inst = c
             .store
-            .create_with_id(self.t.domain, class, InstId::new(want as u32));
+            .create_with_id(self.t.domain(), class, InstId::new(want as u32));
         let space = c.store.id_space();
         c.queues.resize_with(space, InstQueues::default);
         c.in_ready.resize(space, false);
@@ -856,7 +716,9 @@ impl ActionHost for Host<'_, '_> {
 
     fn attr_write(&mut self, inst: InstId, attr: AttrId, value: Value) -> Result<()> {
         self.owned(inst)?;
-        self.core.store.attr_write(self.t.domain, inst, attr, value)
+        self.core
+            .store
+            .attr_write(self.t.domain(), inst, attr, value)
     }
 
     fn attr_write_typed(&mut self, inst: InstId, attr: AttrId, value: Value) -> Result<()> {
@@ -883,7 +745,7 @@ impl ActionHost for Host<'_, '_> {
 
     fn relate(&mut self, a: InstId, b: InstId, assoc: AssocId) -> Result<()> {
         self.structure_mutation("relating instances")?;
-        self.core.store.relate(self.t.domain, a, b, assoc)
+        self.core.store.relate(self.t.domain(), a, b, assoc)
     }
 
     fn unrelate(&mut self, a: InstId, b: InstId, assoc: AssocId) -> Result<()> {
@@ -1005,7 +867,7 @@ impl ActionHost for Host<'_, '_> {
     fn bridge_call(&mut self, actor: ActorId, func: &str, args: Vec<Value>) -> Result<Value> {
         let decl = self
             .t
-            .domain
+            .domain()
             .actor(actor)
             .func(func)
             .ok_or_else(|| CoreError::unresolved("bridge function", func))?;

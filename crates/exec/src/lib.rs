@@ -21,6 +21,12 @@
 //! *only* so experiment E5 can demonstrate that ablating either rule
 //! produces causality violations.
 //!
+//! A model is compiled once per load into a [`Program`]: compiled actions,
+//! bytecode, dispatch slots and the whole-model effect analysis. Every
+//! engine that runs the model shares it through an `Arc`
+//! ([`Simulation::with_program`], [`ShardedSimulation::with_program`]);
+//! the constructors that take a `&Domain` build a private one.
+//!
 //! ```
 //! use xtuml_core::builder::DomainBuilder;
 //! use xtuml_core::value::{DataType, Value};
@@ -52,6 +58,7 @@
 #![warn(missing_docs)]
 #![warn(rustdoc::broken_intra_doc_links)]
 mod dispatch;
+mod program;
 pub mod sched;
 pub mod shard;
 pub mod sim;
@@ -60,6 +67,7 @@ pub mod store;
 pub mod trace;
 
 pub use dispatch::Engine;
+pub use program::Program;
 pub use sched::SchedPolicy;
 pub use shard::{shard_safety, ShardedSimulation};
 pub use sim::Simulation;

@@ -47,12 +47,15 @@
 //! (`delete`/`relate`/`unrelate`) and irreconcilable non-self access
 //! still reject — the latter as diagnostic `X0017 cross-shard-race`.
 
-use crate::dispatch::{livelock, Core, Envelope, Tables, Timer};
+use crate::dispatch::{livelock, Core, Envelope, Timer};
+use crate::program::Program;
 use crate::sched::{SchedPolicy, SplitMix64};
 use crate::sim::{take_due, Simulation, Stimulus};
 use crate::snapshot::{self, SnapError, SnapResult};
 use crate::store::ObjectStore;
 use crate::trace::{Trace, TraceMode};
+use std::sync::Arc;
+use xtuml_core::effects::{self, ShardPlan};
 use xtuml_core::error::{CoreError, Result};
 use xtuml_core::ids::{AssocId, InstId};
 use xtuml_core::model::Domain;
@@ -83,11 +86,15 @@ use xtuml_pool::Pool;
 /// Returns a runtime error naming every offending class/state/construct,
 /// so callers can report *why* a model must run sequentially.
 pub fn shard_safety(domain: &Domain) -> Result<()> {
-    let offenses = xtuml_core::lint::shard_offenses(domain);
-    if offenses.is_empty() {
+    plan_safety(&effects::analyze(domain))
+}
+
+/// [`shard_safety`] of an already-computed plan.
+pub(crate) fn plan_safety(plan: &ShardPlan) -> Result<()> {
+    if plan.admitted() {
         Ok(())
     } else {
-        let described: Vec<String> = offenses.iter().map(|o| o.describe()).collect();
+        let described: Vec<String> = plan.offenses.iter().map(|o| o.describe()).collect();
         Err(CoreError::runtime(format!(
             "model is not shard-safe: {}",
             described.join("; ")
@@ -137,7 +144,13 @@ impl Replica {
     /// own inputs — deterministic across worker counts — and a
     /// shard-local livelock fails like the sequential engine does instead
     /// of hanging the run.
-    fn run_epoch(&mut self, t: &Tables<'_>, epoch: u64, budget: u64, max_steps: u64) -> Result<()> {
+    fn run_epoch(
+        &mut self,
+        t: &Program<'_>,
+        epoch: u64,
+        budget: u64,
+        max_steps: u64,
+    ) -> Result<()> {
         let timed = self.core.obs.is_some().then(std::time::Instant::now);
         if let Some(r) = self.core.obs.as_mut() {
             if r.spans_enabled() {
@@ -215,10 +228,19 @@ impl std::fmt::Debug for ShardedSimulation<'_> {
 }
 
 impl<'d> ShardedSimulation<'d> {
-    /// Creates a sharded simulation with an explicit policy.
+    /// Creates a sharded simulation with an explicit policy, on a
+    /// [`Program`] built for it alone (see
+    /// [`ShardedSimulation::with_program`]).
     pub fn with_policy(domain: &'d Domain, policy: SchedPolicy) -> ShardedSimulation<'d> {
+        ShardedSimulation::with_program(Arc::new(Program::new(domain)), policy)
+    }
+
+    /// Creates a sharded simulation of a shared, already-built
+    /// [`Program`]; the static shard-safety gate and the runtime
+    /// colocation check read its plan.
+    pub fn with_program(program: Arc<Program<'d>>, policy: SchedPolicy) -> ShardedSimulation<'d> {
         ShardedSimulation {
-            sim: Simulation::with_policy(domain, policy.with_shards(policy.shards)),
+            sim: Simulation::with_program(program, policy.with_shards(policy.shards)),
             setup_links: Vec::new(),
             runtime_fallback: None,
             epochs: None,
@@ -353,8 +375,8 @@ impl<'d> ShardedSimulation<'d> {
             if nshards <= 1 {
                 return self.sim.run_to_quiescence().map(Some);
             }
-            let domain = self.sim.domain();
-            shard_safety(domain)?;
+            let program = Arc::clone(&self.sim.program);
+            program.shard_safety()?;
 
             // Runtime leg of the colocation admission rule: the static
             // pass admitted access through these associations on the
@@ -363,8 +385,7 @@ impl<'d> ShardedSimulation<'d> {
             // violation, run sequentially (the trace stays a pure
             // function of `(seed, shards)` — this check depends on
             // nothing else).
-            let plan = xtuml_core::effects::analyze(domain);
-            for &assoc in &plan.coloc_assocs {
+            for &assoc in &program.plan().coloc_assocs {
                 if let Some(&(a, b, _)) = self
                     .setup_links
                     .iter()
@@ -373,7 +394,7 @@ impl<'d> ShardedSimulation<'d> {
                     self.runtime_fallback = Some(format!(
                         "association `{}` links {a} and {b} across shards at shards={nshards}; \
                          colocation precondition failed, running sequentially",
-                        domain.association(assoc).name
+                        program.domain().association(assoc).name
                     ));
                     if let Some(r) = self.sim.core.obs.as_mut() {
                         r.count(Counter::ShardFallbacks, 1);
@@ -447,7 +468,7 @@ impl<'d> ShardedSimulation<'d> {
             for r in st.replicas.iter_mut() {
                 r.core.now = sim.core.now;
             }
-            let (tables, epoch, max_steps) = (&sim.tables, st.epoch_no, sim.max_steps);
+            let (program, epoch, max_steps) = (&*sim.program, st.epoch_no, sim.max_steps);
             let epoch_t0 = sim.core.obs.is_some().then(std::time::Instant::now);
             let mut null = NullSink;
             let sink: &mut dyn Sink = match sim.core.obs.as_mut() {
@@ -456,7 +477,7 @@ impl<'d> ShardedSimulation<'d> {
             };
             let outcomes = pool
                 .try_map_mut_obs(sink, "epoch", &mut st.replicas, |_, r| {
-                    r.run_epoch(tables, epoch, remaining, max_steps)
+                    r.run_epoch(program, epoch, remaining, max_steps)
                 })
                 .map_err(|e| CoreError::runtime(e.to_string()))?;
             let epoch_wall_ns = epoch_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
@@ -592,7 +613,8 @@ impl<'d> ShardedSimulation<'d> {
     /// allocation caches are not captured, by design.
     pub fn snapshot(&self) -> Vec<u8> {
         let (sim, c) = (&self.sim, &self.sim.core);
-        let mut w = snapshot::Writer::with_header(snapshot::KIND_SHARDED, sim.domain());
+        let mut w =
+            snapshot::Writer::with_header(snapshot::KIND_SHARDED, sim.program.fingerprint());
         snapshot::write_policy(&mut w, &c.policy);
         w.u64(sim.max_steps);
         w.u64(c.now);
@@ -654,7 +676,9 @@ impl<'d> ShardedSimulation<'d> {
     }
 
     /// Rebuilds a sharded simulation from a
-    /// [`ShardedSimulation::snapshot`] against the same domain.
+    /// [`ShardedSimulation::snapshot`] against the same domain, on a
+    /// [`Program`] built for it alone (see
+    /// [`ShardedSimulation::restore_with`]).
     ///
     /// A mid-run snapshot resumes at the captured epoch barrier and the
     /// completed run's trace is byte-identical to an uninterrupted one.
@@ -668,14 +692,28 @@ impl<'d> ShardedSimulation<'d> {
     /// version or kind mismatch, or a snapshot taken against a different
     /// domain.
     pub fn restore(domain: &'d Domain, bytes: &[u8]) -> SnapResult<ShardedSimulation<'d>> {
-        let (mut r, kind) = snapshot::Reader::open(bytes, domain)?;
+        ShardedSimulation::restore_with(Arc::new(Program::new(domain)), bytes)
+    }
+
+    /// [`ShardedSimulation::restore`] onto a shared, already-built
+    /// [`Program`] of the snapshot's domain.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShardedSimulation::restore`].
+    pub fn restore_with(
+        program: Arc<Program<'d>>,
+        bytes: &[u8],
+    ) -> SnapResult<ShardedSimulation<'d>> {
+        let domain = program.domain();
+        let (mut r, kind) = snapshot::Reader::open(bytes, program.fingerprint())?;
         if kind != snapshot::KIND_SHARDED {
             return Err(SnapError::Corrupt(format!(
                 "expected a sharded-engine snapshot, got kind {kind}"
             )));
         }
         let policy = snapshot::read_policy(&mut r)?;
-        let mut out = ShardedSimulation::with_policy(domain, policy);
+        let mut out = ShardedSimulation::with_program(program, policy);
         let sim = &mut out.sim;
         sim.max_steps = r.u64()?;
         let (now, dropped, seq) = (r.u64()?, r.u64()?, r.u64()?);

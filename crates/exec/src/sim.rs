@@ -1,8 +1,9 @@
 //! The sequential engine: one dispatch core under one coordinator.
 //!
-//! A [`Simulation`] owns the read-only per-domain tables (compiled once at
-//! construction), one dispatch core — the instance population, signal queues,
-//! scheduler stream, trace and timers — and the external stimulus queue.
+//! A [`Simulation`] shares a read-only [`Program`] (the model compiled
+//! once per load) and owns one dispatch core — the instance population,
+//! signal queues, scheduler stream, trace and timers — and the external
+//! stimulus queue.
 //! The core dispatches; the simulation coordinates: it delivers due
 //! stimuli and timers into the core's queues, jumps time forward when
 //! only timers or future stimuli remain, and drives the core's superloop
@@ -10,14 +11,15 @@
 //! advances by one tick per consumed signal.
 //!
 //! The dispatch hot path is allocation-light by design: state actions are
-//! pre-compiled to bytecode and resolved into a dense dispatch table at
-//! construction, the set of ready instances is maintained incrementally
-//! instead of rescanned per step, signal payloads are shared
+//! pre-compiled to bytecode and resolved into a dense dispatch table when
+//! the [`Program`] is built, the set of ready instances is maintained
+//! incrementally instead of rescanned per step, signal payloads are shared
 //! (`Arc<[Value]>`) and recycled, and one frame buffer is reused across
 //! dispatches (see `exec::dispatch`).
 
 pub use crate::dispatch::Engine;
-use crate::dispatch::{livelock, Core, Envelope, Host, Tables, Timer};
+use crate::dispatch::{livelock, Core, Envelope, Host, Timer};
+use crate::program::Program;
 use crate::sched::{SchedPolicy, SplitMix64};
 use crate::snapshot::{self, SnapError, SnapResult};
 use crate::store::ObjectStore;
@@ -122,7 +124,7 @@ pub(crate) fn take_due(
 
 /// An executing Executable UML model. See the crate-level example.
 pub struct Simulation<'d> {
-    pub(crate) tables: Tables<'d>,
+    pub(crate) program: Arc<Program<'d>>,
     pub(crate) core: Core,
     /// Pending external stimuli, kept sorted ascending by `(time, seq)`.
     /// Injection is overwhelmingly in time order, so maintaining the
@@ -135,7 +137,7 @@ pub struct Simulation<'d> {
 impl std::fmt::Debug for Simulation<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
-            .field("domain", &self.tables.domain.name)
+            .field("domain", &self.program.domain().name)
             .field("now", &self.core.now)
             .field("live", &self.core.store.live_count())
             .field("policy", &self.core.policy)
@@ -149,11 +151,20 @@ impl<'d> Simulation<'d> {
         Simulation::with_policy(domain, SchedPolicy::default())
     }
 
-    /// Creates a simulation with an explicit scheduling policy.
+    /// Creates a simulation with an explicit scheduling policy, on a
+    /// [`Program`] built for it alone. Callers that run one model more
+    /// than once build the program once and use
+    /// [`Simulation::with_program`].
     pub fn with_policy(domain: &'d Domain, policy: SchedPolicy) -> Simulation<'d> {
+        Simulation::with_program(Arc::new(Program::new(domain)), policy)
+    }
+
+    /// Creates a simulation of a shared, already-built [`Program`].
+    pub fn with_program(program: Arc<Program<'d>>, policy: SchedPolicy) -> Simulation<'d> {
+        let assocs = program.domain().associations.len();
         Simulation {
-            tables: Tables::new(domain),
-            core: Core::with_store(policy, ObjectStore::new(domain.associations.len())),
+            program,
+            core: Core::with_store(policy, ObjectStore::new(assocs)),
             stimuli: VecDeque::new(),
             max_steps: 10_000_000,
         }
@@ -164,7 +175,6 @@ impl<'d> Simulation<'d> {
     /// values are deterministic: a pure function of the seed for a given
     /// model and stimulus schedule.
     pub fn attach_recorder(&mut self, rec: Recorder) {
-        self.tables.prepare_spans(&rec);
         self.core.obs = Some(Box::new(rec));
     }
 
@@ -175,7 +185,7 @@ impl<'d> Simulation<'d> {
 
     /// The domain being executed.
     pub fn domain(&self) -> &'d Domain {
-        self.tables.domain
+        self.program.domain()
     }
 
     /// Current simulation time (ticks).
@@ -227,7 +237,7 @@ impl<'d> Simulation<'d> {
     ///
     /// Fails if the class is unknown.
     pub fn create(&mut self, class: &str) -> Result<InstId> {
-        let id = self.tables.domain.class_id(class)?;
+        let id = self.domain().class_id(class)?;
         self.host().create(id)
     }
 
@@ -237,14 +247,14 @@ impl<'d> Simulation<'d> {
     ///
     /// Propagates store errors (multiplicity, class mismatch, dangling).
     pub fn relate(&mut self, a: InstId, b: InstId, assoc: &str) -> Result<()> {
-        let id = self.tables.domain.assoc_id(assoc)?;
+        let id = self.domain().assoc_id(assoc)?;
         self.host().relate(a, b, id)
     }
 
     fn host(&mut self) -> Host<'_, 'd> {
         Host {
             core: &mut self.core,
-            t: &self.tables,
+            t: &self.program,
         }
     }
 
@@ -263,7 +273,7 @@ impl<'d> Simulation<'d> {
             )));
         }
         let class = self.core.store.class_of(inst)?;
-        let c = self.tables.domain.class(class);
+        let c = self.domain().class(class);
         let event_id = c
             .event_id(event)
             .ok_or_else(|| CoreError::unresolved("event", format!("{}.{event}", c.name)))?;
@@ -297,7 +307,7 @@ impl<'d> Simulation<'d> {
     /// Fails on unknown attributes or dangling instances.
     pub fn attr(&self, inst: InstId, name: &str) -> Result<Value> {
         let class = self.core.store.class_of(inst)?;
-        let c = self.tables.domain.class(class);
+        let c = self.domain().class(class);
         let id = c
             .attr_id(name)
             .ok_or_else(|| CoreError::unresolved("attribute", format!("{}.{name}", c.name)))?;
@@ -312,8 +322,7 @@ impl<'d> Simulation<'d> {
     pub fn state_name(&self, inst: InstId) -> Result<&str> {
         let class = self.core.store.class_of(inst)?;
         let machine = self
-            .tables
-            .domain
+            .domain()
             .class(class)
             .state_machine
             .as_ref()
@@ -360,7 +369,7 @@ impl<'d> Simulation<'d> {
     /// queue front is fixed for the whole batch.
     fn superloop(&mut self, budget: u64, steps: &mut u64) -> Result<()> {
         let stop_at = self.stimuli.front().map_or(u64::MAX, |s| s.time);
-        self.core.run_ready(&self.tables, budget, steps, stop_at)
+        self.core.run_ready(&self.program, budget, steps, stop_at)
     }
 
     /// Runs at most `budget` dispatch steps, batching through the
@@ -435,7 +444,7 @@ impl<'d> Simulation<'d> {
                     None => return Ok(false),
                 }
             }
-            self.core.dispatch_next(&self.tables)?;
+            self.core.dispatch_next(&self.program)?;
             self.core.now += 1;
             return Ok(true);
         }
@@ -516,7 +525,8 @@ impl<'d> Simulation<'d> {
     /// wall-clock telemetry and allocation caches.
     pub fn snapshot(&self) -> Vec<u8> {
         let c = &self.core;
-        let mut w = snapshot::Writer::with_header(snapshot::KIND_SEQUENTIAL, self.tables.domain);
+        let mut w =
+            snapshot::Writer::with_header(snapshot::KIND_SEQUENTIAL, self.program.fingerprint());
         snapshot::write_policy(&mut w, &c.policy);
         w.u64(c.now);
         w.u64(c.seq);
@@ -534,7 +544,8 @@ impl<'d> Simulation<'d> {
     }
 
     /// Rebuilds a simulation from a [`Simulation::snapshot`] against the
-    /// same domain.
+    /// same domain, on a [`Program`] built for it alone (see
+    /// [`Simulation::restore_with`]).
     ///
     /// The restored simulation continues byte-identically to the one the
     /// snapshot was taken from. An attached recorder comes back with its
@@ -548,14 +559,25 @@ impl<'d> Simulation<'d> {
     /// version or kind mismatch, or a snapshot taken against a different
     /// domain.
     pub fn restore(domain: &'d Domain, bytes: &[u8]) -> SnapResult<Simulation<'d>> {
-        let (mut r, kind) = snapshot::Reader::open(bytes, domain)?;
+        Simulation::restore_with(Arc::new(Program::new(domain)), bytes)
+    }
+
+    /// [`Simulation::restore`] onto a shared, already-built [`Program`]
+    /// of the snapshot's domain.
+    ///
+    /// # Errors
+    ///
+    /// As [`Simulation::restore`].
+    pub fn restore_with(program: Arc<Program<'d>>, bytes: &[u8]) -> SnapResult<Simulation<'d>> {
+        let domain = program.domain();
+        let (mut r, kind) = snapshot::Reader::open(bytes, program.fingerprint())?;
         if kind != snapshot::KIND_SEQUENTIAL {
             return Err(SnapError::Corrupt(format!(
                 "expected a sequential snapshot, got kind {kind}"
             )));
         }
         let policy = snapshot::read_policy(&mut r)?;
-        let mut sim = Simulation::with_policy(domain, policy);
+        let mut sim = Simulation::with_program(program, policy);
         sim.core.now = r.u64()?;
         sim.core.seq = r.u64()?;
         sim.core.dropped = r.u64()?;

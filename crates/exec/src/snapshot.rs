@@ -112,14 +112,14 @@ pub struct Writer {
 }
 
 impl Writer {
-    /// Starts a snapshot: header (magic, version, kind, fingerprint)
-    /// already written.
-    pub fn with_header(kind: u8, domain: &Domain) -> Writer {
+    /// Starts a snapshot: header (magic, version, kind and the domain's
+    /// [`fingerprint`]) already written.
+    pub fn with_header(kind: u8, fingerprint: u64) -> Writer {
         let mut w = Writer { buf: Vec::new() };
         w.buf.extend_from_slice(&MAGIC);
         w.u32(VERSION);
         w.u8(kind);
-        w.u64(fingerprint(domain));
+        w.u64(fingerprint);
         w
     }
 
@@ -184,9 +184,9 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
-    /// Opens a snapshot: checks magic, version and domain fingerprint,
-    /// and returns the kind byte.
-    pub fn open(buf: &'a [u8], domain: &Domain) -> SnapResult<(Reader<'a>, u8)> {
+    /// Opens a snapshot: checks magic, version and the domain
+    /// [`fingerprint`], and returns the kind byte.
+    pub fn open(buf: &'a [u8], fingerprint: u64) -> SnapResult<(Reader<'a>, u8)> {
         let mut r = Reader::new(buf);
         if r.take(4)? != MAGIC {
             return Err(SnapError::BadMagic);
@@ -199,7 +199,7 @@ impl<'a> Reader<'a> {
         if kind != KIND_SEQUENTIAL && kind != KIND_SHARDED {
             return Err(SnapError::BadKind(kind));
         }
-        if r.u64()? != fingerprint(domain) {
+        if r.u64()? != fingerprint {
             return Err(SnapError::DomainMismatch);
         }
         Ok((r, kind))
@@ -817,32 +817,32 @@ mod tests {
 
     #[test]
     fn header_checks() {
-        let d = domain();
-        let w = Writer::with_header(KIND_SEQUENTIAL, &d);
+        let d = fingerprint(&domain());
+        let w = Writer::with_header(KIND_SEQUENTIAL, d);
         let bytes = w.finish();
-        let (r, kind) = Reader::open(&bytes, &d).unwrap();
+        let (r, kind) = Reader::open(&bytes, d).unwrap();
         assert_eq!(kind, KIND_SEQUENTIAL);
         r.expect_end().unwrap();
 
-        assert_eq!(Reader::open(b"nope", &d).unwrap_err(), SnapError::BadMagic);
+        assert_eq!(Reader::open(b"nope", d).unwrap_err(), SnapError::BadMagic);
         assert_eq!(
-            Reader::open(&bytes[..3], &d).unwrap_err(),
+            Reader::open(&bytes[..3], d).unwrap_err(),
             SnapError::Truncated
         );
 
         let mut v9 = bytes.clone();
         v9[4] = 9;
-        assert_eq!(Reader::open(&v9, &d).unwrap_err(), SnapError::BadVersion(9));
+        assert_eq!(Reader::open(&v9, d).unwrap_err(), SnapError::BadVersion(9));
 
         let mut k0 = bytes.clone();
         k0[8] = 0;
-        assert_eq!(Reader::open(&k0, &d).unwrap_err(), SnapError::BadKind(0));
+        assert_eq!(Reader::open(&k0, d).unwrap_err(), SnapError::BadKind(0));
 
         let mut b = DomainBuilder::new("t");
         b.class("A").attr("x", DataType::Bool); // differs by one type
-        let other = b.build().unwrap();
+        let other = fingerprint(&b.build().unwrap());
         assert_eq!(
-            Reader::open(&bytes, &other).unwrap_err(),
+            Reader::open(&bytes, other).unwrap_err(),
             SnapError::DomainMismatch
         );
     }

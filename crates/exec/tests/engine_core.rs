@@ -1,22 +1,28 @@
 //! Contracts of the one dispatch core both engines share: the engines
-//! are `Send`, the sharded engine honours the same scheduling policy as
+//! are `Send`, one shared `Program` serves any number of them exactly as
+//! private ones would, the sharded engine honours the same scheduling policy as
 //! the sequential one, setup counts the same however late a recorder
 //! attaches, an action the bytecode cannot encode fails its dispatch,
 //! and both snapshot kinds reject ids out of range for the domain while
 //! still restoring snapshots written by the retired frame walker.
 
+use std::sync::Arc;
 use xtuml_core::builder::{pipeline_domain, DomainBuilder};
 use xtuml_core::model::Domain;
 use xtuml_core::value::{DataType, Value};
 use xtuml_exec::snapshot::Reader;
-use xtuml_exec::{shard_safety, SchedPolicy, ShardedSimulation, Simulation, SnapError};
-use xtuml_obs::Recorder;
+use xtuml_exec::{
+    shard_safety, Program, SchedPolicy, ShardedSimulation, Simulation, SnapError, Trace,
+};
+use xtuml_obs::{Clock, Recorder, Sink as _};
 
 #[test]
 fn engines_are_send() {
     fn assert_send<T: Send>() {}
     assert_send::<Simulation<'static>>();
     assert_send::<ShardedSimulation<'static>>();
+    fn assert_shareable<T: Send + Sync>() {}
+    assert_shareable::<Program<'static>>();
 }
 
 /// One sender bursting 50 ordered signals at a receiver on another
@@ -82,6 +88,74 @@ fn pipeline_setup(sim: &mut ShardedSimulation<'_>) {
         sim.inject(i, insts[0], "Feed", vec![Value::Int(i as i64)])
             .unwrap();
     }
+}
+
+/// The sequential engine's half of [`pipeline_setup`].
+fn pipeline_setup_seq(sim: &mut Simulation<'_>) {
+    let insts: Vec<_> = (0..4)
+        .map(|k| sim.create(&format!("Stage{k}")).unwrap())
+        .collect();
+    for k in 0..3 {
+        sim.relate(insts[k], insts[k + 1], &format!("R{}", k + 1))
+            .unwrap();
+    }
+    for i in 0..6 {
+        sim.inject(i, insts[0], "Feed", vec![Value::Int(i as i64)])
+            .unwrap();
+    }
+}
+
+/// Two sequential runs and one 4-shard run on one `Program`, interleaved
+/// and one of them recording spans, end byte-identical to the same runs
+/// each on a private `Program`: span interning and every scratch buffer
+/// live outside the shared state.
+#[test]
+fn one_shared_program_runs_like_private_ones() {
+    let domain = pipeline_domain(4).unwrap();
+    fn seq(program: Arc<Program<'_>>, seed: u64) -> Simulation<'_> {
+        let mut sim = Simulation::with_program(program, SchedPolicy::seeded(seed));
+        pipeline_setup_seq(&mut sim);
+        sim
+    }
+    fn sharded(program: Arc<Program<'_>>, rec: Recorder) -> ShardedSimulation<'_> {
+        let mut sim =
+            ShardedSimulation::with_program(program, SchedPolicy::seeded(5).with_shards(4));
+        sim.attach_recorder(rec);
+        pipeline_setup(&mut sim);
+        sim
+    }
+    let finish = |sim: &mut Simulation<'_>| -> (Trace, Vec<u8>) {
+        sim.run_to_quiescence().unwrap();
+        (sim.trace().clone(), sim.snapshot())
+    };
+
+    let shared = Arc::new(Program::new(&domain));
+    let mut a = seq(Arc::clone(&shared), 1);
+    let mut b = seq(Arc::clone(&shared), 2);
+    let mut c = sharded(Arc::clone(&shared), Recorder::with_spans(Clock::start()));
+    assert_eq!(Arc::strong_count(&shared), 4);
+    for _ in 0..5 {
+        a.step().unwrap();
+    }
+    let a_mid = a.snapshot();
+    assert_eq!(c.run_epochs(2, 2).unwrap(), None, "paused after two epochs");
+    let b_done = finish(&mut b);
+    c.run_to_quiescence(2).unwrap();
+    let c_done = (c.trace().clone(), c.snapshot());
+    let a_done = finish(&mut a);
+
+    let private = || Arc::new(Program::new(&domain));
+    let mut a2 = seq(private(), 1);
+    for _ in 0..5 {
+        a2.step().unwrap();
+    }
+    assert_eq!(a2.snapshot(), a_mid, "seed 1, mid-run");
+    assert_eq!(finish(&mut a2), a_done, "seed 1");
+    assert_eq!(finish(&mut seq(private(), 2)), b_done, "seed 2");
+    let mut c2 = sharded(private(), Recorder::new());
+    c2.run_to_quiescence(1).unwrap();
+    assert_eq!((c2.trace().clone(), c2.snapshot()), c_done, "4 shards");
+    assert!(c.take_recorder().unwrap().spans_enabled());
 }
 
 #[test]

@@ -15,14 +15,22 @@
 //! (`--checkpoint`) and, for models the effect analysis admits, the
 //! sharded engine at 2, 4 and 8 shards.
 //!
+//! Every production leg — interpreter, checkpoint, compiler and cosim,
+//! and the sharded runs — borrows one [`Program`] built per case, so a
+//! case compiles, lowers and analyses its model once. The reference
+//! interpreter never reads it.
+//!
 //! Before any execution, the case round-trips through the textual
 //! toolchain (printer → parser for model, marks and stimulus script) and
 //! the *reparsed* artifacts are what actually run — so the fuzzer
 //! exercises the language layer end-to-end on every case.
 
+use std::sync::Arc;
 use xtuml_core::marks::MarkSet;
 use xtuml_core::{AssocId, Domain};
-use xtuml_exec::{ObservableEvent, SchedPolicy, ShardedSimulation, Simulation, Trace, TraceEvent};
+use xtuml_exec::{
+    ObservableEvent, Program, SchedPolicy, ShardedSimulation, Simulation, Trace, TraceEvent,
+};
 use xtuml_lang::{parse_domain, parse_marks, print_domain, print_marks};
 use xtuml_mda::ModelCompiler;
 use xtuml_verify::{check_equivalence, run_compiled, EquivReport, TestCase};
@@ -165,8 +173,12 @@ struct ExecRun {
     causality_violations: u64,
 }
 
-fn run_interpreter(domain: &Domain, policy: SchedPolicy, tc: &TestCase) -> Result<ExecRun, String> {
-    let mut sim = Simulation::with_policy(domain, policy);
+fn run_interpreter(
+    program: &Arc<Program<'_>>,
+    policy: SchedPolicy,
+    tc: &TestCase,
+) -> Result<ExecRun, String> {
+    let mut sim = Simulation::with_program(Arc::clone(program), policy);
     let mut handles = Vec::with_capacity(tc.creates.len());
     for class in &tc.creates {
         handles.push(sim.create(class).map_err(|e| e.to_string())?);
@@ -184,7 +196,7 @@ fn run_interpreter(domain: &Domain, policy: SchedPolicy, tc: &TestCase) -> Resul
     sim.run_to_quiescence().map_err(|e| e.to_string())?;
     let trace = sim.trace();
     Ok(ExecRun {
-        observables: trace.observable(domain),
+        observables: trace.observable(program.domain()),
         trace: trace.clone(),
         dispatches: trace.dispatch_count() as u64,
         ignored: trace
@@ -207,11 +219,11 @@ const CHECKPOINT_EVERY: u64 = 5;
 /// uninterrupted run — any drift means the snapshot codec lost a piece
 /// of live scheduler state.
 fn run_interpreter_checkpointed(
-    domain: &Domain,
+    program: &Arc<Program<'_>>,
     policy: SchedPolicy,
     tc: &TestCase,
 ) -> Result<Trace, String> {
-    let mut sim = Simulation::with_policy(domain, policy);
+    let mut sim = Simulation::with_program(Arc::clone(program), policy);
     let mut handles = Vec::with_capacity(tc.creates.len());
     for class in &tc.creates {
         handles.push(sim.create(class).map_err(|e| e.to_string())?);
@@ -234,7 +246,8 @@ fn run_interpreter_checkpointed(
         }
         if steps.is_multiple_of(CHECKPOINT_EVERY) {
             let bytes = sim.snapshot();
-            sim = Simulation::restore(domain, &bytes).map_err(|e| e.to_string())?;
+            sim =
+                Simulation::restore_with(Arc::clone(program), &bytes).map_err(|e| e.to_string())?;
         }
     }
     Ok(sim.trace().clone())
@@ -284,13 +297,14 @@ fn coloc_residues(domain: &Domain, coloc: &[AssocId]) -> Vec<usize> {
 /// pad instances are never related or stimulated, and fuzz-generated
 /// models never `select` from a class extent.
 fn run_sharded(
-    domain: &Domain,
+    program: &Arc<Program<'_>>,
     policy: SchedPolicy,
     tc: &TestCase,
     residues: &[usize],
     shards: usize,
 ) -> Result<Vec<ObservableEvent>, String> {
-    let mut sim = ShardedSimulation::with_policy(domain, policy.with_shards(shards));
+    let domain = program.domain();
+    let mut sim = ShardedSimulation::with_program(Arc::clone(program), policy.with_shards(shards));
     let mut handles = Vec::with_capacity(tc.creates.len());
     let mut next = 0usize;
     for class in &tc.creates {
@@ -342,9 +356,12 @@ pub fn run_case(
         }
     };
 
+    // The one compiled form of the model every production leg runs.
+    let program = Arc::new(Program::new(domain));
+
     // Executor 2: the model interpreter, possibly with an injected
     // scheduler fault.
-    let interp = match run_interpreter(domain, ablation.policy(), tc) {
+    let interp = match run_interpreter(&program, ablation.policy(), tc) {
         Ok(r) => r,
         Err(error) => {
             return CaseOutcome::ExecError {
@@ -358,7 +375,7 @@ pub fn run_case(
     // snapshot/restore cycle on a fixed dispatch schedule. Byte-identical
     // traces lock the snapshot codec to the live scheduler state.
     if checkpoint {
-        let ck = match run_interpreter_checkpointed(domain, ablation.policy(), tc) {
+        let ck = match run_interpreter_checkpointed(&program, ablation.policy(), tc) {
             Ok(t) => t,
             Err(error) => {
                 return CaseOutcome::ExecError {
@@ -383,7 +400,7 @@ pub fn run_case(
     }
 
     // Executor 3: compile under marks, co-simulate.
-    let design = match ModelCompiler::new().compile(domain, marks) {
+    let design = match ModelCompiler::new().compile_program(&program, marks) {
         Ok(d) => d,
         Err(e) => {
             return CaseOutcome::ExecError {
@@ -422,7 +439,7 @@ pub fn run_case(
     // admitted model must produce the reference observables at every
     // shard count; a divergence here means the analysis admitted a model
     // whose trace is *not* a pure function of `(seed, shards)`.
-    let plan = xtuml_core::effects::analyze(domain);
+    let plan = program.plan();
     let admitted = plan.admitted();
     let newly_admitted = admitted && plan.uses_admission();
     if admitted && ablation == Ablation::None {
@@ -433,7 +450,7 @@ pub fn run_case(
             (4, "sharded4-vs-reference"),
             (8, "sharded8-vs-reference"),
         ] {
-            let obs = match run_sharded(domain, ablation.policy(), tc, &residues, shards) {
+            let obs = match run_sharded(&program, ablation.policy(), tc, &residues, shards) {
                 Ok(o) => o,
                 Err(error) => {
                     return CaseOutcome::ExecError {

@@ -7,7 +7,8 @@
 //!
 //! This is no walk of its own: [`class_usage`] folds the per-action
 //! summaries of [`xtuml_core::effects`], whose one class-inference walk
-//! also feeds sharding admission and the whole-model lints. The action
+//! also feeds sharding admission and the whole-model lints; the model
+//! compiler passes the summaries its `Program` already holds. The action
 //! language restricts instance-typed values to `self`,
 //! `create`/`select`/`foreach` bindings, association navigation and
 //! `any(...)` — attributes and event parameters are scalars — so the
@@ -36,14 +37,14 @@ pub struct ClassUsage {
     pub sends: BTreeSet<(ClassId, EventId)>,
 }
 
-/// The usage of every class, in class order, from one effects walk.
+/// The usage of every class, in class order, folded from `effects`
+/// (the domain's [`ModelEffects::gather`]).
 ///
 /// A class maps to [`MdaError::Mapping`] if one of its signal targets'
 /// class cannot be statically inferred (not expressible through the
 /// surface language, but possible with hand-built ASTs); the first such
 /// send, in state and statement order, names the error.
-pub fn class_usage(domain: &Domain) -> Vec<Result<ClassUsage>> {
-    let effects = ModelEffects::gather(domain);
+pub fn class_usage(domain: &Domain, effects: &ModelEffects) -> Vec<Result<ClassUsage>> {
     let mut usages: Vec<Result<ClassUsage>> = vec![Ok(ClassUsage::default()); domain.classes.len()];
     for eff in &effects.actions {
         let slot = &mut usages[eff.class.index()];
@@ -138,7 +139,9 @@ mod tests {
         let worker = d.class_id("Worker").unwrap();
         let lamp = d.class_id("Lamp").unwrap();
         let helper = d.class_id("Helper").unwrap();
-        let u = class_usage(&d)[worker.index()].clone().unwrap();
+        let u = class_usage(&d, &ModelEffects::gather(&d))[worker.index()]
+            .clone()
+            .unwrap();
         assert!(u.creates.contains(&lamp));
         assert!(u.selects.contains(&lamp));
         assert!(u.deletes.contains(&lamp));
@@ -155,7 +158,9 @@ mod tests {
     fn passive_class_has_empty_usage() {
         let d = domain();
         let lamp = d.class_id("Lamp").unwrap();
-        let u = class_usage(&d)[lamp.index()].clone().unwrap();
+        let u = class_usage(&d, &ModelEffects::gather(&d))[lamp.index()]
+            .clone()
+            .unwrap();
         assert!(u.creates.is_empty() && u.sends.is_empty());
     }
 
@@ -169,7 +174,9 @@ mod tests {
             .transition("S", "E", "S");
         let d = b.build().unwrap();
         let c = d.class_id("C").unwrap();
-        let u = class_usage(&d)[c.index()].clone().unwrap();
+        let u = class_usage(&d, &ModelEffects::gather(&d))[c.index()]
+            .clone()
+            .unwrap();
         assert!(u.sends.contains(&(c, EventId::new(0))));
     }
 }

@@ -2,7 +2,7 @@
 //! implementation (paper §4).
 
 use crate::analysis::{self, ClassUsage};
-use crate::host::{ActionCode, PCore};
+use crate::host::PCore;
 use crate::hw::HwPartition;
 use crate::interface::InterfaceSpec;
 use crate::partition::{Partition, Side};
@@ -15,6 +15,7 @@ use xtuml_core::ids::ClassId;
 use xtuml_core::marks::{keys, ElemRef, MarkSet};
 use xtuml_core::model::Domain;
 use xtuml_cosim::{Bridge, CoClock};
+use xtuml_exec::Program;
 
 /// Platform parameters resolved from domain-level marks (with defaults).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,6 +77,9 @@ impl PlatformParams {
 pub struct CompiledDesign<'d> {
     /// The compiled domain.
     pub domain: &'d Domain,
+    /// The domain's compiled actions, which both partitions of every
+    /// instantiated system execute.
+    pub program: Arc<Program<'d>>,
     /// The mark-derived partition.
     pub partition: Partition,
     /// The generated interface (single source of truth for both halves).
@@ -96,10 +100,8 @@ impl<'d> CompiledDesign<'d> {
     /// Instantiates the executable co-simulated system (the same lowering
     /// the generated text describes).
     pub fn instantiate(&self) -> CompiledSystem<'d> {
-        // Both partitions execute the same compiled state actions.
-        let code = ActionCode::new(self.domain);
         let hw = HwPartition::new(
-            self.core(Side::Hw, Arc::clone(&code)),
+            self.core(Side::Hw),
             self.interface.clone(),
             self.params.default_depth,
             self.params.class_depth.clone(),
@@ -108,7 +110,7 @@ impl<'d> CompiledDesign<'d> {
             .interface
             .to_bridge_config(self.params.fifo_depth, self.params.bus_latency);
         let mut sw = SwPartition::new(
-            self.core(Side::Sw, code),
+            self.core(Side::Sw),
             self.interface.clone(),
             &bridge_cfg,
             self.params.cpu_khz,
@@ -122,11 +124,10 @@ impl<'d> CompiledDesign<'d> {
         CompiledSystem::new(self.domain, self.partition.clone(), hw, sw, bridge, clock)
     }
 
-    /// The execution core of one partition, running the shared `code`.
-    fn core(&self, side: Side, code: Arc<ActionCode>) -> PCore<'d> {
+    /// The execution core of one partition, running the shared program.
+    fn core(&self, side: Side) -> PCore<'d> {
         PCore::new(
-            self.domain,
-            code,
+            Arc::clone(&self.program),
             side,
             self.partition.clone(),
             self.params.cycles_per_unit,
@@ -177,15 +178,32 @@ impl ModelCompiler {
         ModelCompiler { options }
     }
 
-    /// Compiles a domain under a mark set.
+    /// Compiles a domain under a mark set, on a [`Program`] built for
+    /// this design alone (see [`ModelCompiler::compile_program`]).
     ///
     /// # Errors
     ///
     /// Returns [`MdaError::Mapping`] on mapping-rule violations (see the
     /// crate docs) and propagates analysis errors.
     pub fn compile<'d>(&self, domain: &'d Domain, marks: &MarkSet) -> Result<CompiledDesign<'d>> {
+        self.compile_program(&Arc::new(Program::new(domain)), marks)
+    }
+
+    /// Compiles an already-built [`Program`] under a mark set: the usage
+    /// analysis folds the program's effect summaries, and every system
+    /// the design instantiates runs the program's bytecode.
+    ///
+    /// # Errors
+    ///
+    /// As [`ModelCompiler::compile`].
+    pub fn compile_program<'d>(
+        &self,
+        program: &Arc<Program<'d>>,
+        marks: &MarkSet,
+    ) -> Result<CompiledDesign<'d>> {
+        let domain = program.domain();
         let partition = Partition::from_marks(domain, marks);
-        let usage = analysis::class_usage(domain);
+        let usage = analysis::class_usage(domain, &program.plan().effects);
         check_locality(domain, &partition, &usage)?;
         let interface = InterfaceSpec::derive_from(domain, &partition, &usage)?;
         let params = PlatformParams::from_marks(domain, marks);
@@ -194,6 +212,7 @@ impl ModelCompiler {
         let icd = icd::generate_icd(domain, &partition, &interface, &params);
         Ok(CompiledDesign {
             domain,
+            program: Arc::clone(program),
             partition,
             interface,
             params,

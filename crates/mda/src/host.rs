@@ -12,15 +12,14 @@
 use crate::partition::{Partition, Side};
 use crate::{MdaError, Result};
 use std::sync::Arc;
-use xtuml_core::bc::{self, BcProgram};
-use xtuml_core::code::CompiledProgram;
+use xtuml_core::bc;
 use xtuml_core::error::{CoreError, Result as CoreResult};
 use xtuml_core::ids::{ActorId, AssocId, AttrId, ClassId, EventId, InstId};
 use xtuml_core::interp::{ActionHost, ExecCtx};
 use xtuml_core::model::{Domain, TransitionTarget};
 use xtuml_core::value::Value;
 use xtuml_exec::trace::ObservableEvent;
-use xtuml_exec::ObjectStore;
+use xtuml_exec::{ObjectStore, Program};
 
 /// A locally-routed signal effect.
 #[derive(Debug, Clone)]
@@ -58,30 +57,12 @@ pub(crate) struct Effects {
     pub cancels: Vec<(InstId, EventId)>,
 }
 
-/// A design's executable state actions: compiled once per
-/// [`CompiledDesign::instantiate`](crate::CompiledDesign::instantiate) and
-/// shared by both partitions.
-#[derive(Debug)]
-pub(crate) struct ActionCode {
-    /// The dense transition table.
-    program: CompiledProgram,
-    /// The actions, lowered to the same bytecode the abstract interpreter
-    /// runs: both substrates execute identical code.
-    bc: BcProgram,
-}
-
-impl ActionCode {
-    pub(crate) fn new(domain: &Domain) -> Arc<ActionCode> {
-        let program = CompiledProgram::new(domain);
-        let bc = BcProgram::new(domain, &program);
-        Arc::new(ActionCode { program, bc })
-    }
-}
-
 /// The per-partition execution state shared by both lowerings.
 pub(crate) struct PCore<'d> {
     pub domain: &'d Domain,
-    code: Arc<ActionCode>,
+    /// The design's compiled model, shared by both partitions: they run
+    /// the same bytecode the abstract interpreter runs.
+    program: Arc<Program<'d>>,
     /// Recycled register file, taken by each dispatch and returned after.
     frame: Vec<Option<Value>>,
     pub side: Side,
@@ -99,15 +80,15 @@ pub(crate) struct PCore<'d> {
 
 impl<'d> PCore<'d> {
     pub fn new(
-        domain: &'d Domain,
-        code: Arc<ActionCode>,
+        program: Arc<Program<'d>>,
         side: Side,
         partition: Partition,
         cycles_per_unit: u64,
     ) -> PCore<'d> {
+        let domain = program.domain();
         PCore {
             domain,
-            code,
+            program,
             frame: Vec::new(),
             side,
             partition,
@@ -138,12 +119,12 @@ impl<'d> PCore<'d> {
             )));
         };
         let from_state = self.store.state_of(to)?;
-        match self.code.program.target(class, from_state, event) {
+        match self.program.target(class, from_state, event) {
             TransitionTarget::To(to_state) => {
                 self.store.set_state(to, to_state)?;
                 let action = self
-                    .code
-                    .bc
+                    .program
+                    .bc()
                     .entry(class, to_state, event)
                     .ok_or_else(|| {
                         CoreError::runtime("internal: dispatched pair has no compiled action")

@@ -16,6 +16,7 @@
 use crate::analysis::{self, ClassUsage};
 use crate::partition::{Partition, Side};
 use crate::{MdaError, Result};
+use xtuml_core::effects::ModelEffects;
 use xtuml_core::ids::{ClassId, EventId, InstId};
 use xtuml_core::model::Domain;
 use xtuml_core::value::{DataType, Value};
@@ -62,7 +63,8 @@ impl InterfaceSpec {
     /// Returns [`MdaError::Mapping`] for unmarshallable cross-partition
     /// payloads or statically unresolvable signal targets.
     pub fn derive(domain: &Domain, partition: &Partition) -> Result<InterfaceSpec> {
-        Self::derive_from(domain, partition, &analysis::class_usage(domain))
+        let effects = ModelEffects::gather(domain);
+        Self::derive_from(domain, partition, &analysis::class_usage(domain, &effects))
     }
 
     /// [`InterfaceSpec::derive`] over an already-computed

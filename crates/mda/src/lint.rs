@@ -15,6 +15,7 @@ use crate::analysis;
 use crate::partition::Partition;
 use std::collections::BTreeSet;
 use xtuml_core::diag::{Code, Diagnostic, Diagnostics, SourceMap};
+use xtuml_core::effects::ModelEffects;
 use xtuml_core::error::Pos;
 use xtuml_core::ids::ClassId;
 use xtuml_core::marks::{ElemKind, ElemRef, MarkSet};
@@ -177,7 +178,7 @@ fn lint_partition_channels(
     // (target, event) pairs reported already, so two senders of the same
     // unmarshallable event yield one diagnostic (one channel, one ICD row).
     let mut reported = BTreeSet::new();
-    let usage = analysis::class_usage(domain);
+    let usage = analysis::class_usage(domain, &ModelEffects::gather(domain));
     for (ci, (sender_class, usage)) in domain.classes.iter().zip(&usage).enumerate() {
         let sender = ClassId::new(ci as u32);
         // Analysis fails only on hand-built ASTs the surface language

@@ -9,6 +9,7 @@
 //! Snapshot bytes cross the wire hex-encoded: JSON-safe, dependency-free
 //! and trivially diffable in a transcript.
 
+use std::collections::BTreeMap;
 use xtuml_core::value::Value;
 use xtuml_obs::json::{self, escape_into};
 
@@ -81,7 +82,12 @@ pub enum Request {
     },
 }
 
-fn get_u64(obj: &json::Value, key: &str) -> Result<Option<u64>, String> {
+/// A request's fields. Decoding moves string and array fields out of
+/// the parsed document, so a `restore`'s hex or a `create`'s model text
+/// is never copied after the JSON parser built it.
+type Fields = BTreeMap<String, json::Value>;
+
+fn get_u64(obj: &Fields, key: &str) -> Result<Option<u64>, String> {
     match obj.get(key) {
         None | Some(json::Value::Null) => Ok(None),
         Some(json::Value::Num(n)) => n
@@ -92,30 +98,30 @@ fn get_u64(obj: &json::Value, key: &str) -> Result<Option<u64>, String> {
     }
 }
 
-fn need_u64(obj: &json::Value, key: &str) -> Result<u64, String> {
+fn need_u64(obj: &Fields, key: &str) -> Result<u64, String> {
     get_u64(obj, key)?.ok_or_else(|| format!("missing `{key}`"))
 }
 
-fn need_str(obj: &json::Value, key: &str) -> Result<String, String> {
-    match obj.get(key) {
-        Some(json::Value::Str(s)) => Ok(s.clone()),
+fn need_str(obj: &mut Fields, key: &str) -> Result<String, String> {
+    match obj.remove(key) {
+        Some(json::Value::Str(s)) => Ok(s),
         Some(_) => Err(format!("`{key}` must be a string")),
         None => Err(format!("missing `{key}`")),
     }
 }
 
-fn opt_str(obj: &json::Value, key: &str) -> Result<String, String> {
-    match obj.get(key) {
-        Some(json::Value::Str(s)) => Ok(s.clone()),
+fn opt_str(obj: &mut Fields, key: &str) -> Result<String, String> {
+    match obj.remove(key) {
+        Some(json::Value::Str(s)) => Ok(s),
         Some(json::Value::Null) | None => Ok(String::new()),
         Some(_) => Err(format!("`{key}` must be a string")),
     }
 }
 
-fn json_to_value(v: &json::Value) -> Result<Value, String> {
+fn json_to_value(v: json::Value) -> Result<Value, String> {
     Ok(match v {
-        json::Value::Bool(b) => Value::Bool(*b),
-        json::Value::Str(s) => Value::Str(s.clone()),
+        json::Value::Bool(b) => Value::Bool(b),
+        json::Value::Str(s) => Value::Str(s),
         json::Value::Num(n) => {
             if let Ok(i) = n.parse::<i64>() {
                 Value::Int(i)
@@ -138,21 +144,24 @@ impl Request {
     /// Returns a description for malformed JSON, a missing or unknown
     /// verb, or wrongly-typed fields.
     pub fn parse(body: &str) -> Result<Request, String> {
-        let doc = json::parse(body).map_err(|e| format!("malformed JSON: {e}"))?;
-        let verb = need_str(&doc, "verb")?;
+        let mut doc = match json::parse(body).map_err(|e| format!("malformed JSON: {e}"))? {
+            json::Value::Obj(fields) => fields,
+            _ => Fields::new(),
+        };
+        let verb = need_str(&mut doc, "verb")?;
         Ok(match verb.as_str() {
             "ping" => Request::Ping,
             "create" => Request::Create {
-                model: need_str(&doc, "model")?,
-                setup: opt_str(&doc, "setup")?,
+                model: need_str(&mut doc, "model")?,
+                setup: opt_str(&mut doc, "setup")?,
                 seed: get_u64(&doc, "seed")?.unwrap_or(0),
                 fuel: get_u64(&doc, "fuel")?,
             },
             "stimulate" => {
-                let args = match doc.get("args") {
+                let args = match doc.remove("args") {
                     None | Some(json::Value::Null) => Vec::new(),
                     Some(json::Value::Arr(items)) => items
-                        .iter()
+                        .into_iter()
                         .map(json_to_value)
                         .collect::<Result<Vec<_>, _>>()?,
                     Some(_) => return Err("`args` must be an array".to_owned()),
@@ -160,7 +169,7 @@ impl Request {
                 Request::Stimulate {
                     session: need_u64(&doc, "session")?,
                     inst: need_u64(&doc, "inst")? as usize,
-                    event: need_str(&doc, "event")?,
+                    event: need_str(&mut doc, "event")?,
                     args,
                     time: get_u64(&doc, "time")?,
                 }
@@ -174,7 +183,7 @@ impl Request {
             },
             "restore" => Request::Restore {
                 session: need_u64(&doc, "session")?,
-                hex: need_str(&doc, "bytes")?,
+                hex: need_str(&mut doc, "bytes")?,
             },
             "trace" => Request::TraceFrom {
                 session: need_u64(&doc, "session")?,

@@ -10,8 +10,11 @@
 //! Two lifetime tricks make the table possible:
 //!
 //! * [`Simulation`] borrows its domain, so every distinct model text is
-//!   parsed once and leaked to `&'static Domain` (cached by content
-//!   hash — re-creating sessions on the same model costs nothing).
+//!   parsed once, leaked to `&'static Domain` and compiled once into a
+//!   shared [`Program`] (cached by content: a hash hit also needs equal
+//!   text — re-creating sessions on the same model costs nothing). Every
+//!   `create`, `restore` and spool revival of that model runs the one
+//!   program.
 //! * The store lives on the daemon's single manager thread. A
 //!   [`Simulation`] is `Send`, but one owner applying requests in order
 //!   is what keeps transcripts deterministic. Evicted sessions become
@@ -20,10 +23,11 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use xtuml_core::ids::InstId;
 use xtuml_core::model::Domain;
-use xtuml_exec::{SchedPolicy, Simulation};
+use xtuml_exec::{Program, SchedPolicy, Simulation};
 use xtuml_lang::parse_domain;
 use xtuml_lang::stim::{self, Directive};
 use xtuml_obs::{Counter, Recorder};
@@ -65,7 +69,7 @@ enum SlotState {
 }
 
 struct Slot {
-    domain: &'static Domain,
+    program: Arc<Program<'static>>,
     state: SlotState,
     handles: Vec<InstId>,
     fuel_left: u64,
@@ -73,11 +77,21 @@ struct Slot {
     last_used: u64,
 }
 
+/// A loaded model: its text, which makes a cache hit exact, and its
+/// compiled program.
+struct Loaded {
+    text: Box<str>,
+    program: Arc<Program<'static>>,
+}
+
 /// The session table. One instance per daemon, owned by the manager
 /// thread.
 pub struct Store {
     cfg: SessionCfg,
-    domains: HashMap<u64, &'static Domain>,
+    /// Loaded models by the FNV-1a hash of their text. FNV collisions
+    /// can be crafted, so a hit also needs equal text: a colliding text
+    /// must never pick the program another tenant's `create` runs.
+    models: HashMap<u64, Vec<Loaded>>,
     sessions: BTreeMap<u64, Slot>,
     next_id: u64,
     tick: u64,
@@ -99,7 +113,7 @@ impl Store {
     pub fn new(cfg: SessionCfg) -> Store {
         Store {
             cfg,
-            domains: HashMap::new(),
+            models: HashMap::new(),
             sessions: BTreeMap::new(),
             next_id: 1,
             tick: 0,
@@ -115,18 +129,23 @@ impl Store {
             .count()
     }
 
-    fn domain_for(&mut self, model: &str) -> Result<&'static Domain, String> {
+    fn program_for(&mut self, model: &str) -> Result<Arc<Program<'static>>, String> {
         let key = fnv(model);
-        if let Some(d) = self.domains.get(&key) {
-            return Ok(d);
+        let bucket = self.models.get(&key).map_or(&[][..], Vec::as_slice);
+        if let Some(loaded) = bucket.iter().find(|m| &*m.text == model) {
+            return Ok(Arc::clone(&loaded.program));
         }
         let domain = parse_domain(model).map_err(|e| format!("model does not parse: {e}"))?;
         // Sessions borrow their domain for the daemon's whole life; one
         // leak per distinct model text is the price of a borrow-based
         // simulator behind a 'static session table.
         let leaked: &'static Domain = Box::leak(Box::new(domain));
-        self.domains.insert(key, leaked);
-        Ok(leaked)
+        let program = Arc::new(Program::new(leaked));
+        self.models.entry(key).or_default().push(Loaded {
+            text: model.into(),
+            program: Arc::clone(&program),
+        });
+        Ok(program)
     }
 
     fn spool_path(&self, id: u64) -> PathBuf {
@@ -144,7 +163,7 @@ impl Store {
             // The codec restores the session's recorder (track and
             // deterministic counters included), so the metrics lane
             // survives eviction untouched.
-            let sim = Simulation::restore(slot.domain, &bytes)
+            let sim = Simulation::restore_with(Arc::clone(&slot.program), &bytes)
                 .map_err(|e| format!("spooled snapshot corrupt: {e}"))?;
             let _ = std::fs::remove_file(path);
             slot.state = SlotState::Live(Box::new(sim));
@@ -308,7 +327,7 @@ impl Store {
                 // The codec rebuilds the recorder from the snapshot, so a
                 // restore rewinds the metrics lane along with the state —
                 // a re-snapshot returns the identical bytes.
-                match Simulation::restore(slot.domain, &bytes) {
+                match Simulation::restore_with(Arc::clone(&slot.program), &bytes) {
                     Ok(sim) => {
                         slot.state = SlotState::Live(Box::new(sim));
                         ok_response(&[])
@@ -383,12 +402,12 @@ impl Store {
                 &[("max_sessions", self.cfg.max_sessions.to_string())],
             );
         }
-        let domain = match self.domain_for(model) {
-            Ok(d) => d,
+        let program = match self.program_for(model) {
+            Ok(p) => p,
             Err(e) => return err_response(&e, &[]),
         };
         let id = self.next_id;
-        let mut sim = Simulation::with_policy(domain, SchedPolicy::seeded(seed));
+        let mut sim = Simulation::with_program(Arc::clone(&program), SchedPolicy::seeded(seed));
         let mut rec = Recorder::new();
         rec.track = id as u32;
         sim.attach_recorder(rec);
@@ -405,7 +424,7 @@ impl Store {
         self.sessions.insert(
             id,
             Slot {
-                domain,
+                program,
                 state: SlotState::Live(Box::new(sim)),
                 handles,
                 fuel_left: fuel.unwrap_or(self.cfg.fuel),
@@ -418,5 +437,52 @@ impl Store {
             ("session", id.to_string()),
             ("instances", instances.to_string()),
         ])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::daemon::{SMOKE_MODEL, SMOKE_SETUP};
+    use xtuml_core::builder::pipeline_domain;
+    use xtuml_lang::print_domain;
+
+    /// A model text whose FNV-1a hash collides with another's (FNV
+    /// collisions can be crafted) must not pick the program a later
+    /// tenant's `create` runs: a hit needs equal text.
+    #[test]
+    fn a_colliding_model_text_does_not_choose_the_program() {
+        let mut store = Store::new(SessionCfg::default());
+        let foreign: &'static Domain = Box::leak(Box::new(pipeline_domain(2).unwrap()));
+        store
+            .models
+            .entry(fnv(SMOKE_MODEL))
+            .or_default()
+            .push(Loaded {
+                text: print_domain(foreign).into(),
+                program: Arc::new(Program::new(foreign)),
+            });
+        let create = Request::Create {
+            model: SMOKE_MODEL.to_owned(),
+            setup: SMOKE_SETUP.to_owned(),
+            seed: 0,
+            fuel: None,
+        };
+        let reply = store.apply(&create);
+        assert!(reply.starts_with("{\"ok\": true"), "{reply}");
+        let session = &store.sessions[&1];
+        assert_eq!(session.program.domain().name, "Doorbell");
+        assert_eq!(store.models[&fnv(SMOKE_MODEL)].len(), 2);
+        // The second tenant of the same text shares the first's program.
+        store.apply(&create);
+        assert!(Arc::ptr_eq(
+            &store.sessions[&1].program,
+            &store.sessions[&2].program
+        ));
+        let step = store.apply(&Request::Step {
+            session: 1,
+            max_steps: None,
+        });
+        assert!(step.contains("\"quiescent\": true"), "{step}");
     }
 }

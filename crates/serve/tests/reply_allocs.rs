@@ -1,8 +1,11 @@
-//! Allocation bound on the two large serve replies.
+//! Allocation bounds on the serve requests whose cost could grow with
+//! something other than the requested work.
 //!
 //! A snapshot reply carries the snapshot hex-encoded and a `trace` reply
 //! carries one rendered line per record, so a cost paid per byte or per
-//! line shows up as thousands of allocations. Both replies are built
+//! line shows up as thousands of allocations. A `restore` and a repeated
+//! `create` of a loaded model reuse the model's compiled program, so
+//! rebuilding it would show up as hundreds. Every request is applied
 //! here in process, straight through [`Store::apply`], under a global
 //! allocator that counts the calling thread's allocations.
 
@@ -74,10 +77,9 @@ fn number(reply: &str, key: &str) -> f64 {
         .unwrap_or_else(|| panic!("reply lacks `{key}`: {reply}"))
 }
 
-#[test]
-fn large_replies_take_a_bounded_number_of_allocations() {
-    // An 8-stage pipeline fed 128 tokens: each token is 8 dispatches and
-    // one actor signal, so the run records over a thousand trace events.
+/// A `create` of the 8-stage pipeline with its stages related and
+/// `feeds` tokens fed into stage 0.
+fn pipeline_create(feeds: usize) -> Request {
     const STAGES: usize = 8;
     let model = print_domain(&pipeline_domain(STAGES).expect("pipeline domain builds"));
     let mut setup = String::new();
@@ -87,16 +89,23 @@ fn large_replies_take_a_bounded_number_of_allocations() {
     for k in 1..STAGES {
         setup.push_str(&format!("relate s{} s{k} R{k}\n", k - 1));
     }
-    for t in 0..128 {
+    for t in 0..feeds {
         setup.push_str(&format!("at {t} s0 Feed {t}\n"));
     }
-    let mut store = Store::new(SessionCfg::default());
-    let created = store.apply(&Request::Create {
+    Request::Create {
         model,
         setup,
         seed: 7,
         fuel: None,
-    });
+    }
+}
+
+#[test]
+fn large_replies_take_a_bounded_number_of_allocations() {
+    // 128 tokens: each token is 8 dispatches and one actor signal, so
+    // the run records over a thousand trace events.
+    let mut store = Store::new(SessionCfg::default());
+    let created = store.apply(&pipeline_create(128));
     assert_eq!(number(&created, "session"), 1.0);
     let stepped = store.apply(&Request::Step {
         session: 1,
@@ -116,4 +125,38 @@ fn large_replies_take_a_bounded_number_of_allocations() {
     });
     assert!(number(&trace, "total") >= 1000.0);
     assert!(allocs < 100, "trace reply took {allocs} allocations");
+}
+
+#[test]
+fn restore_and_a_second_create_reuse_the_compiled_model() {
+    // The `serve_snapshot` session shape: 32 feeds, stepped 64 and
+    // snapshotted.
+    let create = pipeline_create(32);
+    let mut store = Store::new(SessionCfg::default());
+    assert_eq!(number(&store.apply(&create), "session"), 1.0);
+    let stepped = store.apply(&Request::Step {
+        session: 1,
+        max_steps: Some(64),
+    });
+    assert_eq!(number(&stepped, "steps"), 64.0, "{stepped}");
+    let snapshot = store.apply(&Request::Snapshot { session: 1 });
+    let doc = xtuml_obs::json::parse(&snapshot).expect("snapshot reply is JSON");
+    let hex = doc
+        .get("bytes")
+        .and_then(|v| v.as_str())
+        .expect("hex bytes");
+    let restore = Request::Restore {
+        session: 1,
+        hex: hex.to_owned(),
+    };
+
+    let (restored, allocs) = allocs_in(|| store.apply(&restore));
+    assert_eq!(restored, "{\"ok\": true}");
+    assert!(allocs < 150, "restore took {allocs} allocations");
+    // The restored session re-snapshots to the bytes it came from.
+    assert_eq!(store.apply(&Request::Snapshot { session: 1 }), snapshot);
+
+    let (created, allocs) = allocs_in(|| store.apply(&create));
+    assert_eq!(number(&created, "session"), 2.0, "{created}");
+    assert!(allocs < 150, "a second create took {allocs} allocations");
 }

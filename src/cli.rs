@@ -34,6 +34,7 @@
 //! ```
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 use xtuml_core::diag::{Code, Diagnostic, Diagnostics, LintLevels};
 use xtuml_core::error::Pos;
 use xtuml_core::marks::MarkSet;
@@ -440,11 +441,12 @@ pub fn cmd_run_full(
     obs: &ObsOptions,
 ) -> Result<RunOutput, CliError> {
     let domain = parse_domain(model_src)?;
+    let program = Arc::new(xtuml_exec::Program::new(&domain));
     let mut note = None;
-    let mut offenses = Vec::new();
+    let mut offenses = &[][..];
     let requested = opts.shards.unwrap_or(1).max(1);
     let shards = if requested > 1 {
-        offenses = lint::shard_offenses(&domain);
+        offenses = &program.plan().offenses;
         if offenses.is_empty() {
             requested
         } else {
@@ -460,7 +462,7 @@ pub fn cmd_run_full(
         1
     };
     let policy = xtuml_exec::SchedPolicy::seeded(opts.seed).with_shards(shards);
-    let mut sim = xtuml_exec::ShardedSimulation::with_policy(&domain, policy);
+    let mut sim = xtuml_exec::ShardedSimulation::with_program(Arc::clone(&program), policy);
     sim.set_trace_mode(opts.trace);
     if obs.on() {
         let mut rec = if obs.profile {
@@ -518,7 +520,7 @@ pub fn cmd_run_full(
         if !offenses.is_empty() {
             use xtuml_obs::Counter;
             rec.metrics.add(Counter::ShardFallbacks, 1);
-            for o in &offenses {
+            for o in offenses {
                 let c = match o.reason.key() {
                     "create" => Counter::FallbackCreate,
                     "delete" => Counter::FallbackDelete,
@@ -651,9 +653,9 @@ pub fn cmd_analyze(model_src: &str, format: LintFormat) -> Result<String, CliErr
 /// Returns parse/validation diagnostics.
 pub fn cmd_bc(model_src: &str) -> Result<String, CliError> {
     let domain = parse_domain(model_src)?;
-    let program = xtuml_core::code::CompiledProgram::new(&domain);
-    let bc = xtuml_core::bc::BcProgram::new(&domain, &program);
-    let mut out = xtuml_core::bc::disasm(&domain, &bc);
+    let program = xtuml_exec::Program::new(&domain);
+    let bc = program.bc();
+    let mut out = xtuml_core::bc::disasm(&domain, bc);
     let _ = writeln!(
         out,
         "{} action(s) lowered, {} not lowered",
