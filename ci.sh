@@ -121,6 +121,11 @@ cmp target/serve-smoke.txt tests/golden/serve_smoke.txt
 # eviction to disk and transparent revival).
 cargo test -q --release -p xtuml-serve
 
+# Model-load allocation gate: loading doorbell allocates about once per
+# name the model keeps, and a loaded domain retains no spare vector
+# capacity (counted in the optimised build the benchmark measures).
+cargo test -q --release -p xtuml-lang --test parse_allocs
+
 # Benchmark smoke: perfbench's own test runs all six workloads at tiny
 # sizes through their output checks, so a workload that no longer builds,
 # runs or answers correctly fails here rather than in a benchmark run.

@@ -9,6 +9,7 @@
 use crate::action::Block;
 use crate::error::{CoreError, Result};
 use crate::ids::{EventId, StateId};
+use crate::lex::{lex, Tok};
 use crate::model::{
     Actor, Association, Attribute, Class, Domain, EventDecl, FuncDecl, Multiplicity, State,
     StateMachine, Transition, TransitionTarget,
@@ -16,6 +17,7 @@ use crate::model::{
 use crate::parse;
 use crate::validate;
 use crate::value::{DataType, Value};
+use std::collections::BTreeSet;
 
 /// Action body supplied either as source text or as an AST.
 #[derive(Debug, Clone)]
@@ -254,19 +256,20 @@ impl DomainBuilder {
     /// transitions/associations and duplicate top-level names — defects
     /// that leave no coherent model to lint.
     pub fn build_unvalidated(self) -> Result<Domain> {
-        let mut domain = Domain::new(self.name);
-        let actor_names: std::collections::BTreeSet<String> =
-            self.actors.iter().map(|a| a.name.clone()).collect();
+        // Everything parsed moves into the domain, and every vector that
+        // grew by `push` leaves with exact capacity: a loaded model lives
+        // as long as its session or cache entry does.
+        let DomainBuilder {
+            name,
+            classes,
+            assocs,
+            actors,
+        } = self;
+        let mut domain = Domain::new(name);
 
-        for ab in self.actors {
-            domain.actors.push(Actor {
-                name: ab.name,
-                events: ab.events,
-                funcs: ab.funcs,
-            });
-        }
-
-        for cb in &self.classes {
+        let actor_names: BTreeSet<&str> = actors.iter().map(|a| a.name.as_str()).collect();
+        domain.classes.reserve_exact(classes.len());
+        for mut cb in classes {
             let state_machine = if cb.states.is_empty() {
                 if cb.initial.is_some() || !cb.transitions.is_empty() {
                     return Err(CoreError::validate(format!(
@@ -276,19 +279,33 @@ impl DomainBuilder {
                 }
                 None
             } else {
-                Some(build_machine(cb, &actor_names)?)
+                Some(build_machine(&mut cb, &actor_names)?)
             };
+            cb.attrs.shrink_to_fit();
+            cb.events.shrink_to_fit();
             domain.classes.push(Class {
-                name: cb.name.clone(),
-                attributes: cb.attrs.clone(),
-                events: cb.events.clone(),
+                name: cb.name,
+                attributes: cb.attrs,
+                events: cb.events,
                 state_machine,
+            });
+        }
+
+        domain.actors.reserve_exact(actors.len());
+        for mut ab in actors {
+            ab.events.shrink_to_fit();
+            ab.funcs.shrink_to_fit();
+            domain.actors.push(Actor {
+                name: ab.name,
+                events: ab.events,
+                funcs: ab.funcs,
             });
         }
 
         // Associations can only be resolved after all classes exist.
         domain.reindex()?;
-        for (name, from, fm, to, tm) in self.assocs {
+        domain.associations.reserve_exact(assocs.len());
+        for (name, from, fm, to, tm) in assocs {
             let from_id = domain.class_id(&from)?;
             let to_id = domain.class_id(&to)?;
             domain.associations.push(Association {
@@ -304,24 +321,22 @@ impl DomainBuilder {
     }
 }
 
-fn build_machine(
-    cb: &ClassBuilder,
-    actors: &std::collections::BTreeSet<String>,
-) -> Result<StateMachine> {
-    let mut states = Vec::new();
-    for sd in &cb.states {
-        let action = match &sd.body {
-            Body::Ast(b) => b.clone(),
+/// Builds `cb`'s state machine, moving its states' actions out of it.
+fn build_machine(cb: &mut ClassBuilder, actors: &BTreeSet<&str>) -> Result<StateMachine> {
+    let mut states = Vec::with_capacity(cb.states.len());
+    for sd in cb.states.drain(..) {
+        let action = match sd.body {
+            Body::Ast(b) => b,
             Body::Src(src) => {
-                let toks = crate::lex::lex(src)?;
-                let mut p = parse::Parser::with_actors(&toks, actors.clone());
-                let b = p.parse_block_until(&crate::lex::Tok::Eof)?;
-                p.expect(&crate::lex::Tok::Eof)?;
+                let toks = lex(&src)?;
+                let mut p = parse::Parser::with_actors(&toks, actors);
+                let b = p.parse_block_until(&Tok::Eof)?;
+                p.expect(&Tok::Eof)?;
                 b
             }
         };
         states.push(State {
-            name: sd.name.clone(),
+            name: sd.name,
             action,
         });
     }
@@ -346,7 +361,7 @@ fn build_machine(
     })?;
     let initial = state_id(initial_name)?;
 
-    let mut transitions = Vec::new();
+    let mut transitions = Vec::with_capacity(cb.transitions.len());
     for td in &cb.transitions {
         let target = match &td.target {
             TargetDecl::To(to) => TransitionTarget::To(state_id(to)?),

@@ -149,18 +149,23 @@ impl ModelFacts {
 }
 
 /// Runs every whole-model lint (`X0006`..`X0011`, `X0015`, `X0017`)
-/// over the domain. The shard plan's effect summaries are walked once
-/// and also folded into the [`ModelFacts`].
-pub fn lint_domain(domain: &Domain, spans: &SourceMap, diags: &mut Diagnostics) {
-    let plan = effects::analyze(domain);
+/// over the domain. `plan` is the domain's [`effects::analyze`]; its
+/// effect summaries are also folded into the [`ModelFacts`], so a lint
+/// run that also checks marks walks every action once.
+pub fn lint_domain(
+    domain: &Domain,
+    plan: &effects::ShardPlan,
+    spans: &SourceMap,
+    diags: &mut Diagnostics,
+) {
     let facts = ModelFacts::gather(&plan.effects);
     lint_dead_events(domain, spans, diags);
     lint_dead_transitions(domain, &facts, spans, diags);
     lint_attr_usage(domain, &facts, spans, diags);
     lint_signal_races(domain, &facts, diags);
     lint_signal_cycles(domain, &facts, diags);
-    lint_shard_safety(&plan, spans, diags);
-    lint_cross_shard_races(domain, &plan, diags);
+    lint_shard_safety(plan, spans, diags);
+    lint_cross_shard_races(domain, plan, diags);
 }
 
 /// `X0006`: events no transition row consumes (a `CantHappen` row is a
@@ -681,7 +686,12 @@ mod tests {
 
     fn lint(domain: &Domain) -> Diagnostics {
         let mut diags = Diagnostics::new();
-        lint_domain(domain, &SourceMap::new(), &mut diags);
+        lint_domain(
+            domain,
+            &effects::analyze(domain),
+            &SourceMap::new(),
+            &mut diags,
+        );
         diags
     }
 

@@ -128,29 +128,30 @@ pub const MAX_NESTING: usize = 64;
 /// path.
 type Tall = (Expr, usize);
 
+/// The actor set of a parser made without one.
+static NO_ACTORS: BTreeSet<&str> = BTreeSet::new();
+
 /// A resumable recursive-descent parser over a token slice.
-pub struct Parser<'t> {
-    toks: &'t [Spanned],
+///
+/// Tokens borrow the source `'s`; the parser hands their text out as
+/// `&'s str` and copies a name only where it goes into the AST.
+pub struct Parser<'t, 's> {
+    toks: &'t [Spanned<'s>],
     at: usize,
-    actors: BTreeSet<String>,
+    actors: &'t BTreeSet<&'t str>,
     /// Current nesting depth (see [`MAX_NESTING`]).
     depth: usize,
 }
 
-impl<'t> Parser<'t> {
+impl<'t, 's> Parser<'t, 's> {
     /// Creates a parser with no actor-name context.
-    pub fn new(toks: &'t [Spanned]) -> Parser<'t> {
-        Parser {
-            toks,
-            at: 0,
-            actors: BTreeSet::new(),
-            depth: 0,
-        }
+    pub fn new(toks: &'t [Spanned<'s>]) -> Parser<'t, 's> {
+        Parser::with_actors(toks, &NO_ACTORS)
     }
 
     /// Creates a parser that resolves the given names as actor targets in
     /// `gen` statements.
-    pub fn with_actors(toks: &'t [Spanned], actors: BTreeSet<String>) -> Parser<'t> {
+    pub fn with_actors(toks: &'t [Spanned<'s>], actors: &'t BTreeSet<&'t str>) -> Parser<'t, 's> {
         Parser {
             toks,
             at: 0,
@@ -160,7 +161,7 @@ impl<'t> Parser<'t> {
     }
 
     /// Current token.
-    pub fn peek(&self) -> &Tok {
+    pub fn peek(&self) -> &'t Tok<'s> {
         &self.toks[self.at.min(self.toks.len() - 1)].tok
     }
 
@@ -171,8 +172,8 @@ impl<'t> Parser<'t> {
 
     /// Consumes and returns the current token.
     #[allow(clippy::should_implement_trait)] // a parser cursor, not an Iterator
-    pub fn next(&mut self) -> Tok {
-        let t = self.peek().clone();
+    pub fn next(&mut self) -> &'t Tok<'s> {
+        let t = self.peek();
         if self.at < self.toks.len() - 1 {
             self.at += 1;
         }
@@ -202,14 +203,15 @@ impl<'t> Parser<'t> {
         }
     }
 
-    /// Consumes an identifier token and returns its text.
+    /// Consumes an identifier token and returns its text, borrowed from
+    /// the source.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Parse`] if the current token is not an
     /// identifier.
-    pub fn expect_ident(&mut self) -> Result<String> {
-        match self.peek().clone() {
+    pub fn expect_word(&mut self) -> Result<&'s str> {
+        match self.peek() {
             Tok::Ident(s) => {
                 self.next();
                 Ok(s)
@@ -218,22 +220,33 @@ impl<'t> Parser<'t> {
         }
     }
 
+    /// Consumes an identifier token and returns its text as an owned
+    /// name, for the AST.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Parse`] if the current token is not an
+    /// identifier.
+    pub fn expect_ident(&mut self) -> Result<String> {
+        self.expect_word().map(str::to_owned)
+    }
+
     /// Consumes an identifier usable as a variable (not a reserved word).
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Parse`] for reserved words or non-identifiers.
     pub fn expect_name(&mut self) -> Result<String> {
-        let name = self.expect_ident()?;
-        if RESERVED.contains(&name.as_str()) {
+        let name = self.expect_word()?;
+        if RESERVED.contains(&name) {
             return Err(self.err(format!("`{name}` is a reserved word")));
         }
-        Ok(name)
+        Ok(name.to_owned())
     }
 
     /// True if the current token is the identifier `kw`.
     pub fn at_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), Tok::Ident(s) if s == kw)
+        matches!(self.peek(), Tok::Ident(s) if *s == kw)
     }
 
     /// Consumes the identifier `kw` if present.
@@ -304,11 +317,14 @@ impl<'t> Parser<'t> {
     /// # Errors
     ///
     /// Returns [`CoreError::Parse`] on malformed statements.
-    pub fn parse_block_until(&mut self, end: &Tok) -> Result<Block> {
+    pub fn parse_block_until(&mut self, end: &Tok<'_>) -> Result<Block> {
         let mut stmts = Vec::new();
         while self.peek() != end && self.peek() != &Tok::Eof {
             stmts.push(self.parse_stmt()?);
         }
+        // The block may outlive the parse inside a `Domain`: keep no
+        // spare capacity.
+        stmts.shrink_to_fit();
         Ok(Block { stmts })
     }
 
@@ -331,8 +347,8 @@ impl<'t> Parser<'t> {
     /// Returns [`CoreError::Parse`] on malformed input.
     pub fn parse_stmt(&mut self) -> Result<Stmt> {
         let pos = self.pos();
-        match self.peek().clone() {
-            Tok::Ident(kw) => match kw.as_str() {
+        match self.peek() {
+            Tok::Ident(kw) => match *kw {
                 "delete" => {
                     self.next();
                     let expr = self.parse_expr()?;
@@ -458,12 +474,13 @@ impl<'t> Parser<'t> {
                 }
             }
         }
+        args.shrink_to_fit();
         self.expect(&Tok::RParen)?;
         self.expect_kw("to")?;
-        let target = match self.peek().clone() {
-            Tok::Ident(name) if self.actors.contains(&name) => {
+        let target = match self.peek() {
+            Tok::Ident(name) if self.actors.contains(name) => {
                 self.next();
-                GenTarget::Actor(name)
+                GenTarget::Actor((*name).to_owned())
             }
             _ => GenTarget::Inst(self.parse_expr()?),
         };
@@ -503,6 +520,7 @@ impl<'t> Parser<'t> {
                 break;
             }
         }
+        arms.shrink_to_fit();
         Ok(Stmt::If {
             arms,
             otherwise,
@@ -685,18 +703,18 @@ impl<'t> Parser<'t> {
     }
 
     fn parse_primary(&mut self) -> Result<Tall> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Int(v) => {
                 self.next();
-                Ok((Expr::Lit(Value::Int(v)), 1))
+                Ok((Expr::Lit(Value::Int(*v)), 1))
             }
             Tok::Real(v) => {
                 self.next();
-                Ok((Expr::Lit(Value::Real(v)), 1))
+                Ok((Expr::Lit(Value::Real(*v)), 1))
             }
             Tok::Str(s) => {
                 self.next();
-                Ok((Expr::Lit(Value::Str(s)), 1))
+                Ok((Expr::Lit(Value::Str(s.as_ref().to_owned())), 1))
             }
             Tok::LParen => {
                 self.next();
@@ -704,7 +722,7 @@ impl<'t> Parser<'t> {
                 self.expect(&Tok::RParen)?;
                 Ok(e)
             }
-            Tok::Ident(name) => match name.as_str() {
+            Tok::Ident(name) => match *name {
                 "true" => {
                     self.next();
                     Ok((Expr::Lit(Value::Bool(true)), 1))
@@ -745,9 +763,10 @@ impl<'t> Parser<'t> {
                             }
                         }
                         self.expect(&Tok::RParen)?;
-                        Ok((Expr::BridgeCall(name, func, args), h))
+                        args.shrink_to_fit();
+                        Ok((Expr::BridgeCall((*name).to_owned(), func, args), h))
                     } else {
-                        Ok((Expr::Var(name), 1))
+                        Ok((Expr::Var((*name).to_owned()), 1))
                     }
                 }
             },
@@ -867,8 +886,8 @@ mod tests {
     #[test]
     fn generate_to_actor_with_context() {
         let toks = lex("gen done(3) to ENV;").unwrap();
-        let actors: BTreeSet<String> = ["ENV".to_string()].into();
-        let mut p = Parser::with_actors(&toks, actors);
+        let actors: BTreeSet<&str> = ["ENV"].into();
+        let mut p = Parser::with_actors(&toks, &actors);
         let b = p.parse_block_until(&Tok::Eof).unwrap();
         let Stmt::Generate { target, .. } = &b.stmts[0] else {
             panic!()

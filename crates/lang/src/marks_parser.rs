@@ -35,8 +35,7 @@ pub struct MarkSpan {
 /// (mapping rules define which keys they understand), so unknown keys are
 /// not errors here.
 pub fn parse_marks(src: &str) -> Result<(String, MarkSet)> {
-    let (domain, marks, _spans) = parse_marks_spanned(src)?;
-    Ok((domain, marks))
+    parse_marks_into(src, None)
 }
 
 /// Like [`parse_marks`], but also returns the position of every mark
@@ -46,6 +45,14 @@ pub fn parse_marks(src: &str) -> Result<(String, MarkSet)> {
 ///
 /// Returns lexical or syntax errors.
 pub fn parse_marks_spanned(src: &str) -> Result<(String, MarkSet, Vec<MarkSpan>)> {
+    let mut spans = Vec::new();
+    let (domain, marks) = parse_marks_into(src, Some(&mut spans))?;
+    Ok((domain, marks, spans))
+}
+
+/// Parses a mark file, appending each declaration's span to `spans` if
+/// given.
+fn parse_marks_into(src: &str, mut spans: Option<&mut Vec<MarkSpan>>) -> Result<(String, MarkSet)> {
     let toks = lex(src)?;
     let mut p = Parser::new(&toks);
     p.expect_kw("marks")?;
@@ -54,16 +61,14 @@ pub fn parse_marks_spanned(src: &str) -> Result<(String, MarkSet, Vec<MarkSpan>)
     p.expect(&Tok::Semi)?;
 
     let mut marks = MarkSet::new();
-    let mut spans = Vec::new();
     while p.peek() != &Tok::Eof {
         let mark_pos = p.pos();
         p.expect_kw("mark")?;
-        let kind = p.expect_ident()?;
-        let elem = match kind.as_str() {
+        let elem = match p.expect_word()? {
             "domain" => ElemRef::domain(),
-            "class" => ElemRef::class(p.expect_ident()?),
-            "actor" => ElemRef::actor(p.expect_ident()?),
-            "assoc" => ElemRef::assoc(p.expect_ident()?),
+            "class" => ElemRef::class(p.expect_word()?),
+            "actor" => ElemRef::actor(p.expect_word()?),
+            "assoc" => ElemRef::assoc(p.expect_word()?),
             other => {
                 return Err(CoreError::Parse {
                     pos: p.pos(),
@@ -75,10 +80,10 @@ pub fn parse_marks_spanned(src: &str) -> Result<(String, MarkSet, Vec<MarkSpan>)
         p.expect(&Tok::Assign)?;
         let neg = p.eat(&Tok::Minus);
         let value = match p.next() {
-            Tok::Int(v) => MarkValue::Int(if neg { -v } else { v }),
-            Tok::Str(s) if !neg => MarkValue::Str(s),
-            Tok::Ident(w) if w == "true" && !neg => MarkValue::Bool(true),
-            Tok::Ident(w) if w == "false" && !neg => MarkValue::Bool(false),
+            Tok::Int(v) => MarkValue::Int(if neg { -v } else { *v }),
+            Tok::Str(s) if !neg => MarkValue::Str(s.as_ref().to_owned()),
+            Tok::Ident("true") if !neg => MarkValue::Bool(true),
+            Tok::Ident("false") if !neg => MarkValue::Bool(false),
             other => {
                 return Err(CoreError::Parse {
                     pos: p.pos(),
@@ -87,14 +92,16 @@ pub fn parse_marks_spanned(src: &str) -> Result<(String, MarkSet, Vec<MarkSpan>)
             }
         };
         p.expect(&Tok::Semi)?;
-        spans.push(MarkSpan {
-            elem: elem.clone(),
-            key: key.clone(),
-            pos: mark_pos,
-        });
+        if let Some(spans) = spans.as_deref_mut() {
+            spans.push(MarkSpan {
+                elem: elem.clone(),
+                key: key.clone(),
+                pos: mark_pos,
+            });
+        }
         marks.set(elem, key, value);
     }
-    Ok((domain, marks, spans))
+    Ok((domain, marks))
 }
 
 /// Renders a mark set as a mark file for `domain`.

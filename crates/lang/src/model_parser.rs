@@ -8,7 +8,7 @@
 use std::collections::BTreeSet;
 use xtuml_core::builder::{ActorBuilder, ClassBuilder, DomainBuilder};
 use xtuml_core::diag::SourceMap;
-use xtuml_core::error::{CoreError, Result};
+use xtuml_core::error::{CoreError, Pos, Result};
 use xtuml_core::lex::{lex, Spanned, Tok};
 use xtuml_core::model::{Domain, Multiplicity};
 use xtuml_core::parse::Parser;
@@ -21,8 +21,7 @@ use xtuml_core::value::{DataType, Value};
 /// Returns lexical, syntax, resolution, structural-validation or type
 /// errors — a domain returned by this function is ready to execute.
 pub fn parse_domain(src: &str) -> Result<Domain> {
-    let (builder, _spans) = parse_to_builder(src)?;
-    builder.build()
+    parse_to_builder(src, None)?.build()
 }
 
 /// Parses a model file for *linting*: name resolution and indexing run,
@@ -37,32 +36,43 @@ pub fn parse_domain(src: &str) -> Result<Domain> {
 /// Returns lexical, syntax and name-resolution errors — defects that
 /// leave no coherent model to lint.
 pub fn parse_domain_for_lint(src: &str) -> Result<(Domain, SourceMap)> {
-    let (builder, spans) = parse_to_builder(src)?;
+    let mut spans = SourceMap::new();
+    let builder = parse_to_builder(src, Some(&mut spans))?;
     Ok((builder.build_unvalidated()?, spans))
 }
 
-fn parse_to_builder(src: &str) -> Result<(DomainBuilder, SourceMap)> {
+/// Where declaration positions go: into the lint parse's [`SourceMap`],
+/// or nowhere, so a plain load builds no keys.
+type Spans<'m> = Option<&'m mut SourceMap>;
+
+/// Records `pos` under the key `key` builds, if spans are kept.
+fn record(spans: &mut Spans<'_>, key: impl FnOnce() -> String, pos: Pos) {
+    if let Some(map) = spans {
+        map.record(key(), pos);
+    }
+}
+
+fn parse_to_builder(src: &str, mut spans: Spans<'_>) -> Result<DomainBuilder> {
     let toks = lex(src)?;
     let actors = scan_actor_names(&toks);
-    let mut p = Parser::with_actors(&toks, actors);
-    let mut spans = SourceMap::new();
+    let mut p = Parser::with_actors(&toks, &actors);
 
     p.expect_kw("domain")?;
-    let name = p.expect_ident()?;
+    let name = p.expect_word()?;
     p.expect(&Tok::Semi)?;
 
-    let mut builder = DomainBuilder::new(&name);
+    let mut builder = DomainBuilder::new(name);
     loop {
         if p.eat_kw("class") {
             let pos = p.pos();
-            let name = p.expect_ident()?;
-            spans.record(SourceMap::class_key(&name), pos);
-            parse_class(&mut p, builder.class(&name), &name, &mut spans)?;
+            let name = p.expect_word()?;
+            record(&mut spans, || SourceMap::class_key(name), pos);
+            parse_class(&mut p, builder.class(name), name, &mut spans)?;
         } else if p.eat_kw("actor") {
             let pos = p.pos();
-            let name = p.expect_ident()?;
-            spans.record(SourceMap::actor_key(&name), pos);
-            parse_actor(&mut p, builder.actor(&name))?;
+            let name = p.expect_word()?;
+            record(&mut spans, || SourceMap::actor_key(name), pos);
+            parse_actor(&mut p, builder.actor(name))?;
         } else if p.eat_kw("assoc") {
             parse_assoc(&mut p, &mut builder, &mut spans)?;
         } else if p.peek() == &Tok::Eof {
@@ -74,25 +84,22 @@ fn parse_to_builder(src: &str) -> Result<(DomainBuilder, SourceMap)> {
             });
         }
     }
-    Ok((builder, spans))
+    Ok(builder)
 }
 
 /// First pass: find every `actor <Name>` pair in the token stream.
-fn scan_actor_names(toks: &[Spanned]) -> BTreeSet<String> {
+fn scan_actor_names<'s>(toks: &[Spanned<'s>]) -> BTreeSet<&'s str> {
     let mut names = BTreeSet::new();
     for w in toks.windows(2) {
-        if let (Tok::Ident(kw), Tok::Ident(name)) = (&w[0].tok, &w[1].tok) {
-            if kw == "actor" {
-                names.insert(name.clone());
-            }
+        if let (Tok::Ident("actor"), Tok::Ident(name)) = (&w[0].tok, &w[1].tok) {
+            names.insert(*name);
         }
     }
     names
 }
 
-fn parse_type(p: &mut Parser<'_>) -> Result<DataType> {
-    let name = p.expect_ident()?;
-    match name.as_str() {
+fn parse_type(p: &mut Parser<'_, '_>) -> Result<DataType> {
+    match p.expect_word()? {
         "bool" => Ok(DataType::Bool),
         "int" => Ok(DataType::Int),
         "real" => Ok(DataType::Real),
@@ -106,14 +113,14 @@ fn parse_type(p: &mut Parser<'_>) -> Result<DataType> {
     }
 }
 
-fn parse_literal(p: &mut Parser<'_>) -> Result<Value> {
+fn parse_literal(p: &mut Parser<'_, '_>) -> Result<Value> {
     let neg = p.eat(&Tok::Minus);
     match p.next() {
-        Tok::Int(v) => Ok(Value::Int(if neg { -v } else { v })),
-        Tok::Real(v) => Ok(Value::Real(if neg { -v } else { v })),
-        Tok::Str(s) if !neg => Ok(Value::Str(s)),
-        Tok::Ident(w) if w == "true" && !neg => Ok(Value::Bool(true)),
-        Tok::Ident(w) if w == "false" && !neg => Ok(Value::Bool(false)),
+        Tok::Int(v) => Ok(Value::Int(if neg { -v } else { *v })),
+        Tok::Real(v) => Ok(Value::Real(if neg { -v } else { *v })),
+        Tok::Str(s) if !neg => Ok(Value::Str(s.as_ref().to_owned())),
+        Tok::Ident("true") if !neg => Ok(Value::Bool(true)),
+        Tok::Ident("false") if !neg => Ok(Value::Bool(false)),
         other => Err(CoreError::Parse {
             pos: p.pos(),
             msg: format!("expected literal default value, found {other}"),
@@ -121,12 +128,12 @@ fn parse_literal(p: &mut Parser<'_>) -> Result<Value> {
     }
 }
 
-fn parse_params(p: &mut Parser<'_>) -> Result<Vec<(String, DataType)>> {
+fn parse_params<'s>(p: &mut Parser<'_, 's>) -> Result<Vec<(&'s str, DataType)>> {
     p.expect(&Tok::LParen)?;
     let mut params = Vec::new();
     if p.peek() != &Tok::RParen {
         loop {
-            let name = p.expect_ident()?;
+            let name = p.expect_word()?;
             p.expect(&Tok::Colon)?;
             let ty = parse_type(p)?;
             params.push((name, ty));
@@ -140,17 +147,17 @@ fn parse_params(p: &mut Parser<'_>) -> Result<Vec<(String, DataType)>> {
 }
 
 fn parse_class(
-    p: &mut Parser<'_>,
+    p: &mut Parser<'_, '_>,
     cb: &mut ClassBuilder,
     class_name: &str,
-    spans: &mut SourceMap,
+    spans: &mut Spans<'_>,
 ) -> Result<()> {
     p.expect(&Tok::LBrace)?;
     loop {
         if p.eat_kw("attr") {
             let pos = p.pos();
-            let name = p.expect_ident()?;
-            spans.record(SourceMap::attr_key(class_name, &name), pos);
+            let name = p.expect_word()?;
+            record(spans, || SourceMap::attr_key(class_name, name), pos);
             p.expect(&Tok::Colon)?;
             let ty = parse_type(p)?;
             if p.eat(&Tok::Assign) {
@@ -161,41 +168,40 @@ fn parse_class(
                         msg: format!("default value type {} != declared {ty}", v.data_type()),
                     });
                 }
-                cb.attr_default(&name, ty, v);
+                cb.attr_default(name, ty, v);
             } else {
-                cb.attr(&name, ty);
+                cb.attr(name, ty);
             }
             p.expect(&Tok::Semi)?;
         } else if p.eat_kw("event") {
             let pos = p.pos();
-            let name = p.expect_ident()?;
-            spans.record(SourceMap::event_key(class_name, &name), pos);
-            let params = parse_params(p)?;
-            let refs: Vec<(&str, DataType)> =
-                params.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-            cb.event(&name, &refs);
+            let name = p.expect_word()?;
+            record(spans, || SourceMap::event_key(class_name, name), pos);
+            cb.event(name, &parse_params(p)?);
             p.expect(&Tok::Semi)?;
         } else if p.eat_kw("initial") {
-            let name = p.expect_ident()?;
-            cb.initial(&name);
+            cb.initial(p.expect_word()?);
             p.expect(&Tok::Semi)?;
         } else if p.eat_kw("state") {
             let pos = p.pos();
-            let name = p.expect_ident()?;
-            spans.record(SourceMap::state_key(class_name, &name), pos);
+            let name = p.expect_word()?;
+            record(spans, || SourceMap::state_key(class_name, name), pos);
             let block = p.parse_braced_block()?;
-            cb.state_block(&name, block);
+            cb.state_block(name, block);
         } else if p.eat_kw("on") {
             let pos = p.pos();
-            let from = p.expect_ident()?;
+            let from = p.expect_word()?;
             p.expect(&Tok::Colon)?;
-            let event = p.expect_ident()?;
-            spans.record(SourceMap::transition_key(class_name, &from, &event), pos);
+            let event = p.expect_word()?;
+            record(
+                spans,
+                || SourceMap::transition_key(class_name, from, event),
+                pos,
+            );
             if p.eat(&Tok::Arrow) {
-                let to = p.expect_ident()?;
-                cb.transition(&from, &event, &to);
+                cb.transition(from, event, p.expect_word()?);
             } else if p.eat_kw("ignore") {
-                cb.ignore(&from, &event);
+                cb.ignore(from, event);
             } else {
                 return Err(CoreError::Parse {
                     pos: p.pos(),
@@ -217,27 +223,22 @@ fn parse_class(
     }
 }
 
-fn parse_actor(p: &mut Parser<'_>, ab: &mut ActorBuilder) -> Result<()> {
+fn parse_actor(p: &mut Parser<'_, '_>, ab: &mut ActorBuilder) -> Result<()> {
     p.expect(&Tok::LBrace)?;
     loop {
         if p.eat_kw("signal") {
-            let name = p.expect_ident()?;
-            let params = parse_params(p)?;
-            let refs: Vec<(&str, DataType)> =
-                params.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-            ab.event(&name, &refs);
+            let name = p.expect_word()?;
+            ab.event(name, &parse_params(p)?);
             p.expect(&Tok::Semi)?;
         } else if p.eat_kw("func") {
-            let name = p.expect_ident()?;
+            let name = p.expect_word()?;
             let params = parse_params(p)?;
             let ret = if p.eat(&Tok::Arrow) {
                 Some(parse_type(p)?)
             } else {
                 None
             };
-            let refs: Vec<(&str, DataType)> =
-                params.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-            ab.func(&name, &refs, ret);
+            ab.func(name, &params, ret);
             p.expect(&Tok::Semi)?;
         } else if p.eat(&Tok::RBrace) {
             return Ok(());
@@ -250,9 +251,8 @@ fn parse_actor(p: &mut Parser<'_>, ab: &mut ActorBuilder) -> Result<()> {
     }
 }
 
-fn parse_mult(p: &mut Parser<'_>) -> Result<Multiplicity> {
-    let word = p.expect_ident()?;
-    match word.as_str() {
+fn parse_mult(p: &mut Parser<'_, '_>) -> Result<Multiplicity> {
+    match p.expect_word()? {
         "one" => Ok(Multiplicity::One),
         "maybe" => Ok(Multiplicity::ZeroOne),
         "many" => Ok(Multiplicity::Many),
@@ -264,22 +264,22 @@ fn parse_mult(p: &mut Parser<'_>) -> Result<Multiplicity> {
 }
 
 fn parse_assoc(
-    p: &mut Parser<'_>,
+    p: &mut Parser<'_, '_>,
     builder: &mut DomainBuilder,
-    spans: &mut SourceMap,
+    spans: &mut Spans<'_>,
 ) -> Result<()> {
     // assoc R1: From one -- To many;
     let pos = p.pos();
-    let name = p.expect_ident()?;
-    spans.record(SourceMap::assoc_key(&name), pos);
+    let name = p.expect_word()?;
+    record(spans, || SourceMap::assoc_key(name), pos);
     p.expect(&Tok::Colon)?;
-    let from = p.expect_ident()?;
+    let from = p.expect_word()?;
     let from_mult = parse_mult(p)?;
     p.expect(&Tok::DashDash)?;
-    let to = p.expect_ident()?;
+    let to = p.expect_word()?;
     let to_mult = parse_mult(p)?;
     p.expect(&Tok::Semi)?;
-    builder.association(&name, &from, from_mult, &to, to_mult);
+    builder.association(name, from, from_mult, to, to_mult);
     Ok(())
 }
 

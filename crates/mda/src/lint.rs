@@ -56,6 +56,7 @@ pub struct MarkSite {
 /// (model) file.
 pub fn lint_marks(
     domain: &Domain,
+    effects: &ModelEffects,
     marks: &MarkSet,
     sites: &[MarkSite],
     marks_file: &str,
@@ -64,7 +65,7 @@ pub fn lint_marks(
 ) {
     lint_unknown_targets(domain, sites, marks_file, diags);
     lint_hardware_payloads(domain, marks, spans, diags);
-    lint_partition_channels(domain, marks, spans, diags);
+    lint_partition_channels(domain, effects, marks, spans, diags);
 }
 
 /// `X0012` — marks whose target element does not exist in the domain.
@@ -167,6 +168,7 @@ fn lint_hardware_payloads(
 /// `X0014` — cross-partition sends whose payload has no ICD entry.
 fn lint_partition_channels(
     domain: &Domain,
+    effects: &ModelEffects,
     marks: &MarkSet,
     spans: &SourceMap,
     diags: &mut Diagnostics,
@@ -178,7 +180,7 @@ fn lint_partition_channels(
     // (target, event) pairs reported already, so two senders of the same
     // unmarshallable event yield one diagnostic (one channel, one ICD row).
     let mut reported = BTreeSet::new();
-    let usage = analysis::class_usage(domain, &ModelEffects::gather(domain));
+    let usage = analysis::class_usage(domain, effects);
     for (ci, (sender_class, usage)) in domain.classes.iter().zip(&usage).enumerate() {
         let sender = ClassId::new(ci as u32);
         // Analysis fails only on hand-built ASTs the surface language
@@ -244,7 +246,16 @@ mod tests {
             })
             .collect();
         let mut diags = Diagnostics::new();
-        lint_marks(&domain, &marks, &sites, "test.marks", &spans, &mut diags);
+        let effects = ModelEffects::gather(&domain);
+        lint_marks(
+            &domain,
+            &effects,
+            &marks,
+            &sites,
+            "test.marks",
+            &spans,
+            &mut diags,
+        );
         diags
     }
 

@@ -205,7 +205,9 @@ pub fn cmd_lint(
         Err(e) => diags.push(Diagnostic::from_core_error(&e, Pos::UNKNOWN)),
         Ok((domain, spans)) => {
             validate::validate_into(&domain, &spans, &mut diags);
-            lint::lint_domain(&domain, &spans, &mut diags);
+            // One effect walk serves the model lints and the mark lints.
+            let plan = xtuml_core::effects::analyze(&domain);
+            lint::lint_domain(&domain, &plan, &spans, &mut diags);
             if let Some((marks_file, marks_src)) = marks {
                 sources.push((marks_file, marks_src));
                 match parse_marks_spanned(marks_src) {
@@ -237,7 +239,13 @@ pub fn cmd_lint(
                             })
                             .collect();
                         xtuml_mda::lint::lint_marks(
-                            &domain, &mark_set, &sites, marks_file, &spans, &mut diags,
+                            &domain,
+                            &plan.effects,
+                            &mark_set,
+                            &sites,
+                            marks_file,
+                            &spans,
+                            &mut diags,
                         );
                     }
                 }
