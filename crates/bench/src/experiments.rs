@@ -165,17 +165,7 @@ pub fn e3_families(scale: usize, work: usize) -> Table {
     let mut run = |family: &str, domain: &xtuml_core::model::Domain, tc: &TestCase| {
         let start = Instant::now();
         let mut sim = Simulation::new(domain);
-        let mut insts = Vec::new();
-        for class in &tc.creates {
-            insts.push(sim.create(class).expect("create"));
-        }
-        for (a, b, assoc) in &tc.relates {
-            sim.relate(insts[*a], insts[*b], assoc).expect("relate");
-        }
-        for st in &tc.stimuli {
-            sim.inject(st.time, insts[st.inst], &st.event, st.args.clone())
-                .expect("inject");
-        }
+        tc.apply(&mut sim).expect("setup");
         let steps = sim.run_to_quiescence().expect("run");
         let dt = start.elapsed();
         t.row(vec![
@@ -227,17 +217,7 @@ pub fn e4_cosim(stages: usize, feeds: usize, latencies: &[u64]) -> Table {
                 .expect("compiles");
             let start = Instant::now();
             let mut sys = design.instantiate();
-            let mut insts = Vec::new();
-            for class in &tc.creates {
-                insts.push(sys.create(class).expect("create"));
-            }
-            for (a, b, assoc) in &tc.relates {
-                sys.relate(insts[*a], insts[*b], assoc).expect("relate");
-            }
-            for s in &tc.stimuli {
-                sys.inject(s.time, insts[s.inst], &s.event, s.args.clone())
-                    .expect("inject");
-            }
+            tc.apply(&mut sys).expect("setup");
             let stats = sys.run_to_quiescence().expect("cosim runs");
             let dt = start.elapsed();
             t.row(vec![

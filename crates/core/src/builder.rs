@@ -302,7 +302,10 @@ impl DomainBuilder {
             });
         }
 
-        // Associations can only be resolved after all classes exist.
+        // Associations can only be resolved after all classes exist. This
+        // indexes classes and actors once; association names are indexed
+        // after every endpoint resolved, so an endpoint error still comes
+        // before a duplicate association.
         domain.reindex()?;
         domain.associations.reserve_exact(assocs.len());
         for (name, from, fm, to, tm) in assocs {
@@ -316,7 +319,7 @@ impl DomainBuilder {
                 to_mult: tm,
             });
         }
-        domain.reindex()?;
+        domain.index_associations()?;
         Ok(domain)
     }
 }
@@ -531,14 +534,25 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_class_names_rejected() {
-        let mut d = DomainBuilder::new("m");
-        d.class("A");
-        d.class("A");
-        assert!(matches!(
-            d.build(),
-            Err(CoreError::Duplicate { kind: "class", .. })
-        ));
+    fn duplicate_names_and_unknown_endpoints_keep_their_precedence() {
+        // Duplicate classes and actors are reported before any association
+        // endpoint resolves; a duplicate association only once every
+        // endpoint has.
+        let build = |class: &str, actor: &str, assoc: &str, to: &str| {
+            let mut d = DomainBuilder::new("m");
+            d.class("A");
+            d.class(class);
+            d.actor("X");
+            d.actor(actor);
+            for (name, to) in [("R1", "A"), (assoc, "A"), ("R3", to)] {
+                d.association(name, "A", Multiplicity::One, to, Multiplicity::One);
+            }
+            d.build_unvalidated().unwrap_err().to_string()
+        };
+        assert_eq!(build("A", "X", "R1", "Ghost"), "duplicate class `A`");
+        assert_eq!(build("B", "X", "R1", "Ghost"), "duplicate actor `X`");
+        assert_eq!(build("B", "Y", "R1", "Ghost"), "unknown class `Ghost`");
+        assert_eq!(build("B", "Y", "R1", "A"), "duplicate association `R1`");
     }
 
     #[test]

@@ -56,6 +56,7 @@ pub mod lint;
 pub mod marks;
 pub mod model;
 pub mod parse;
+pub mod testcase;
 #[cfg(test)]
 mod testhost;
 pub mod typeck;

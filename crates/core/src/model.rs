@@ -288,45 +288,17 @@ impl Domain {
     /// Returns [`CoreError::Duplicate`] on duplicate class, association or
     /// actor names.
     pub fn reindex(&mut self) -> Result<()> {
-        self.class_names.clear();
-        self.assoc_names.clear();
-        self.actor_names.clear();
-        for (i, c) in self.classes.iter().enumerate() {
-            if self
-                .class_names
-                .insert(c.name.clone(), ClassId::new(i as u32))
-                .is_some()
-            {
-                return Err(CoreError::Duplicate {
-                    kind: "class",
-                    name: c.name.clone(),
-                });
-            }
-        }
-        for (i, a) in self.associations.iter().enumerate() {
-            if self
-                .assoc_names
-                .insert(a.name.clone(), AssocId::new(i as u32))
-                .is_some()
-            {
-                return Err(CoreError::Duplicate {
-                    kind: "association",
-                    name: a.name.clone(),
-                });
-            }
-        }
-        for (i, a) in self.actors.iter().enumerate() {
-            if self
-                .actor_names
-                .insert(a.name.clone(), ActorId::new(i as u32))
-                .is_some()
-            {
-                return Err(CoreError::Duplicate {
-                    kind: "actor",
-                    name: a.name.clone(),
-                });
-            }
-        }
+        self.class_names = name_index("class", self.classes.iter().map(|c| &c.name), ClassId::new)?;
+        self.index_associations()?;
+        self.actor_names = name_index("actor", self.actors.iter().map(|a| &a.name), ActorId::new)?;
+        Ok(())
+    }
+
+    /// Rebuilds the association index alone, for a builder that indexed
+    /// classes and actors before it resolved association endpoints.
+    pub(crate) fn index_associations(&mut self) -> Result<()> {
+        let names = self.associations.iter().map(|a| &a.name);
+        self.assoc_names = name_index("association", names, AssocId::new)?;
         Ok(())
     }
 
@@ -413,6 +385,22 @@ impl Domain {
             .map(|s| s.action.weight())
             .sum()
     }
+}
+
+/// Maps each name to its position, rejecting the first repeated name.
+fn name_index<'a, Id>(
+    kind: &'static str,
+    names: impl Iterator<Item = &'a String>,
+    id: fn(u32) -> Id,
+) -> Result<BTreeMap<String, Id>> {
+    let mut index = BTreeMap::new();
+    for (i, name) in names.enumerate() {
+        if index.insert(name.clone(), id(i as u32)).is_some() {
+            let name = name.clone();
+            return Err(CoreError::Duplicate { kind, name });
+        }
+    }
+    Ok(index)
 }
 
 #[cfg(test)]

@@ -1,13 +1,42 @@
 //! Formal test cases: platform-independent scripts of population setup
-//! and timed stimuli.
+//! and timed stimuli, and the one way to apply them.
 //!
 //! A test case names instances by *creation ordinal*, so the same script
 //! drives the abstract interpreter and any compiled system — the paper's
 //! "formal test cases executed against the model to verify that
 //! requirements have been properly met", reused unchanged against every
-//! implementation.
+//! implementation. Every executor implements [`Drive`], and
+//! [`TestCase::apply`] is the one create → relate → inject sequence they
+//! all run.
 
-use xtuml_core::value::Value;
+use std::convert::Infallible;
+
+use crate::value::Value;
+
+/// An executor a test case can be applied to: it creates instances,
+/// links them and accepts timed stimuli. Running to quiescence stays
+/// with each executor, whose run signatures differ.
+pub trait Drive {
+    /// The executor's instance handle.
+    type Handle: Copy;
+    /// The executor's setup error.
+    type Error;
+
+    /// Creates an instance of the named class.
+    fn create(&mut self, class: &str) -> Result<Self::Handle, Self::Error>;
+
+    /// Links two instances across the named association.
+    fn relate(&mut self, a: Self::Handle, b: Self::Handle, assoc: &str) -> Result<(), Self::Error>;
+
+    /// Schedules `event` with `args` for `inst` at `time`.
+    fn inject(
+        &mut self,
+        time: u64,
+        inst: Self::Handle,
+        event: &str,
+        args: Vec<Value>,
+    ) -> Result<(), Self::Error>;
+}
 
 /// One timed stimulus.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,7 +73,7 @@ pub struct TestCase {
     pub creates: Vec<String>,
     /// Links to establish: `(inst a, inst b, association name)`.
     pub relates: Vec<(usize, usize, String)>,
-    /// Stimuli, any order (sorted by time at run time).
+    /// Stimuli, any order (applied in stable time order).
     pub stimuli: Vec<Stimulus>,
     /// Requirements: per-actor expected output sequences. When empty, the
     /// test case is a pure stimulus script.
@@ -104,6 +133,35 @@ impl TestCase {
         self
     }
 
+    /// The stimuli in delivery order: by time, ties in the order they
+    /// were added.
+    pub fn stimuli_in_order(&self) -> Vec<&Stimulus> {
+        let mut order: Vec<&Stimulus> = self.stimuli.iter().collect();
+        order.sort_by_key(|s| s.time);
+        order
+    }
+
+    /// Applies the test case to an executor: the creates, then the
+    /// relates, then the stimuli in [`TestCase::stimuli_in_order`].
+    /// Returns the executor's handle for each creation ordinal.
+    ///
+    /// # Errors
+    ///
+    /// Stops at the first step the executor rejects.
+    pub fn apply<D: Drive>(&self, target: &mut D) -> Result<Vec<D::Handle>, D::Error> {
+        let mut handles = Vec::with_capacity(self.creates.len());
+        for class in &self.creates {
+            handles.push(target.create(class)?);
+        }
+        for (a, b, assoc) in &self.relates {
+            target.relate(handles[*a], handles[*b], assoc)?;
+        }
+        for s in self.stimuli_in_order() {
+            target.inject(s.time, handles[s.inst], &s.event, s.args.clone())?;
+        }
+        Ok(handles)
+    }
+
     /// Builds the canonical pipeline test case used by experiments E2-E4:
     /// `stages` chained `Stage<k>` instances fed `feeds` tokens.
     pub fn pipeline(stages: usize, feeds: usize) -> TestCase {
@@ -118,6 +176,32 @@ impl TestCase {
             tc.inject(i as u64, 0, "Feed", vec![Value::Int(i as i64)]);
         }
         tc
+    }
+}
+
+/// Recording: applying a script to a test case appends its steps.
+impl Drive for TestCase {
+    type Handle = usize;
+    type Error = Infallible;
+
+    fn create(&mut self, class: &str) -> Result<usize, Infallible> {
+        Ok(TestCase::create(self, class))
+    }
+
+    fn relate(&mut self, a: usize, b: usize, assoc: &str) -> Result<(), Infallible> {
+        TestCase::relate(self, a, b, assoc);
+        Ok(())
+    }
+
+    fn inject(
+        &mut self,
+        time: u64,
+        inst: usize,
+        event: &str,
+        args: Vec<Value>,
+    ) -> Result<(), Infallible> {
+        TestCase::inject(self, time, inst, event, args);
+        Ok(())
     }
 }
 

@@ -59,6 +59,7 @@ use xtuml_core::effects::{self, ShardPlan};
 use xtuml_core::error::{CoreError, Result};
 use xtuml_core::ids::{AssocId, InstId};
 use xtuml_core::model::Domain;
+use xtuml_core::testcase::Drive;
 use xtuml_core::value::Value;
 use xtuml_obs::{Counter, EpochRow, Gauge, HistKind, Metrics, NullSink, Recorder, Sink};
 use xtuml_pool::Pool;
@@ -224,6 +225,23 @@ impl std::fmt::Debug for ShardedSimulation<'_> {
             .field("policy", &self.sim.core.policy)
             .field("live", &self.sim.core.store.live_count())
             .finish_non_exhaustive()
+    }
+}
+
+impl Drive for ShardedSimulation<'_> {
+    type Handle = InstId;
+    type Error = CoreError;
+
+    fn create(&mut self, class: &str) -> Result<InstId> {
+        ShardedSimulation::create(self, class)
+    }
+
+    fn relate(&mut self, a: InstId, b: InstId, assoc: &str) -> Result<()> {
+        ShardedSimulation::relate(self, a, b, assoc)
+    }
+
+    fn inject(&mut self, time: u64, inst: InstId, event: &str, args: Vec<Value>) -> Result<()> {
+        ShardedSimulation::inject(self, time, inst, event, args)
     }
 }
 

@@ -30,6 +30,7 @@ use xtuml_core::error::{CoreError, Result};
 use xtuml_core::ids::{EventId, InstId};
 use xtuml_core::interp::ActionHost;
 use xtuml_core::model::Domain;
+use xtuml_core::testcase::Drive;
 use xtuml_core::value::Value;
 use xtuml_obs::{Counter, Gauge, Recorder, Sink as _};
 
@@ -142,6 +143,23 @@ impl std::fmt::Debug for Simulation<'_> {
             .field("live", &self.core.store.live_count())
             .field("policy", &self.core.policy)
             .finish_non_exhaustive()
+    }
+}
+
+impl Drive for Simulation<'_> {
+    type Handle = InstId;
+    type Error = CoreError;
+
+    fn create(&mut self, class: &str) -> Result<InstId> {
+        Simulation::create(self, class)
+    }
+
+    fn relate(&mut self, a: InstId, b: InstId, assoc: &str) -> Result<()> {
+        Simulation::relate(self, a, b, assoc)
+    }
+
+    fn inject(&mut self, time: u64, inst: InstId, event: &str, args: Vec<Value>) -> Result<()> {
+        Simulation::inject(self, time, inst, event, args)
     }
 }
 

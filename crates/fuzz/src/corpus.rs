@@ -4,16 +4,15 @@
 //! case byte-for-byte), plus load/replay helpers for the checked-in
 //! regression corpus.
 
-use std::convert::Infallible;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use xtuml_core::testcase::TestCase;
 use xtuml_core::value::Value;
 use xtuml_core::CoreError;
-use xtuml_lang::stim::{self, Directive};
+use xtuml_lang::stim;
 use xtuml_lang::{print_domain, print_literal, print_marks};
-use xtuml_verify::TestCase;
 
 use crate::spec::FuzzSpec;
 
@@ -62,9 +61,7 @@ pub fn render_stim(tc: &TestCase) -> String {
     for (a, b, assoc) in &tc.relates {
         let _ = writeln!(out, "relate i{a} i{b} {assoc}");
     }
-    let mut stims = tc.stimuli.clone();
-    stims.sort_by_key(|s| s.time);
-    for s in &stims {
+    for s in tc.stimuli_in_order() {
         let _ = write!(out, "at {} i{} {}", s.time, s.inst, s.event);
         for (k, v) in s.args.iter().enumerate() {
             match v {
@@ -89,29 +86,15 @@ pub fn render_stim(tc: &TestCase) -> String {
     out
 }
 
-/// Parses a stimulus script back into a [`TestCase`]: the
-/// [`stim`] directives, folded in script order.
+/// Parses a stimulus script back into a [`TestCase`]: [`stim::drive`]
+/// recording into it.
 ///
 /// # Errors
 ///
 /// Returns a description of the first malformed line.
 pub fn parse_stim(src: &str) -> Result<TestCase, String> {
     let mut tc = TestCase::new("replay");
-    stim::for_each(src, |d| {
-        match d {
-            Directive::Create(class) => {
-                tc.create(class);
-            }
-            Directive::Relate(a, b, assoc) => {
-                tc.relate(a, b, assoc);
-            }
-            Directive::At(time, inst, event, args) => {
-                tc.inject(time, inst, event, args);
-            }
-        }
-        Ok::<_, Infallible>(())
-    })
-    .map_err(|e| format!("stim {e}"))?;
+    stim::drive(src, &mut tc).map_err(|e| format!("stim {e}"))?;
     Ok(tc)
 }
 
@@ -180,9 +163,7 @@ mod tests {
         let back = parse_stim(&text).unwrap();
         assert_eq!(back.creates, tc.creates);
         assert_eq!(back.relates, tc.relates);
-        let mut sorted = tc.stimuli.clone();
-        sorted.sort_by_key(|s| s.time);
-        assert_eq!(back.stimuli, sorted);
+        assert!(back.stimuli.iter().eq(tc.stimuli_in_order()));
     }
 
     #[test]

@@ -16,10 +16,10 @@ use std::collections::BTreeMap;
 
 use xtuml_core::action::{Block, Expr, GenTarget, LValue, Stmt};
 use xtuml_core::model::TransitionTarget;
+use xtuml_core::testcase::{Drive, TestCase};
 use xtuml_core::value::{apply_binop, apply_unop, BinOp, Value};
 use xtuml_core::{ClassId, Domain, EventId, InstId, StateId};
 use xtuml_exec::ObservableEvent;
-use xtuml_verify::TestCase;
 
 /// Counters the cross-implementation "no lost signals" oracle compares.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -314,6 +314,60 @@ struct Frame<'a> {
     locals: BTreeMap<String, Value>,
 }
 
+/// Setup straight from the language definition: a created instance
+/// starts in its initial state without running its entry action, and a
+/// stimulus joins the one `(time, sequence)` queue.
+impl Drive for World<'_> {
+    type Handle = usize;
+    type Error = String;
+
+    fn create(&mut self, class_name: &str) -> Result<usize, String> {
+        let domain = self.domain;
+        let class_id = domain.class_id(class_name).map_err(|e| e.to_string())?;
+        let class = domain.class(class_id);
+        let machine = class
+            .state_machine
+            .as_ref()
+            .ok_or_else(|| format!("class `{class_name}` has no state machine"))?;
+        self.insts.push(Instance {
+            class: class_id,
+            state: machine.initial,
+            attrs: class.attributes.iter().map(|a| a.default.clone()).collect(),
+        });
+        Ok(self.insts.len() - 1)
+    }
+
+    fn relate(&mut self, a: usize, b: usize, assoc_name: &str) -> Result<(), String> {
+        let assoc = self.domain.assoc_id(assoc_name);
+        let assoc = assoc.map_err(|e| e.to_string())?;
+        self.links[assoc.index()].push((a, b));
+        Ok(())
+    }
+
+    fn inject(
+        &mut self,
+        time: u64,
+        inst: usize,
+        event: &str,
+        args: Vec<Value>,
+    ) -> Result<(), String> {
+        let class = self.domain.class(self.insts[inst].class);
+        let event = class
+            .event_id(event)
+            .ok_or_else(|| format!("unknown event `{event}`"))?;
+        self.queue.insert(
+            (time, self.next_seq),
+            Pending {
+                target: inst,
+                event,
+                args,
+            },
+        );
+        self.next_seq += 1;
+        Ok(())
+    }
+}
+
 /// Runs a test case against the reference interpreter.
 ///
 /// # Errors
@@ -335,51 +389,11 @@ pub fn run_reference(
         stats: RefStats::default(),
         fuel: FUEL,
     };
-
-    for class_name in &tc.creates {
-        let class_id = domain.class_id(class_name).map_err(|e| e.to_string())?;
-        let class = domain.class(class_id);
-        let machine = class
-            .state_machine
-            .as_ref()
-            .ok_or_else(|| format!("class `{class_name}` has no state machine"))?;
-        world.insts.push(Instance {
-            class: class_id,
-            // xtUML creation semantics: the instance starts in the initial
-            // state and the initial state's entry action does NOT run.
-            state: machine.initial,
-            attrs: class.attributes.iter().map(|a| a.default.clone()).collect(),
-        });
-    }
-    for (a, b, assoc_name) in &tc.relates {
-        let assoc = domain.assoc_id(assoc_name).map_err(|e| e.to_string())?;
-        world.links[assoc.index()].push((*a, *b));
-    }
-
-    let mut stims = tc.stimuli.clone();
-    stims.sort_by_key(|s| s.time);
-    for s in &stims {
-        let class = domain.class(world.insts[s.inst].class);
-        let ev = class
-            .event_id(&s.event)
-            .ok_or_else(|| format!("unknown event `{}`", s.event))?;
-        let seq = world.next_seq;
-        world.next_seq += 1;
-        world.queue.insert(
-            (s.time, seq),
-            Pending {
-                target: s.inst,
-                event: ev,
-                args: s.args.clone(),
-            },
-        );
-    }
-
+    tc.apply(&mut world)?;
     while let Some(((time, _), pending)) = world.queue.pop_first() {
         world.now = time;
         world.dispatch(pending)?;
     }
-
     Ok((world.observables, world.stats))
 }
 

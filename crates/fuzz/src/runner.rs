@@ -25,15 +25,17 @@
 //! the *reparsed* artifacts are what actually run — so the fuzzer
 //! exercises the language layer end-to-end on every case.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use xtuml_core::marks::MarkSet;
-use xtuml_core::{AssocId, Domain};
+use xtuml_core::testcase::{Drive, TestCase};
+use xtuml_core::{AssocId, Domain, InstId, Result, Value};
 use xtuml_exec::{
     ObservableEvent, Program, SchedPolicy, ShardedSimulation, Simulation, Trace, TraceEvent,
 };
 use xtuml_lang::{parse_domain, parse_marks, print_domain, print_marks};
 use xtuml_mda::ModelCompiler;
-use xtuml_verify::{check_equivalence, run_compiled, EquivReport, TestCase};
+use xtuml_verify::{check_equivalence, run_compiled, EquivReport};
 
 use crate::corpus::{parse_stim, render_stim};
 use crate::refinterp::run_reference;
@@ -179,20 +181,7 @@ fn run_interpreter(
     tc: &TestCase,
 ) -> Result<ExecRun, String> {
     let mut sim = Simulation::with_program(Arc::clone(program), policy);
-    let mut handles = Vec::with_capacity(tc.creates.len());
-    for class in &tc.creates {
-        handles.push(sim.create(class).map_err(|e| e.to_string())?);
-    }
-    for (a, b, assoc) in &tc.relates {
-        sim.relate(handles[*a], handles[*b], assoc)
-            .map_err(|e| e.to_string())?;
-    }
-    let mut stims = tc.stimuli.clone();
-    stims.sort_by_key(|s| s.time);
-    for s in &stims {
-        sim.inject(s.time, handles[s.inst], &s.event, s.args.clone())
-            .map_err(|e| e.to_string())?;
-    }
+    tc.apply(&mut sim).map_err(|e| e.to_string())?;
     sim.run_to_quiescence().map_err(|e| e.to_string())?;
     let trace = sim.trace();
     Ok(ExecRun {
@@ -224,20 +213,7 @@ fn run_interpreter_checkpointed(
     tc: &TestCase,
 ) -> Result<Trace, String> {
     let mut sim = Simulation::with_program(Arc::clone(program), policy);
-    let mut handles = Vec::with_capacity(tc.creates.len());
-    for class in &tc.creates {
-        handles.push(sim.create(class).map_err(|e| e.to_string())?);
-    }
-    for (a, b, assoc) in &tc.relates {
-        sim.relate(handles[*a], handles[*b], assoc)
-            .map_err(|e| e.to_string())?;
-    }
-    let mut stims = tc.stimuli.clone();
-    stims.sort_by_key(|s| s.time);
-    for s in &stims {
-        sim.inject(s.time, handles[s.inst], &s.event, s.args.clone())
-            .map_err(|e| e.to_string())?;
-    }
+    tc.apply(&mut sim).map_err(|e| e.to_string())?;
     let mut steps = 0u64;
     while sim.step().map_err(|e| e.to_string())? {
         steps += 1;
@@ -257,7 +233,7 @@ fn run_interpreter_checkpointed(
 /// precondition at shards ∈ {2, 4, 8}: classes joined by a colocation
 /// association share a residue, distinct components round-robin across
 /// residues so the population still spreads over the shards.
-fn coloc_residues(domain: &Domain, coloc: &[AssocId]) -> Vec<usize> {
+pub fn coloc_residues(domain: &Domain, coloc: &BTreeSet<AssocId>) -> Vec<usize> {
     let n = domain.classes.len();
     let mut rep: Vec<usize> = (0..n).collect();
     fn root(rep: &mut [usize], mut c: usize) -> usize {
@@ -275,7 +251,7 @@ fn coloc_residues(domain: &Domain, coloc: &[AssocId]) -> Vec<usize> {
         );
         rep[x] = y;
     }
-    let mut assigned: std::collections::BTreeMap<usize, usize> = std::collections::BTreeMap::new();
+    let mut assigned: BTreeMap<usize, usize> = BTreeMap::new();
     (0..n)
         .map(|c| {
             let r = root(&mut rep, c);
@@ -285,17 +261,44 @@ fn coloc_residues(domain: &Domain, coloc: &[AssocId]) -> Vec<usize> {
         .collect()
 }
 
-/// Runs the test case on the sharded engine at `shards` home shards on a
-/// single worker (the shard count alone fixes the schedule; worker-count
-/// invariance is the engine suites' job).
-///
-/// Setup creates are padded with inert extra instances so every class
-/// lands on its colocation component's index residue (mod 8) — the
+/// A sharded simulation and per-class residues (see [`coloc_residues`]):
+/// its setup creates are padded with inert extra instances so every
+/// class lands on its colocation component's index residue (mod 8). The
 /// engine's runtime colocation precondition then holds at 2, 4 and 8
 /// shards while distinct components still spread across shards. The
-/// padding is observable-neutral: creation runs no entry action, the
-/// pad instances are never related or stimulated, and fuzz-generated
-/// models never `select` from a class extent.
+/// padding is observable-neutral: creation runs no entry action, the pad
+/// instances are never related or stimulated, and fuzz-generated models
+/// never `select` from a class extent.
+pub struct Padded<'s, 'd>(pub &'s mut ShardedSimulation<'d>, pub &'s [usize]);
+
+impl Drive for Padded<'_, '_> {
+    type Handle = InstId;
+    type Error = xtuml_core::CoreError;
+
+    /// Creates pad instances of `class` until one gets an id on the
+    /// class's residue (setup ids count up from 0), and returns that one.
+    fn create(&mut self, class: &str) -> Result<InstId> {
+        let want = self.1[self.0.domain().class_id(class)?.index()];
+        loop {
+            let inst = self.0.create(class)?;
+            if inst.index() % 8 == want {
+                return Ok(inst);
+            }
+        }
+    }
+
+    fn relate(&mut self, a: InstId, b: InstId, assoc: &str) -> Result<()> {
+        self.0.relate(a, b, assoc)
+    }
+
+    fn inject(&mut self, time: u64, inst: InstId, event: &str, args: Vec<Value>) -> Result<()> {
+        self.0.inject(time, inst, event, args)
+    }
+}
+
+/// Runs the test case on the sharded engine at `shards` home shards on a
+/// single worker (the shard count alone fixes the schedule; worker-count
+/// invariance is the engine suites' job), with the setup [`Padded`].
 fn run_sharded(
     program: &Arc<Program<'_>>,
     policy: SchedPolicy,
@@ -303,36 +306,16 @@ fn run_sharded(
     residues: &[usize],
     shards: usize,
 ) -> Result<Vec<ObservableEvent>, String> {
-    let domain = program.domain();
     let mut sim = ShardedSimulation::with_program(Arc::clone(program), policy.with_shards(shards));
-    let mut handles = Vec::with_capacity(tc.creates.len());
-    let mut next = 0usize;
-    for class in &tc.creates {
-        let want = residues[domain.class_id(class).map_err(|e| e.to_string())?.index()];
-        while next % 8 != want {
-            sim.create(class).map_err(|e| e.to_string())?;
-            next += 1;
-        }
-        handles.push(sim.create(class).map_err(|e| e.to_string())?);
-        next += 1;
-    }
-    for (a, b, assoc) in &tc.relates {
-        sim.relate(handles[*a], handles[*b], assoc)
-            .map_err(|e| e.to_string())?;
-    }
-    let mut stims = tc.stimuli.clone();
-    stims.sort_by_key(|s| s.time);
-    for s in &stims {
-        sim.inject(s.time, handles[s.inst], &s.event, s.args.clone())
-            .map_err(|e| e.to_string())?;
-    }
+    tc.apply(&mut Padded(&mut sim, residues))
+        .map_err(|e| e.to_string())?;
     sim.run_to_quiescence(1).map_err(|e| e.to_string())?;
     if let Some(why) = sim.runtime_fallback() {
         return Err(format!(
             "statically admitted model hit the runtime fallback at shards={shards}: {why}"
         ));
     }
-    Ok(sim.trace().observable(domain))
+    Ok(sim.trace().observable(program.domain()))
 }
 
 /// Runs one case (already parsed) through all three executors and every
@@ -443,8 +426,7 @@ pub fn run_case(
     let admitted = plan.admitted();
     let newly_admitted = admitted && plan.uses_admission();
     if admitted && ablation == Ablation::None {
-        let coloc: Vec<AssocId> = plan.coloc_assocs.iter().copied().collect();
-        let residues = coloc_residues(domain, &coloc);
+        let residues = coloc_residues(domain, &plan.coloc_assocs);
         for (shards, pair) in [
             (2usize, "sharded2-vs-reference"),
             (4, "sharded4-vs-reference"),
@@ -532,14 +514,15 @@ pub fn run_spec(spec: &FuzzSpec, ablation: Ablation, checkpoint: bool) -> CaseOu
         Err(e) => return CaseOutcome::RoundTrip(format!("marks failed to reparse: {e}")),
     }
 
-    // Stimulus-script round trip (compares time-sorted stimuli — the
-    // script serializes in delivery order).
+    // Stimulus-script round trip (compares the stimuli in delivery order
+    // — the script serializes in that order).
     let tc = spec.testcase();
     match parse_stim(&render_stim(&tc)) {
         Ok(back) => {
-            let mut sorted = tc.stimuli.clone();
-            sorted.sort_by_key(|s| s.time);
-            if back.creates != tc.creates || back.relates != tc.relates || back.stimuli != sorted {
+            if back.creates != tc.creates
+                || back.relates != tc.relates
+                || !back.stimuli.iter().eq(tc.stimuli_in_order())
+            {
                 return CaseOutcome::RoundTrip("stimulus script reparsed differently".to_owned());
             }
         }

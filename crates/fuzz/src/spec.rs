@@ -11,9 +11,9 @@
 use xtuml_core::action::Block;
 use xtuml_core::builder::DomainBuilder;
 use xtuml_core::marks::{ElemRef, MarkSet, MarkValue};
+use xtuml_core::testcase::TestCase;
 use xtuml_core::value::{DataType, Value};
 use xtuml_core::{Domain, Multiplicity, Result};
-use xtuml_verify::TestCase;
 
 /// The scalar types generated models use. Strings are excluded because
 /// they cannot marshal across a hardware/software boundary; reals are

@@ -14,19 +14,20 @@
 //! `#` starts a comment wherever it begins a token. Each directive has an
 //! exact token count (`at` takes any number of arguments), a name is bound
 //! by exactly one `create`, and arguments are `true`/`false`, an `i64`, an
-//! `f64` or a `"…"` string without whitespace. Directives reach the caller
-//! in script order with instance names already mapped to creation
-//! ordinals, so every caller applies the same script the same way.
+//! `f64` or a `"…"` string without whitespace. [`drive`] applies the
+//! directives to any [`Drive`] in script order, so every caller applies
+//! the same script the same way; the fuzz corpus records it into a
+//! `TestCase`, which is a `Drive` too.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
+use xtuml_core::testcase::Drive;
 use xtuml_core::value::Value;
 
 /// One directive; instances are named by creation ordinal (the number of
 /// `create`s before the one that bound the name).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Directive<'a> {
+enum Directive<'a> {
     /// `create <name> <Class>`: the next ordinal.
     Create(&'a str),
     /// `relate <a> <b> <Assoc>`.
@@ -35,28 +36,38 @@ pub enum Directive<'a> {
     At(u64, usize, &'a str, Vec<Value>),
 }
 
-/// Reads `src` and hands each directive to `apply`, in script order.
+/// Reads `src` and applies each directive to `target`, in script order.
+/// Returns `target`'s handle for each created instance, in creation
+/// order.
 ///
 /// # Errors
 ///
 /// Stops at the first malformed line, or the first line whose directive
-/// `apply` rejects, and reports it as `line N: …` (1-based).
-pub fn for_each<'a, E: fmt::Display>(
-    src: &'a str,
-    mut apply: impl FnMut(Directive<'a>) -> Result<(), E>,
-) -> Result<(), String> {
+/// `target` rejects, and reports it as `line N: …` (1-based).
+pub fn drive<D: Drive>(src: &str, target: &mut D) -> Result<Vec<D::Handle>, String>
+where
+    D::Error: fmt::Display,
+{
     let mut names: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut handles = Vec::new();
     for (i, line) in src.lines().enumerate() {
         let mut toks = line.split_whitespace().take_while(|t| !t.starts_with('#'));
         let Some(verb) = toks.next() else { continue };
         directive(verb, &mut toks, &mut names)
             .and_then(|d| match toks.next() {
                 Some(extra) => Err(format!("extra token `{extra}`")),
-                None => apply(d).map_err(|e| e.to_string()),
+                None => match d {
+                    Directive::Create(class) => target.create(class).map(|h| handles.push(h)),
+                    Directive::Relate(a, b, assoc) => target.relate(handles[a], handles[b], assoc),
+                    Directive::At(time, i, event, args) => {
+                        target.inject(time, handles[i], event, args)
+                    }
+                }
+                .map_err(|e| e.to_string()),
             })
             .map_err(|msg| format!("line {}: {msg}", i + 1))?;
     }
-    Ok(())
+    Ok(handles)
 }
 
 fn directive<'a>(
@@ -123,15 +134,12 @@ pub fn argument(word: &str) -> Result<Value, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use Directive::{At, Create, Relate};
+    use xtuml_core::testcase::TestCase;
 
-    fn read(src: &str) -> Result<Vec<Directive<'_>>, String> {
-        let mut out = Vec::new();
-        for_each(src, |d| {
-            out.push(d);
-            Ok::<_, String>(())
-        })?;
-        Ok(out)
+    fn read(src: &str) -> Result<TestCase, String> {
+        let mut tc = TestCase::new("read");
+        drive(src, &mut tc)?;
+        Ok(tc)
     }
 
     #[test]
@@ -144,12 +152,10 @@ mod tests {
             Value::Bool(true),
             Value::Str("x#y".into()),
         ];
-        let want = vec![
-            Create("A"),
-            Create("B"),
-            Relate(1, 0, "R1"),
-            At(5, 1, "E", args),
-        ];
+        let mut want = TestCase::new("read");
+        want.create("A");
+        want.create("B");
+        want.relate(1, 0, "R1").inject(5, 1, "E", args);
         assert_eq!(read(src).unwrap(), want);
     }
 
@@ -171,14 +177,5 @@ mod tests {
                 "{src}"
             );
         }
-    }
-
-    #[test]
-    fn apply_errors_carry_the_line() {
-        let err = for_each("create a A\n\ncreate b B", |d| match d {
-            Create("B") => Err("no class B"),
-            _ => Ok(()),
-        });
-        assert_eq!(err.unwrap_err(), "line 3: no class B");
     }
 }

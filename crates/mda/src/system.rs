@@ -14,6 +14,7 @@ use crate::swpart::SwPartition;
 use crate::{MdaError, Result};
 use xtuml_core::ids::InstId;
 use xtuml_core::model::Domain;
+use xtuml_core::testcase::Drive;
 use xtuml_core::value::Value;
 use xtuml_cosim::{Bridge, CoClock, CoSystem, CosimStats};
 use xtuml_exec::ObservableEvent;
@@ -23,6 +24,23 @@ pub struct CompiledSystem<'d> {
     domain: &'d Domain,
     partition: Partition,
     sys: CoSystem<HwPartition<'d>, SwPartition<'d>>,
+}
+
+impl Drive for CompiledSystem<'_> {
+    type Handle = InstId;
+    type Error = MdaError;
+
+    fn create(&mut self, class: &str) -> Result<InstId> {
+        CompiledSystem::create(self, class)
+    }
+
+    fn relate(&mut self, a: InstId, b: InstId, assoc: &str) -> Result<()> {
+        CompiledSystem::relate(self, a, b, assoc)
+    }
+
+    fn inject(&mut self, time: u64, inst: InstId, event: &str, args: Vec<Value>) -> Result<()> {
+        CompiledSystem::inject(self, time, inst, event, args)
+    }
 }
 
 impl<'d> CompiledSystem<'d> {

@@ -395,9 +395,9 @@ mod tests {
 
     #[test]
     fn serial_fork_join_inside_a_worker_is_allowed() {
-        // A strictly serial pool spawns no threads, so wrapping one
-        // (e.g. explore_seeds delegating to explore_seeds_jobs(.., 1))
-        // must keep working even when invoked from a parallel worker.
+        // A strictly serial pool spawns no threads, so a serial sweep
+        // (e.g. `verify::explore_seeds` at `jobs = 1`) must keep working
+        // even when invoked from a parallel worker.
         let pool = Pool::new(2);
         let items: Vec<u64> = (0..6).collect();
         let out = pool.map(&items, |_, v| {

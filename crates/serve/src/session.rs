@@ -29,7 +29,7 @@ use xtuml_core::ids::InstId;
 use xtuml_core::model::Domain;
 use xtuml_exec::{Program, SchedPolicy, Simulation};
 use xtuml_lang::parse_domain;
-use xtuml_lang::stim::{self, Directive};
+use xtuml_lang::stim;
 use xtuml_obs::{Counter, Recorder};
 
 use crate::proto::{err_response, from_hex, json_str, ok_response, push_json_str, to_hex, Request};
@@ -411,15 +411,10 @@ impl Store {
         let mut rec = Recorder::new();
         rec.track = id as u32;
         sim.attach_recorder(rec);
-        let mut handles = Vec::new();
-        let applied = stim::for_each(setup, |d| match d {
-            Directive::Create(class) => sim.create(class).map(|h| handles.push(h)),
-            Directive::Relate(a, b, assoc) => sim.relate(handles[a], handles[b], assoc),
-            Directive::At(time, i, event, args) => sim.inject(time, handles[i], event, args),
-        });
-        if let Err(e) = applied {
-            return err_response(&format!("setup {e}"), &[]);
-        }
+        let handles = match stim::drive(setup, &mut sim) {
+            Ok(h) => h,
+            Err(e) => return err_response(&format!("setup {e}"), &[]),
+        };
         self.next_id += 1;
         self.sessions.insert(
             id,

@@ -14,6 +14,7 @@ use std::cell::Cell;
 
 use xtuml_core::builder::pipeline_domain;
 use xtuml_lang::print_domain;
+use xtuml_serve::daemon::{SMOKE_MODEL, SMOKE_SETUP};
 use xtuml_serve::{Request, SessionCfg, Store};
 
 thread_local! {
@@ -159,4 +160,22 @@ fn restore_and_a_second_create_reuse_the_compiled_model() {
     let (created, allocs) = allocs_in(|| store.apply(&create));
     assert_eq!(number(&created, "session"), 2.0, "{created}");
     assert!(allocs < 150, "a second create took {allocs} allocations");
+}
+
+#[test]
+fn a_repeated_doorbell_create_stays_within_its_allocation_count() {
+    // The `serve_churn` session shape on a loaded model: the setup script
+    // applies straight to the simulation, building no test case. 22 is
+    // the count measured when the bound was set.
+    let create = Request::Create {
+        model: SMOKE_MODEL.to_owned(),
+        setup: SMOKE_SETUP.to_owned(),
+        seed: 7,
+        fuel: None,
+    };
+    let mut store = Store::new(SessionCfg::default());
+    store.apply(&create);
+    let (created, allocs) = allocs_in(|| store.apply(&create));
+    assert_eq!(number(&created, "session"), 2.0, "{created}");
+    assert!(allocs <= 22, "a doorbell create took {allocs} allocations");
 }

@@ -1,9 +1,9 @@
 //! The verification harness: one test case, many implementations.
 
 use crate::equivalence::{check_equivalence, EquivReport};
-use crate::testcase::TestCase;
 use xtuml_core::marks::MarkSet;
 use xtuml_core::model::Domain;
+use xtuml_core::testcase::TestCase;
 use xtuml_exec::{ObservableEvent, SchedPolicy, Simulation};
 use xtuml_mda::{CompiledDesign, MdaError, ModelCompiler};
 
@@ -19,18 +19,7 @@ pub fn run_model(
     tc: &TestCase,
 ) -> Result<Vec<ObservableEvent>, xtuml_core::CoreError> {
     let mut sim = Simulation::with_policy(domain, policy);
-    let mut insts = Vec::new();
-    for class in &tc.creates {
-        insts.push(sim.create(class)?);
-    }
-    for (a, b, assoc) in &tc.relates {
-        sim.relate(insts[*a], insts[*b], assoc)?;
-    }
-    let mut stimuli = tc.stimuli.clone();
-    stimuli.sort_by_key(|s| s.time);
-    for s in &stimuli {
-        sim.inject(s.time, insts[s.inst], &s.event, s.args.clone())?;
-    }
+    tc.apply(&mut sim)?;
     sim.run_to_quiescence()?;
     Ok(sim.trace().observable(domain))
 }
@@ -46,18 +35,7 @@ pub fn run_compiled(
     tc: &TestCase,
 ) -> Result<Vec<ObservableEvent>, MdaError> {
     let mut sys = design.instantiate();
-    let mut insts = Vec::new();
-    for class in &tc.creates {
-        insts.push(sys.create(class)?);
-    }
-    for (a, b, assoc) in &tc.relates {
-        sys.relate(insts[*a], insts[*b], assoc)?;
-    }
-    let mut stimuli = tc.stimuli.clone();
-    stimuli.sort_by_key(|s| s.time);
-    for s in &stimuli {
-        sys.inject(s.time, insts[s.inst], &s.event, s.args.clone())?;
-    }
+    tc.apply(&mut sys)?;
     sys.run_to_quiescence()?;
     Ok(sys.observables())
 }
@@ -111,26 +89,14 @@ pub fn check_expectations(
 /// against a compiled implementation is only meaningful for test cases
 /// whose observables this function reports as seed-independent.
 ///
+/// The sweep runs on `jobs` worker threads. Each seeded run is
+/// independent, so the verdict (and any error, taken from the lowest
+/// failing seed) does not depend on `jobs`.
+///
 /// # Errors
 ///
 /// Propagates interpreter errors.
 pub fn explore_seeds(
-    domain: &Domain,
-    tc: &TestCase,
-    seeds: u64,
-) -> Result<bool, xtuml_core::CoreError> {
-    explore_seeds_jobs(domain, tc, seeds, 1)
-}
-
-/// [`explore_seeds`] with the sweep distributed over `jobs` worker
-/// threads. Each seeded run is independent, so the sweep parallelises
-/// perfectly; the verdict (and any error, taken from the lowest failing
-/// seed) is identical to the serial sweep.
-///
-/// # Errors
-///
-/// Propagates interpreter errors.
-pub fn explore_seeds_jobs(
     domain: &Domain,
     tc: &TestCase,
     seeds: u64,
@@ -206,7 +172,7 @@ mod tests {
     fn pipeline_is_confluent_racy_collector_is_not() {
         let d = pipeline_domain(3).unwrap();
         let tc = TestCase::pipeline(3, 4);
-        assert!(explore_seeds(&d, &tc, 10).unwrap());
+        assert!(explore_seeds(&d, &tc, 10, 1).unwrap());
 
         // A racy model: two senders burst at one receiver that reports a
         // running total — the totals' order depends on the interleaving.
@@ -236,14 +202,13 @@ mod tests {
         let s2 = tc.create("Src");
         tc.inject(0, s1, "Go", vec![xtuml_core::Value::Int(1)]);
         tc.inject(0, s2, "Go", vec![xtuml_core::Value::Int(2)]);
-        assert!(!explore_seeds(&racy, &tc, 32).unwrap());
+        assert!(!explore_seeds(&racy, &tc, 32, 1).unwrap());
 
         // The parallel sweep reaches the same verdicts as the serial one.
-        let confluent = pipeline_domain(3).unwrap();
         let ptc = TestCase::pipeline(3, 4);
         for jobs in [2, 4] {
-            assert!(explore_seeds_jobs(&confluent, &ptc, 10, jobs).unwrap());
-            assert!(!explore_seeds_jobs(&racy, &tc, 32, jobs).unwrap());
+            assert!(explore_seeds(&d, &ptc, 10, jobs).unwrap());
+            assert!(!explore_seeds(&racy, &tc, 32, jobs).unwrap());
         }
     }
 

@@ -4,7 +4,9 @@
 //!
 //! * §2 — *"formal test cases can be executed against the model"*:
 //!   [`TestCase`] scripts a population and stimuli, [`run_model`] executes
-//!   it on the abstract interpreter and yields the observable trace;
+//!   it on the abstract interpreter and yields the observable trace. The
+//!   test case itself lives in `xtuml_core::testcase`, next to the
+//!   `Drive` trait every executor implements, and is re-exported here;
 //! * §4 — *"the defined behavior is preserved"* by any mapping:
 //!   [`run_compiled`] executes the same test case on a partitioned,
 //!   co-simulated implementation, and [`check_equivalence`] compares the
@@ -21,11 +23,7 @@
 pub mod drift;
 pub mod equivalence;
 pub mod harness;
-pub mod testcase;
 
 pub use equivalence::{check_equivalence, Divergence, EquivReport};
-pub use harness::{
-    check_expectations, explore_seeds, explore_seeds_jobs, run_compiled, run_model,
-    verify_partition,
-};
-pub use testcase::{Expectation, TestCase};
+pub use harness::{check_expectations, explore_seeds, run_compiled, run_model, verify_partition};
+pub use xtuml_core::testcase::{Expectation, TestCase};

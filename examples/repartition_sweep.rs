@@ -37,16 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let design = ModelCompiler::new().compile(&domain, &marks)?;
 
         let mut sys = design.instantiate();
-        let mut insts = Vec::new();
-        for class in &tc.creates {
-            insts.push(sys.create(class)?);
-        }
-        for (a, b, assoc) in &tc.relates {
-            sys.relate(insts[*a], insts[*b], assoc)?;
-        }
-        for s in &tc.stimuli {
-            sys.inject(s.time, insts[s.inst], &s.event, s.args.clone())?;
-        }
+        tc.apply(&mut sys)?;
         let stats = sys.run_to_quiescence()?;
         let report = check_equivalence(&model_trace, &sys.observables());
         all_ok &= report.is_equivalent();

@@ -40,7 +40,7 @@ use xtuml_core::error::Pos;
 use xtuml_core::marks::MarkSet;
 use xtuml_core::model::Domain;
 use xtuml_core::{lint, validate};
-use xtuml_lang::stim::{self, Directive};
+use xtuml_lang::stim;
 use xtuml_lang::{
     parse_domain, parse_domain_for_lint, parse_marks, parse_marks_spanned, print_domain,
 };
@@ -481,13 +481,7 @@ pub fn cmd_run_full(
         rec.stream_epochs = obs.stream_epochs;
         sim.attach_recorder(rec);
     }
-    let mut handles = Vec::new();
-    stim::for_each(script_src, |d| match d {
-        Directive::Create(class) => sim.create(class).map(|h| handles.push(h)),
-        Directive::Relate(a, b, assoc) => sim.relate(handles[a], handles[b], assoc),
-        Directive::At(time, i, event, args) => sim.inject(time, handles[i], event, args),
-    })
-    .map_err(|e| CliError(format!("script {e}")))?;
+    stim::drive(script_src, &mut sim).map_err(|e| CliError(format!("script {e}")))?;
 
     let run_t0 = obs.on().then(std::time::Instant::now);
     sim.run_to_quiescence(opts.jobs)?;

@@ -167,12 +167,7 @@ fn model_level_attributes_match_cosim_attributes() {
 
     // Model side.
     let mut sim = Simulation::new(&domain);
-    let b = sim.create("Button").unwrap();
-    let c = sim.create("Chimer").unwrap();
-    sim.relate(b, c, "R1").unwrap();
-    for s in &tc.stimuli {
-        sim.inject(s.time, b, &s.event, s.args.clone()).unwrap();
-    }
+    let sim_insts = tc.apply(&mut sim).unwrap();
     sim.run_to_quiescence().unwrap();
 
     // Cosim side (hardware chimer).
@@ -181,21 +176,15 @@ fn model_level_attributes_match_cosim_attributes() {
     marks.set(ElemRef::domain(), keys::BUS_LATENCY, 2i64);
     let design = ModelCompiler::new().compile(&domain, &marks).unwrap();
     let mut sys = design.instantiate();
-    let b2 = sys.create("Button").unwrap();
-    let c2 = sys.create("Chimer").unwrap();
-    sys.relate(b2, c2, "R1").unwrap();
-    for s in &tc.stimuli {
-        sys.inject(s.time, b2, &s.event, s.args.clone()).unwrap();
-    }
+    let sys_insts = tc.apply(&mut sys).unwrap();
     sys.run_to_quiescence().unwrap();
 
-    assert_eq!(
-        sim.attr(b, "presses").unwrap(),
-        sys.attr(b2, "presses").unwrap()
-    );
-    assert_eq!(
-        sim.attr(c, "rings").unwrap(),
-        sys.attr(c2, "rings").unwrap()
-    );
-    assert_eq!(sim.attr(c, "rings").unwrap(), Value::Int(3));
+    // Creation ordinal 0 is the button, 1 the chimer.
+    let attr = |inst: usize, name| {
+        let model = sim.attr(sim_insts[inst], name).unwrap();
+        assert_eq!(model, sys.attr(sys_insts[inst], name).unwrap(), "{name}");
+        model
+    };
+    attr(0, "presses");
+    assert_eq!(attr(1, "rings"), Value::Int(3));
 }

@@ -9,9 +9,10 @@ use xtuml::core::builder::pipeline_domain;
 use xtuml::core::marks::{ElemRef, MarkSet, MarkValue};
 use xtuml::core::Value;
 use xtuml::exec::SchedPolicy;
-use xtuml::fuzz::{parse_stim, render_stim};
+use xtuml::fuzz::{parse_stim, render_stim, run_reference};
 use xtuml::lang::{parse_domain, print_domain};
-use xtuml::verify::{check_equivalence, run_model, verify_partition, TestCase};
+use xtuml::mda::ModelCompiler;
+use xtuml::verify::{check_equivalence, run_compiled, run_model, verify_partition, TestCase};
 
 /// Any partition of any small pipeline preserves observable behaviour.
 #[test]
@@ -85,29 +86,44 @@ fn prop_markset_diff() {
     });
 }
 
-/// Injecting the same stimuli in any order produces the same model trace
-/// (stimuli are time-sorted internally).
+/// Injecting the same stimuli in any order gives the trace of the
+/// hand-sorted case on the model, the compiled system and the reference
+/// interpreter: a test case applies its stimuli by time, ties in the
+/// order they were added.
 #[test]
 fn prop_stimulus_order_irrelevant() {
     xtuml_prop::run("stimulus_order_irrelevant", |g| {
         let domain = pipeline_domain(2).unwrap();
-        let mut tc1 = TestCase::pipeline(2, 0);
-        let mut times: Vec<u64> = (0..5).collect();
+        let design = ModelCompiler::new()
+            .compile(&domain, &MarkSet::new())
+            .unwrap();
+        // Five feeds over three times, so some tie; payloads tell them apart.
+        let mut feeds: Vec<(u64, i64)> = (0..5).map(|v| (g.below(3), v)).collect();
         // Fisher-Yates with harness randomness.
-        for i in (1..times.len()).rev() {
+        for i in (1..feeds.len()).rev() {
             let j = g.index(i + 1);
-            times.swap(i, j);
+            feeds.swap(i, j);
         }
-        for t in &times {
-            tc1.inject(*t, 0, "Feed", vec![Value::Int(*t as i64)]);
+        let (mut shuffled, mut sorted) = (TestCase::pipeline(2, 0), TestCase::pipeline(2, 0));
+        for &(t, v) in &feeds {
+            shuffled.inject(t, 0, "Feed", vec![Value::Int(v)]);
         }
-        let mut tc2 = TestCase::pipeline(2, 0);
-        for t in 0..5u64 {
-            tc2.inject(t, 0, "Feed", vec![Value::Int(t as i64)]);
+        // The last stage sends each token, incremented once, to SINK.
+        let mut want = Vec::new();
+        for time in 0..3 {
+            for &(t, v) in feeds.iter().filter(|f| f.0 == time) {
+                sorted.inject(t, 0, "Feed", vec![Value::Int(v)]);
+                want.push(vec![Value::Int(v + 1)]);
+            }
         }
-        let a = run_model(&domain, SchedPolicy::default(), &tc1).unwrap();
-        let b = run_model(&domain, SchedPolicy::default(), &tc2).unwrap();
-        assert_eq!(a, b);
+        let model = |tc| run_model(&domain, SchedPolicy::default(), tc).unwrap();
+        let got: Vec<_> = model(&shuffled).into_iter().map(|o| o.args).collect();
+        assert_eq!(got, want);
+        assert_eq!(model(&shuffled), model(&sorted));
+        let compiled = |tc| run_compiled(&design, tc).unwrap();
+        assert_eq!(compiled(&shuffled), compiled(&sorted));
+        let reference = |tc| run_reference(&domain, tc).unwrap();
+        assert_eq!(reference(&shuffled), reference(&sorted));
     });
 }
 

@@ -9,11 +9,13 @@
 //! truncated snapshots must decode to a structured [`SnapError`], never
 //! a panic or a silently wrong simulation.
 
-use std::path::Path;
-use xtuml_core::{AssocId, Domain};
+mod common;
+
+use common::cases;
+use xtuml_core::Domain;
 use xtuml_exec::{SchedPolicy, ShardedSimulation, Simulation, SnapError};
-use xtuml_fuzz::{generate, load_dir, parse_stim};
-use xtuml_lang::parse_domain;
+use xtuml_fuzz::generate;
+use xtuml_fuzz::runner::{coloc_residues, Padded};
 use xtuml_verify::TestCase;
 
 /// Generated-model sweep width (seeds `0..FUZZ_SEEDS`).
@@ -23,45 +25,15 @@ const FUZZ_SEEDS: u64 = 32;
 /// point is that both sides of each comparison share it.
 const SEED: u64 = 7;
 
-fn cases() -> Vec<(String, Domain, TestCase)> {
-    let mut out = Vec::new();
-    for e in load_dir(Path::new("models/fuzz-corpus")).expect("corpus dir is readable") {
-        let domain = parse_domain(&e.model)
-            .unwrap_or_else(|err| panic!("{}: corpus model does not parse: {err}", e.name));
-        let tc = parse_stim(&e.stim)
-            .unwrap_or_else(|err| panic!("{}: corpus stim does not parse: {err}", e.name));
-        out.push((e.name.clone(), domain, tc));
-    }
-    assert!(!out.is_empty(), "fuzz corpus must not be empty");
-    for seed in 0..FUZZ_SEEDS {
-        let spec = generate(seed);
-        let domain = spec.lower().expect("generated specs lower by construction");
-        out.push((format!("seed{seed}"), domain, spec.testcase()));
-    }
-    out
-}
-
 fn setup_seq<'d>(domain: &'d Domain, tc: &TestCase) -> Simulation<'d> {
     let mut sim = Simulation::with_policy(domain, SchedPolicy::seeded(SEED));
-    let mut handles = Vec::with_capacity(tc.creates.len());
-    for class in &tc.creates {
-        handles.push(sim.create(class).expect("create"));
-    }
-    for (a, b, assoc) in &tc.relates {
-        sim.relate(handles[*a], handles[*b], assoc).expect("relate");
-    }
-    let mut stims = tc.stimuli.clone();
-    stims.sort_by_key(|s| s.time);
-    for s in &stims {
-        sim.inject(s.time, handles[s.inst], &s.event, s.args.clone())
-            .expect("inject");
-    }
+    tc.apply(&mut sim).expect("setup");
     sim
 }
 
 #[test]
 fn sequential_snapshots_restore_byte_identically_at_every_cut() {
-    for (name, domain, tc) in &cases() {
+    for (name, domain, tc) in &cases(FUZZ_SEEDS) {
         // The uninterrupted reference run, stepped so the dispatch count
         // is known.
         let mut reference = setup_seq(domain, tc);
@@ -106,38 +78,6 @@ fn sequential_snapshots_restore_byte_identically_at_every_cut() {
     }
 }
 
-/// Per-class create residues satisfying the sharded engine's colocation
-/// precondition (mirrors the fuzz runner's padding scheme): classes
-/// joined by a colocation association share a residue, distinct
-/// components round-robin so the population still spreads over shards.
-fn coloc_residues(domain: &Domain, coloc: &[AssocId]) -> Vec<usize> {
-    let n = domain.classes.len();
-    let mut rep: Vec<usize> = (0..n).collect();
-    fn root(rep: &mut [usize], mut c: usize) -> usize {
-        while rep[c] != c {
-            rep[c] = rep[rep[c]];
-            c = rep[c];
-        }
-        c
-    }
-    for &a in coloc {
-        let assoc = domain.association(a);
-        let (x, y) = (
-            root(&mut rep, assoc.from.index()),
-            root(&mut rep, assoc.to.index()),
-        );
-        rep[x] = y;
-    }
-    let mut assigned: std::collections::BTreeMap<usize, usize> = std::collections::BTreeMap::new();
-    (0..n)
-        .map(|c| {
-            let r = root(&mut rep, c);
-            let next = assigned.len();
-            *assigned.entry(r).or_insert(next) % 8
-        })
-        .collect()
-}
-
 fn setup_sharded<'d>(
     domain: &'d Domain,
     tc: &TestCase,
@@ -146,39 +86,19 @@ fn setup_sharded<'d>(
 ) -> ShardedSimulation<'d> {
     let mut sim =
         ShardedSimulation::with_policy(domain, SchedPolicy::seeded(SEED).with_shards(shards));
-    let mut handles = Vec::with_capacity(tc.creates.len());
-    let mut next = 0usize;
-    for class in &tc.creates {
-        let want = residues[domain.class_id(class).expect("class").index()];
-        while next % 8 != want {
-            sim.create(class).expect("pad create");
-            next += 1;
-        }
-        handles.push(sim.create(class).expect("create"));
-        next += 1;
-    }
-    for (a, b, assoc) in &tc.relates {
-        sim.relate(handles[*a], handles[*b], assoc).expect("relate");
-    }
-    let mut stims = tc.stimuli.clone();
-    stims.sort_by_key(|s| s.time);
-    for s in &stims {
-        sim.inject(s.time, handles[s.inst], &s.event, s.args.clone())
-            .expect("inject");
-    }
+    tc.apply(&mut Padded(&mut sim, residues)).expect("setup");
     sim
 }
 
 #[test]
 fn sharded_snapshots_restore_byte_identically_at_epoch_barriers() {
     let mut pauses = 0u64;
-    for (name, domain, tc) in &cases() {
+    for (name, domain, tc) in &cases(FUZZ_SEEDS) {
         let plan = xtuml_core::effects::analyze(domain);
         if !plan.admitted() {
             continue;
         }
-        let coloc: Vec<AssocId> = plan.coloc_assocs.iter().copied().collect();
-        let residues = coloc_residues(domain, &coloc);
+        let residues = coloc_residues(domain, &plan.coloc_assocs);
         for shards in [1usize, 2, 4] {
             let mut reference = setup_sharded(domain, tc, &residues, shards);
             reference.run_to_quiescence(1).expect("reference run");

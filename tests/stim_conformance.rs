@@ -2,6 +2,8 @@
 //! (`cmd_run`), the serve daemon's `create` setup (`Store::apply`) and the
 //! fuzz corpus reader (`parse_stim`) must accept and reject every script
 //! in the table alike, and reject at the same line with the same message.
+//! Scripts that parse but fail to apply are rejected alike by the two
+//! entry points that apply them.
 
 use xtuml::cli::cmd_run;
 use xtuml::fuzz::parse_stim;
@@ -71,6 +73,19 @@ fn table() -> Vec<(&'static str, String, Option<usize>)> {
     ]
 }
 
+/// `(case, script, line)` rows whose grammar is valid but whose
+/// application fails. The corpus reader checks grammar only and accepts
+/// them; `run` and serve's `create` apply them and must reject at the
+/// same line with the same message.
+fn apply_table() -> Vec<(&'static str, String, usize)> {
+    vec![
+        ("unknown class", format!("{HEAD}create g Ghost\n"), 4),
+        ("unknown event", format!("{HEAD}at 0 btn Explode\n"), 4),
+        ("wrong arity", format!("{HEAD}\nat 0 btn Press 7\n"), 5),
+        ("unknown association", HEAD.replace("R1", "R9"), 3),
+    ]
+}
+
 /// The `line N: message` tail of an error, split into its parts.
 fn located(err: &str) -> (usize, String) {
     let at = err
@@ -115,5 +130,19 @@ fn every_entry_point_reads_the_table_alike() {
         );
         assert_eq!(via_serve(&script), run, "{case}: serve differs from run");
         assert_eq!(via_corpus(&script), run, "{case}: corpus differs from run");
+    }
+    for (case, script, line) in apply_table() {
+        let run = via_run(&script);
+        assert_eq!(
+            run.as_ref().err().map(|e| e.0),
+            Some(line),
+            "{case}: {run:?}"
+        );
+        assert_eq!(via_serve(&script), run, "{case}: serve differs from run");
+        assert_eq!(
+            via_corpus(&script),
+            Ok(()),
+            "{case}: corpus is grammar only"
+        );
     }
 }

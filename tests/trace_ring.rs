@@ -13,12 +13,12 @@
 //! 3. `TraceMode::Off` records nothing while leaving execution itself
 //!    (simulated time, final state) untouched.
 
+mod common;
+
+use common::cases;
 use std::fmt::Write as _;
-use std::path::Path;
 use xtuml_core::Domain;
 use xtuml_exec::{SchedPolicy, ShardedSimulation, Simulation, Trace, TraceEvent, TraceMode};
-use xtuml_fuzz::{generate, load_dir, parse_stim};
-use xtuml_lang::parse_domain;
 use xtuml_verify::TestCase;
 
 const SEED: u64 = 11;
@@ -38,24 +38,6 @@ fn shard_counts(domain: &Domain) -> &'static [usize] {
 /// payload/function side tables and their rebasing on shard merge.
 const FUZZ_SEEDS: u64 = 24;
 
-fn cases() -> Vec<(String, Domain, TestCase)> {
-    let mut out = Vec::new();
-    for e in load_dir(Path::new("models/fuzz-corpus")).expect("corpus dir is readable") {
-        let domain = parse_domain(&e.model)
-            .unwrap_or_else(|err| panic!("{}: corpus model does not parse: {err}", e.name));
-        let tc = parse_stim(&e.stim)
-            .unwrap_or_else(|err| panic!("{}: corpus stim does not parse: {err}", e.name));
-        out.push((e.name.clone(), domain, tc));
-    }
-    assert!(!out.is_empty(), "fuzz corpus must not be empty");
-    for seed in 0..FUZZ_SEEDS {
-        let spec = generate(seed);
-        let domain = spec.lower().expect("generated specs lower by construction");
-        out.push((format!("seed{seed}"), domain, spec.testcase()));
-    }
-    out
-}
-
 fn setup<'d>(
     domain: &'d Domain,
     tc: &TestCase,
@@ -65,19 +47,7 @@ fn setup<'d>(
     let policy = SchedPolicy::seeded(SEED).with_shards(shards);
     let mut sim = ShardedSimulation::with_policy(domain, policy);
     sim.set_trace_mode(mode);
-    let mut handles = Vec::with_capacity(tc.creates.len());
-    for class in &tc.creates {
-        handles.push(sim.create(class).expect("create"));
-    }
-    for (a, b, assoc) in &tc.relates {
-        sim.relate(handles[*a], handles[*b], assoc).expect("relate");
-    }
-    let mut stims = tc.stimuli.clone();
-    stims.sort_by_key(|s| s.time);
-    for s in &stims {
-        sim.inject(s.time, handles[s.inst], &s.event, s.args.clone())
-            .expect("inject");
-    }
+    tc.apply(&mut sim).expect("setup");
     sim
 }
 
@@ -194,7 +164,7 @@ fn legacy_render(trace: &Trace, domain: &Domain) -> String {
 
 #[test]
 fn ring_render_is_byte_identical_to_legacy_event_render() {
-    for (name, domain, tc) in &cases() {
+    for (name, domain, tc) in &cases(FUZZ_SEEDS) {
         for &shards in shard_counts(domain) {
             let mut sim = setup(domain, tc, shards, TraceMode::Full);
             sim.run_to_quiescence(1)
@@ -211,25 +181,10 @@ fn ring_render_is_byte_identical_to_legacy_event_render() {
 
 #[test]
 fn sequential_snapshot_roundtrips_mid_ring() {
-    for (name, domain, tc) in &cases() {
+    for (name, domain, tc) in &cases(FUZZ_SEEDS) {
         // Reference: the uninterrupted sequential run.
         let mut reference = Simulation::with_policy(domain, SchedPolicy::seeded(SEED));
-        let mut handles = Vec::with_capacity(tc.creates.len());
-        for class in &tc.creates {
-            handles.push(reference.create(class).expect("create"));
-        }
-        for (a, b, assoc) in &tc.relates {
-            reference
-                .relate(handles[*a], handles[*b], assoc)
-                .expect("relate");
-        }
-        let mut stims = tc.stimuli.clone();
-        stims.sort_by_key(|s| s.time);
-        for s in &stims {
-            reference
-                .inject(s.time, handles[s.inst], &s.event, s.args.clone())
-                .expect("inject");
-        }
+        tc.apply(&mut reference).expect("setup");
         let mut total = 0u64;
         while reference.step().expect("reference step") {
             total += 1;
@@ -240,17 +195,7 @@ fn sequential_snapshot_roundtrips_mid_ring() {
         // ring (records plus payload/function side tables); restore
         // must rebuild it and continue byte-identically.
         let mut sim = Simulation::with_policy(domain, SchedPolicy::seeded(SEED));
-        let mut handles = Vec::with_capacity(tc.creates.len());
-        for class in &tc.creates {
-            handles.push(sim.create(class).expect("create"));
-        }
-        for (a, b, assoc) in &tc.relates {
-            sim.relate(handles[*a], handles[*b], assoc).expect("relate");
-        }
-        for s in &stims {
-            sim.inject(s.time, handles[s.inst], &s.event, s.args.clone())
-                .expect("inject");
-        }
+        tc.apply(&mut sim).expect("setup");
         for _ in 0..total / 2 {
             assert!(sim.step().expect("step before cut"));
         }
@@ -278,7 +223,7 @@ fn sequential_snapshot_roundtrips_mid_ring() {
 
 #[test]
 fn trace_off_records_nothing_but_execution_is_unchanged() {
-    for (name, domain, tc) in &cases() {
+    for (name, domain, tc) in &cases(FUZZ_SEEDS) {
         for &shards in shard_counts(domain) {
             let mut full = setup(domain, tc, shards, TraceMode::Full);
             full.run_to_quiescence(1)
