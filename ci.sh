@@ -112,6 +112,12 @@ cargo run --quiet --release -- fuzz --seeds 200 --checkpoint \
     > target/fuzz-smoke-ckpt.txt
 cmp target/fuzz-smoke-ckpt.txt tests/golden/fuzz_smoke_checkpoint.txt
 grep -q 'divergences      : 0' target/fuzz-smoke-ckpt.txt
+# The leg must have run: its report counts the snapshot/restore cycles.
+awk '
+    /checkpoint cycles:/ { n = $3 + 0 }
+    END {
+        if (n <= 0) { print "FAIL: the checkpoint leg ran no snapshot/restore cycle"; exit 1 }
+    }' target/fuzz-smoke-ckpt.txt
 
 # Serve smoke gate: the daemon's golden transcript — spawned server on
 # loopback, every verb exercised including a restore-rewind whose

@@ -487,7 +487,8 @@ impl Core {
                             o.count(Counter::BcActions, 1);
                         }
                         let mut ctx = self.exec_ctx(inst, class, bca.n_regs, &env);
-                        let r = bc::run_bc(&mut Host { core: self, t }, &mut ctx, bca);
+                        let domain = t.domain();
+                        let r = bc::run_bc(&mut Host { core: self, domain }, &mut ctx, bca);
                         self.recycle_ctx(ctx);
                         r
                     }
@@ -625,18 +626,19 @@ impl Core {
 }
 
 /// The [`ActionHost`] every dispatch executes against: a core plus the
-/// read-only program. At one shard every access is local; a shard replica
-/// delivers local sends immediately, buffers cross-shard sends, timers
-/// and cancels for the barrier, allocates shard-congruent ids, and
-/// rejects the accesses the effect analysis blocks (structure mutation,
-/// non-owned writes — unreachable after
-/// [`shard_safety`](crate::shard_safety), but enforced anyway).
-pub(crate) struct Host<'a, 'd> {
+/// program's domain, resolved once when the host is built. At one shard
+/// every access is local; a shard replica delivers local sends
+/// immediately, buffers cross-shard sends, timers and cancels for the
+/// barrier, allocates shard-congruent ids, and rejects the accesses the
+/// effect analysis blocks (structure mutation, non-owned writes —
+/// unreachable after [`shard_safety`](crate::shard_safety), but enforced
+/// anyway).
+pub(crate) struct Host<'a> {
     pub(crate) core: &'a mut Core,
-    pub(crate) t: &'a Program<'d>,
+    pub(crate) domain: &'a Domain,
 }
 
-impl Host<'_, '_> {
+impl Host<'_> {
     fn unsupported(what: &str) -> CoreError {
         CoreError::runtime(format!(
             "{what} is not shard-safe; run with --jobs 1 (sequential)"
@@ -661,9 +663,9 @@ impl Host<'_, '_> {
     }
 }
 
-impl ActionHost for Host<'_, '_> {
+impl ActionHost for Host<'_> {
     fn domain(&self) -> &Domain {
-        self.t.domain()
+        self.domain
     }
 
     fn create(&mut self, class: ClassId) -> Result<InstId> {
@@ -680,7 +682,7 @@ impl ActionHost for Host<'_, '_> {
         };
         let inst = c
             .store
-            .create_with_id(self.t.domain(), class, InstId::new(want as u32));
+            .create_with_id(self.domain, class, InstId::new(want as u32));
         let space = c.store.id_space();
         c.queues.resize_with(space, InstQueues::default);
         c.in_ready.resize(space, false);
@@ -716,9 +718,7 @@ impl ActionHost for Host<'_, '_> {
 
     fn attr_write(&mut self, inst: InstId, attr: AttrId, value: Value) -> Result<()> {
         self.owned(inst)?;
-        self.core
-            .store
-            .attr_write(self.t.domain(), inst, attr, value)
+        self.core.store.attr_write(self.domain, inst, attr, value)
     }
 
     fn attr_write_typed(&mut self, inst: InstId, attr: AttrId, value: Value) -> Result<()> {
@@ -745,7 +745,7 @@ impl ActionHost for Host<'_, '_> {
 
     fn relate(&mut self, a: InstId, b: InstId, assoc: AssocId) -> Result<()> {
         self.structure_mutation("relating instances")?;
-        self.core.store.relate(self.t.domain(), a, b, assoc)
+        self.core.store.relate(self.domain, a, b, assoc)
     }
 
     fn unrelate(&mut self, a: InstId, b: InstId, assoc: AssocId) -> Result<()> {
@@ -866,8 +866,7 @@ impl ActionHost for Host<'_, '_> {
 
     fn bridge_call(&mut self, actor: ActorId, func: &str, args: Vec<Value>) -> Result<Value> {
         let decl = self
-            .t
-            .domain()
+            .domain
             .actor(actor)
             .func(func)
             .ok_or_else(|| CoreError::unresolved("bridge function", func))?;

@@ -15,6 +15,7 @@
 //! first use, profiling span names and the snapshot fingerprint, sit
 //! behind `OnceLock`s and are pure functions of the domain.
 
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 use xtuml_core::bc::{BcAction, BcProgram};
 use xtuml_core::code::CompiledProgram;
@@ -160,7 +161,10 @@ impl SpanNames {
 /// # Ok::<(), xtuml_core::CoreError>(())
 /// ```
 pub struct Program<'d> {
-    domain: &'d Domain,
+    /// Borrowed from the caller ([`Program::new`]) or owned
+    /// ([`Program::owned`]), so a program in a long-lived table frees its
+    /// model when its last user drops it.
+    domain: Cow<'d, Domain>,
     bc: BcProgram,
     plan: ShardPlan,
     /// Dispatch slots (see [`resolve_slots`]). The hot path indexes them
@@ -188,10 +192,14 @@ impl<'d> Program<'d> {
     /// pair that failed to compile or lower raises its error when, and
     /// only when, it is dispatched.
     pub fn new(domain: &'d Domain) -> Program<'d> {
-        let compiled = CompiledProgram::new(domain);
-        let plan = effects::analyze(domain);
-        let bc = BcProgram::new(domain, &compiled, &plan.const_attrs);
-        let slots = resolve_slots(domain, &compiled, &bc);
+        Program::build(Cow::Borrowed(domain))
+    }
+
+    fn build(domain: Cow<'d, Domain>) -> Program<'d> {
+        let compiled = CompiledProgram::new(&domain);
+        let plan = effects::analyze(&domain);
+        let bc = BcProgram::new(&domain, &compiled, &plan.const_attrs);
+        let slots = resolve_slots(&domain, &compiled, &bc);
         Program {
             domain,
             bc,
@@ -204,8 +212,8 @@ impl<'d> Program<'d> {
 
     /// The compiled domain.
     #[inline]
-    pub fn domain(&self) -> &'d Domain {
-        self.domain
+    pub fn domain(&self) -> &Domain {
+        &self.domain
     }
 
     /// Where `event` takes an instance of `class` in `state`, read from
@@ -244,11 +252,20 @@ impl<'d> Program<'d> {
     pub(crate) fn fingerprint(&self) -> u64 {
         *self
             .fingerprint
-            .get_or_init(|| crate::snapshot::fingerprint(self.domain))
+            .get_or_init(|| crate::snapshot::fingerprint(&self.domain))
     }
 
     /// Span names, interned on first use.
     pub(crate) fn span_names(&self) -> &SpanNames {
-        self.spans.get_or_init(|| SpanNames::new(self.domain))
+        self.spans.get_or_init(|| SpanNames::new(&self.domain))
+    }
+}
+
+impl Program<'static> {
+    /// Compiles `domain` as [`Program::new`] does and keeps it, so the
+    /// program borrows nothing: a table that outlives every caller can
+    /// hold it, and dropping the last `Arc` frees the model too.
+    pub fn owned(domain: Domain) -> Program<'static> {
+        Program::build(Cow::Owned(domain))
     }
 }

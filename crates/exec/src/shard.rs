@@ -285,7 +285,7 @@ impl<'d> ShardedSimulation<'d> {
     }
 
     /// The domain being executed.
-    pub fn domain(&self) -> &'d Domain {
+    pub fn domain(&self) -> &Domain {
         self.sim.domain()
     }
 
@@ -723,7 +723,9 @@ impl<'d> ShardedSimulation<'d> {
         program: Arc<Program<'d>>,
         bytes: &[u8],
     ) -> SnapResult<ShardedSimulation<'d>> {
-        let domain = program.domain();
+        // Keeps the domain readable after `program` moves into the result.
+        let held = Arc::clone(&program);
+        let domain = held.domain();
         let (mut r, kind) = snapshot::Reader::open(bytes, program.fingerprint())?;
         if kind != snapshot::KIND_SHARDED {
             return Err(SnapError::Corrupt(format!(

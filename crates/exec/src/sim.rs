@@ -202,7 +202,7 @@ impl<'d> Simulation<'d> {
     }
 
     /// The domain being executed.
-    pub fn domain(&self) -> &'d Domain {
+    pub fn domain(&self) -> &Domain {
         self.program.domain()
     }
 
@@ -269,10 +269,10 @@ impl<'d> Simulation<'d> {
         self.host().relate(a, b, id)
     }
 
-    fn host(&mut self) -> Host<'_, 'd> {
+    fn host(&mut self) -> Host<'_> {
         Host {
             core: &mut self.core,
-            t: &self.program,
+            domain: self.program.domain(),
         }
     }
 
@@ -587,7 +587,9 @@ impl<'d> Simulation<'d> {
     ///
     /// As [`Simulation::restore`].
     pub fn restore_with(program: Arc<Program<'d>>, bytes: &[u8]) -> SnapResult<Simulation<'d>> {
-        let domain = program.domain();
+        // Keeps the domain readable after `program` moves into the result.
+        let held = Arc::clone(&program);
+        let domain = held.domain();
         let (mut r, kind) = snapshot::Reader::open(bytes, program.fingerprint())?;
         if kind != snapshot::KIND_SEQUENTIAL {
             return Err(SnapError::Corrupt(format!(

@@ -38,6 +38,7 @@ pub mod spec;
 pub use corpus::{entry, load_dir, parse_stim, render_stim, write_entry, CorpusEntry};
 pub use generate::generate;
 pub use refinterp::run_reference;
+use runner::run_spec_counted;
 pub use runner::{replay, run_case, run_spec, Ablation, CaseOutcome, CaseStats};
 pub use shrink::{shrink, ShrinkStats};
 pub use spec::FuzzSpec;
@@ -129,6 +130,9 @@ pub struct FuzzReport {
     pub newly_admitted: u64,
     /// Per-seed outcome rows, in seed order (JSONL streaming).
     pub per_case: Vec<CaseRow>,
+    /// Snapshot/restore cycles the checkpoint leg ran; `None` when the
+    /// leg was off.
+    pub checkpoints: Option<u64>,
 }
 
 impl FuzzReport {
@@ -150,6 +154,9 @@ impl FuzzReport {
         let _ = writeln!(out, "  compared events  : {}", self.compared);
         let _ = writeln!(out, "  sharded admitted : {}", self.admitted);
         let _ = writeln!(out, "  newly admitted   : {}", self.newly_admitted);
+        if let Some(n) = self.checkpoints {
+            let _ = writeln!(out, "  checkpoint cycles: {n}");
+        }
         for f in &self.failures {
             let _ = writeln!(out, "  FAIL seed {}: {}", f.seed, f.detail);
             if let Some(s) = &f.shrink {
@@ -219,8 +226,9 @@ pub fn fuzz(cfg: &FuzzConfig) -> FuzzReport {
     let pool = xtuml_pool::Pool::new(cfg.jobs);
     let outcomes = pool.map(&seeds, |_, &seed| {
         let spec = generate(seed);
-        let outcome = run_spec(&spec, cfg.ablation, cfg.checkpoint);
-        match outcome {
+        let mut cycles = 0;
+        let outcome = run_spec_counted(&spec, cfg.ablation, cfg.checkpoint, &mut cycles);
+        let result = match outcome {
             CaseOutcome::Pass(stats) => Ok(stats),
             other => {
                 let class = other.class();
@@ -241,14 +249,19 @@ pub fn fuzz(cfg: &FuzzConfig) -> FuzzReport {
                     shrink: shrink_stats,
                 }))
             }
-        }
+        };
+        (result, cycles)
     });
     let mut report = FuzzReport {
         start: cfg.start,
+        checkpoints: cfg.checkpoint.then_some(0),
         ..FuzzReport::default()
     };
-    for (seed, outcome) in seeds.iter().zip(outcomes) {
+    for (seed, (outcome, cycles)) in seeds.iter().zip(outcomes) {
         report.cases += 1;
+        if let Some(n) = report.checkpoints.as_mut() {
+            *n += cycles;
+        }
         match outcome {
             Ok(stats) => {
                 report.dispatches += stats.dispatches;
@@ -294,5 +307,21 @@ mod tests {
         assert!(a.admitted >= a.newly_admitted);
         assert!(a.render().contains("sharded admitted : "));
         assert!(a.render_jsonl().contains("\"newly_admitted\": "));
+        assert!(!a.render().contains("checkpoint cycles"));
+    }
+
+    #[test]
+    fn the_checkpoint_leg_reports_its_cycles() {
+        let cfg = FuzzConfig {
+            start: 0,
+            count: 15,
+            checkpoint: true,
+            ..FuzzConfig::default()
+        };
+        let report = fuzz(&cfg);
+        let cycles = report.checkpoints.expect("the leg ran");
+        assert!(cycles > 0, "{}", report.render());
+        let line = format!("  checkpoint cycles: {cycles}\n");
+        assert!(report.render().contains(&line), "{}", report.render());
     }
 }

@@ -204,13 +204,14 @@ const CHECKPOINT_EVERY: u64 = 5;
 
 /// The interpreter leg again, but the simulation is serialized, dropped
 /// and rebuilt from its own snapshot every [`CHECKPOINT_EVERY`]
-/// dispatches. The final trace must be byte-identical to the
-/// uninterrupted run — any drift means the snapshot codec lost a piece
-/// of live scheduler state.
+/// dispatches, each cycle counted in `cycles`. The final trace must be
+/// byte-identical to the uninterrupted run — any drift means the
+/// snapshot codec lost a piece of live scheduler state.
 fn run_interpreter_checkpointed(
     program: &Arc<Program<'_>>,
     policy: SchedPolicy,
     tc: &TestCase,
+    cycles: &mut u64,
 ) -> Result<Trace, String> {
     let mut sim = Simulation::with_program(Arc::clone(program), policy);
     tc.apply(&mut sim).map_err(|e| e.to_string())?;
@@ -224,6 +225,7 @@ fn run_interpreter_checkpointed(
             let bytes = sim.snapshot();
             sim =
                 Simulation::restore_with(Arc::clone(program), &bytes).map_err(|e| e.to_string())?;
+            *cycles += 1;
         }
     }
     Ok(sim.trace().clone())
@@ -328,6 +330,19 @@ pub fn run_case(
     ablation: Ablation,
     checkpoint: bool,
 ) -> CaseOutcome {
+    run_case_counted(domain, marks, tc, ablation, checkpoint, &mut 0)
+}
+
+/// [`run_case`], adding the checkpoint leg's snapshot/restore cycles to
+/// `cycles`.
+fn run_case_counted(
+    domain: &Domain,
+    marks: &MarkSet,
+    tc: &TestCase,
+    ablation: Ablation,
+    checkpoint: bool,
+    cycles: &mut u64,
+) -> CaseOutcome {
     // Executor 1: the independent reference interpreter.
     let (ref_obs, ref_stats) = match run_reference(domain, tc) {
         Ok(r) => r,
@@ -358,7 +373,7 @@ pub fn run_case(
     // snapshot/restore cycle on a fixed dispatch schedule. Byte-identical
     // traces lock the snapshot codec to the live scheduler state.
     if checkpoint {
-        let ck = match run_interpreter_checkpointed(&program, ablation.policy(), tc) {
+        let ck = match run_interpreter_checkpointed(&program, ablation.policy(), tc, cycles) {
             Ok(t) => t,
             Err(error) => {
                 return CaseOutcome::ExecError {
@@ -487,6 +502,17 @@ pub fn run_case(
 /// Runs one spec end-to-end: lower, round-trip every textual artifact,
 /// then [`run_case`] on the **reparsed** model.
 pub fn run_spec(spec: &FuzzSpec, ablation: Ablation, checkpoint: bool) -> CaseOutcome {
+    run_spec_counted(spec, ablation, checkpoint, &mut 0)
+}
+
+/// [`run_spec`], adding the checkpoint leg's snapshot/restore cycles to
+/// `cycles`.
+pub(crate) fn run_spec_counted(
+    spec: &FuzzSpec,
+    ablation: Ablation,
+    checkpoint: bool,
+    cycles: &mut u64,
+) -> CaseOutcome {
     let domain = match spec.lower() {
         Ok(d) => d,
         Err(e) => return CaseOutcome::BuildError(e.to_string()),
@@ -529,7 +555,7 @@ pub fn run_spec(spec: &FuzzSpec, ablation: Ablation, checkpoint: bool) -> CaseOu
         Err(e) => return CaseOutcome::RoundTrip(format!("stimulus script failed to reparse: {e}")),
     }
 
-    run_case(&reparsed, &marks, &tc, ablation, checkpoint)
+    run_case_counted(&reparsed, &marks, &tc, ablation, checkpoint, cycles)
 }
 
 /// Replays serialized corpus artifacts (see [`crate::corpus`]).

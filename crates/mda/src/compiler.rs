@@ -75,8 +75,6 @@ impl PlatformParams {
 /// text, and the ability to instantiate an executable system.
 #[derive(Debug)]
 pub struct CompiledDesign<'d> {
-    /// The compiled domain.
-    pub domain: &'d Domain,
     /// The domain's compiled actions, which both partitions of every
     /// instantiated system execute.
     pub program: Arc<Program<'d>>,
@@ -121,7 +119,8 @@ impl<'d> CompiledDesign<'d> {
         }
         let bridge = Bridge::new(&bridge_cfg);
         let clock = CoClock::new(self.params.hw_khz, self.params.cpu_khz);
-        CompiledSystem::new(self.domain, self.partition.clone(), hw, sw, bridge, clock)
+        let program = Arc::clone(&self.program);
+        CompiledSystem::new(program, self.partition.clone(), hw, sw, bridge, clock)
     }
 
     /// The execution core of one partition, running the shared program.
@@ -211,7 +210,6 @@ impl ModelCompiler {
         let vhdl_code = vgen::generate_vhdl(domain, &partition, &interface, &params);
         let icd = icd::generate_icd(domain, &partition, &interface, &params);
         Ok(CompiledDesign {
-            domain,
             program: Arc::clone(program),
             partition,
             interface,

@@ -59,7 +59,6 @@ pub(crate) struct Effects {
 
 /// The per-partition execution state shared by both lowerings.
 pub(crate) struct PCore<'d> {
-    pub domain: &'d Domain,
     /// The design's compiled model, shared by both partitions: they run
     /// the same bytecode the abstract interpreter runs.
     program: Arc<Program<'d>>,
@@ -85,14 +84,13 @@ impl<'d> PCore<'d> {
         partition: Partition,
         cycles_per_unit: u64,
     ) -> PCore<'d> {
-        let domain = program.domain();
+        let store = ObjectStore::new(program.domain().associations.len());
         PCore {
-            domain,
             program,
             frame: Vec::new(),
             side,
             partition,
-            store: ObjectStore::new(domain.associations.len()),
+            store,
             now: 0,
             cycles_per_unit: cycles_per_unit.max(1),
             observables: Vec::new(),
@@ -111,7 +109,7 @@ impl<'d> PCore<'d> {
     /// (the generated implementations are strict).
     pub fn dispatch(&mut self, to: InstId, event: EventId, args: Vec<Value>) -> Result<u64> {
         let class = self.store.class_of(to)?;
-        let c = self.domain.class(class);
+        let c = self.domain().class(class);
         let Some(machine) = c.state_machine.as_ref() else {
             return Err(MdaError::mapping(format!(
                 "signal delivered to passive class {}",
@@ -177,17 +175,17 @@ impl<'d> PCore<'d> {
 
 impl ActionHost for PCore<'_> {
     fn domain(&self) -> &Domain {
-        self.domain
+        self.program.domain()
     }
 
     fn create(&mut self, class: ClassId) -> CoreResult<InstId> {
         if self.partition.side(class) != self.side {
             return Err(CoreError::runtime(format!(
                 "mapping rule: cannot create remote-partition class {}",
-                self.domain.class(class).name
+                self.domain().class(class).name
             )));
         }
-        Ok(self.store.create(self.domain, class))
+        Ok(self.store.create(self.program.domain(), class))
     }
 
     fn delete(&mut self, inst: InstId) -> CoreResult<()> {
@@ -208,7 +206,8 @@ impl ActionHost for PCore<'_> {
     }
 
     fn attr_write(&mut self, inst: InstId, attr: AttrId, value: Value) -> CoreResult<()> {
-        self.store.attr_write(self.domain, inst, attr, value)
+        self.store
+            .attr_write(self.program.domain(), inst, attr, value)
     }
 
     fn instances_of(&self, class: ClassId) -> Vec<InstId> {
@@ -235,7 +234,7 @@ impl ActionHost for PCore<'_> {
                 "mapping rule: cannot relate across the partition boundary at run time",
             ));
         }
-        self.store.relate(self.domain, a, b, assoc)
+        self.store.relate(self.program.domain(), a, b, assoc)
     }
 
     fn unrelate(&mut self, a: InstId, b: InstId, assoc: AssocId) -> CoreResult<()> {
@@ -276,7 +275,7 @@ impl ActionHost for PCore<'_> {
         event: EventId,
         args: Arc<[Value]>,
     ) -> CoreResult<()> {
-        let a = self.domain.actor(actor);
+        let a = self.domain().actor(actor);
         let name = a.name.clone();
         let ev = a.events[event.index()].name.clone();
         self.observe(&name, &ev, args.to_vec());
@@ -314,7 +313,7 @@ impl ActionHost for PCore<'_> {
     }
 
     fn bridge_call(&mut self, actor: ActorId, func: &str, args: Vec<Value>) -> CoreResult<Value> {
-        let a = self.domain.actor(actor);
+        let a = self.domain().actor(actor);
         let decl = a
             .func(func)
             .ok_or_else(|| CoreError::unresolved("bridge function", func))?;

@@ -17,6 +17,7 @@ use crate::interface::{self, InterfaceSpec};
 use crate::{MdaError, Result};
 use std::collections::{BTreeMap, VecDeque};
 use xtuml_core::ids::{ClassId, EventId, InstId};
+use xtuml_core::interp::ActionHost;
 use xtuml_core::value::Value;
 use xtuml_cosim::{Bridge, CosimError, HwModel};
 
@@ -142,7 +143,7 @@ impl<'d> HwPartition<'d> {
             let Some(channel) = self.iface.channel_for(class, c.event) else {
                 return Err(MdaError::mapping(format!(
                     "no generated channel for cross signal to {}",
-                    self.core.domain.class(class).name
+                    self.core.domain().class(class).name
                 )));
             };
             let words = interface::marshal(channel, c.to, &c.args)?;
@@ -187,7 +188,7 @@ impl<'d> HwPartition<'d> {
     /// Fails for remote instances or unknown attributes.
     pub fn attr(&self, inst: InstId, name: &str) -> Result<Value> {
         let class = self.core.store.class_of(inst)?;
-        let c = self.core.domain.class(class);
+        let c = self.core.domain().class(class);
         let id = c
             .attr_id(name)
             .ok_or_else(|| MdaError::mapping(format!("unknown attribute {}.{name}", c.name)))?;

@@ -16,6 +16,7 @@ use crate::partition::Side;
 use crate::{MdaError, Result};
 use std::collections::BTreeMap;
 use xtuml_core::ids::{ClassId, EventId, InstId};
+use xtuml_core::interp::ActionHost;
 use xtuml_core::value::Value;
 use xtuml_cosim::regfile::{RX_CHANNEL, RX_DATA0, RX_POP, RX_STATUS};
 use xtuml_cosim::{Bridge, BridgeConfig, CosimError, RegisterFile, SwModel};
@@ -121,7 +122,7 @@ impl<'d> SwPartition<'d> {
             let Some(channel) = self.iface.channel_for(class, c.event) else {
                 return Err(MdaError::mapping(format!(
                     "no generated channel for cross signal to {}",
-                    self.core.domain.class(class).name
+                    self.core.domain().class(class).name
                 )));
             };
             let words = interface::marshal(channel, c.to, &c.args)?;
@@ -203,7 +204,7 @@ impl<'d> SwPartition<'d> {
     /// Fails for remote instances or unknown attributes.
     pub fn attr(&self, inst: InstId, name: &str) -> Result<Value> {
         let class = self.core.store.class_of(inst)?;
-        let c = self.core.domain.class(class);
+        let c = self.core.domain().class(class);
         let id = c
             .attr_id(name)
             .ok_or_else(|| MdaError::mapping(format!("unknown attribute {}.{name}", c.name)))?;

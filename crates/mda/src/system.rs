@@ -12,16 +12,17 @@ use crate::hw::HwPartition;
 use crate::partition::{Partition, Side};
 use crate::swpart::SwPartition;
 use crate::{MdaError, Result};
+use std::sync::Arc;
 use xtuml_core::ids::InstId;
 use xtuml_core::model::Domain;
 use xtuml_core::testcase::Drive;
 use xtuml_core::value::Value;
 use xtuml_cosim::{Bridge, CoClock, CoSystem, CosimStats};
-use xtuml_exec::ObservableEvent;
+use xtuml_exec::{ObservableEvent, Program};
 
 /// A running partitioned implementation of a domain.
 pub struct CompiledSystem<'d> {
-    domain: &'d Domain,
+    program: Arc<Program<'d>>,
     partition: Partition,
     sys: CoSystem<HwPartition<'d>, SwPartition<'d>>,
 }
@@ -45,7 +46,7 @@ impl Drive for CompiledSystem<'_> {
 
 impl<'d> CompiledSystem<'d> {
     pub(crate) fn new(
-        domain: &'d Domain,
+        program: Arc<Program<'d>>,
         partition: Partition,
         hw: HwPartition<'d>,
         sw: SwPartition<'d>,
@@ -53,15 +54,15 @@ impl<'d> CompiledSystem<'d> {
         clock: CoClock,
     ) -> CompiledSystem<'d> {
         CompiledSystem {
-            domain,
+            program,
             partition,
             sys: CoSystem::new(hw, sw, bridge, clock),
         }
     }
 
     /// The domain this system implements.
-    pub fn domain(&self) -> &'d Domain {
-        self.domain
+    pub fn domain(&self) -> &Domain {
+        self.program.domain()
     }
 
     /// Caps the co-simulation length (livelock guard).
@@ -78,17 +79,18 @@ impl<'d> CompiledSystem<'d> {
     ///
     /// Fails on unknown class names.
     pub fn create(&mut self, class: &str) -> Result<InstId> {
-        let class_id = self.domain.class_id(class)?;
+        let domain = self.program.domain();
+        let class_id = domain.class_id(class)?;
         let side = self.partition.side(class_id);
         let (hw_inst, sw_inst) = match side {
             Side::Hw => {
-                let r = self.sys.hw_mut().store_mut().create(self.domain, class_id);
+                let r = self.sys.hw_mut().store_mut().create(domain, class_id);
                 let p = self.sys.sw_mut().store_mut().create_proxy(class_id);
                 (r, p)
             }
             Side::Sw => {
                 let p = self.sys.hw_mut().store_mut().create_proxy(class_id);
-                let r = self.sys.sw_mut().store_mut().create(self.domain, class_id);
+                let r = self.sys.sw_mut().store_mut().create(domain, class_id);
                 (p, r)
             }
         };
@@ -111,15 +113,12 @@ impl<'d> CompiledSystem<'d> {
     ///
     /// Propagates multiplicity and class-mismatch errors.
     pub fn relate(&mut self, a: InstId, b: InstId, assoc: &str) -> Result<()> {
-        let assoc_id = self.domain.assoc_id(assoc)?;
-        self.sys
-            .hw_mut()
-            .store_mut()
-            .relate(self.domain, a, b, assoc_id)?;
-        self.sys
-            .sw_mut()
-            .store_mut()
-            .relate(self.domain, a, b, assoc_id)?;
+        let domain = self.program.domain();
+        let assoc_id = domain.assoc_id(assoc)?;
+        let hw = self.sys.hw_mut().store_mut();
+        hw.relate(domain, a, b, assoc_id)?;
+        let sw = self.sys.sw_mut().store_mut();
+        sw.relate(domain, a, b, assoc_id)?;
         Ok(())
     }
 
@@ -131,7 +130,7 @@ impl<'d> CompiledSystem<'d> {
     /// Fails on unknown events or arity mismatches.
     pub fn inject(&mut self, time: u64, inst: InstId, event: &str, args: Vec<Value>) -> Result<()> {
         let class_id = self.sys.hw().store().class_of(inst)?;
-        let c = self.domain.class(class_id);
+        let c = self.program.domain().class(class_id);
         let event_id = c
             .event_id(event)
             .ok_or_else(|| MdaError::mapping(format!("unknown event {}.{event}", c.name)))?;

@@ -425,8 +425,8 @@ mod tests {
     use xtuml_core::marks::MarkSet;
     use xtuml_core::model::Multiplicity;
 
-    fn split_design() -> crate::CompiledDesign<'static> {
-        // Leak the domain: tests want a 'static design for brevity.
+    /// The VHDL of a two-class design with its filter in hardware.
+    fn split_vhdl() -> String {
         let mut b = DomainBuilder::new("vg");
         b.class("Ctrl")
             .event("Kick", &[])
@@ -449,15 +449,18 @@ mod tests {
             .transition("W", "Work", "X")
             .transition("X", "Work", "X");
         b.association("R1", "Ctrl", Multiplicity::One, "Filt", Multiplicity::One);
-        let domain = Box::leak(Box::new(b.build().unwrap()));
+        let domain = b.build().unwrap();
         let mut m = MarkSet::new();
         m.mark_hardware("Filt");
-        crate::ModelCompiler::new().compile(domain, &m).unwrap()
+        crate::ModelCompiler::new()
+            .compile(&domain, &m)
+            .unwrap()
+            .vhdl_code
     }
 
     #[test]
     fn vhdl_has_package_entity_and_fsm() {
-        let v = split_design().vhdl_code;
+        let v = split_vhdl();
         assert!(v.contains("package xtuml_pkg is"));
         assert!(v.contains("entity Filt_fsm is"));
         assert!(v.contains("architecture rtl of Filt_fsm is"));
@@ -470,13 +473,13 @@ mod tests {
 
     #[test]
     fn software_classes_get_no_entity() {
-        let v = split_design().vhdl_code;
+        let v = split_vhdl();
         assert!(!v.contains("entity Ctrl_fsm"));
     }
 
     #[test]
     fn actions_translate_to_vhdl() {
-        let v = split_design().vhdl_code;
+        let v = split_vhdl();
         assert!(v.contains("r_acc := (r_acc + evt_n);"));
         assert!(v.contains("if (r_acc > to_signed(10, 64)) then"));
         assert!(v.contains("arm_timer(E_Work, self_id, to_signed(5, 64) * CYCLES_PER_UNIT"));
@@ -485,7 +488,7 @@ mod tests {
 
     #[test]
     fn bridge_entity_mirrors_register_map() {
-        let v = split_design().vhdl_code;
+        let v = split_vhdl();
         assert!(v.contains("entity xtuml_bridge is"));
         assert!(v.contains("constant ADDR_RX_STATUS  : natural := 16#100#;"));
         // Channel for sw→hw Filt.Work has TX registers.
@@ -501,7 +504,7 @@ mod tests {
             .state("S", "")
             .initial("S")
             .transition("S", "E", "S");
-        let domain = Box::leak(Box::new(b.build().unwrap()));
+        let domain = b.build().unwrap();
         let mut m = MarkSet::new();
         m.mark_hardware("H");
         m.set(
@@ -509,7 +512,7 @@ mod tests {
             xtuml_core::marks::keys::QUEUE_DEPTH,
             3i64,
         );
-        let design = crate::ModelCompiler::new().compile(domain, &m).unwrap();
+        let design = crate::ModelCompiler::new().compile(&domain, &m).unwrap();
         assert!(design
             .vhdl_code
             .contains("generic (QUEUE_DEPTH : positive := 3);"));

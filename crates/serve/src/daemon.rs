@@ -11,6 +11,7 @@
 
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -48,6 +49,33 @@ struct Job {
     reply: mpsc::Sender<String>,
 }
 
+/// Decodes one request frame, applies it and renders the reply. A panic
+/// while applying the request becomes an error reply and drops only the
+/// session the request named: the manager thread, and with it every
+/// other session, lives on.
+fn handle(store: &mut Store, body: &[u8]) -> String {
+    let Ok(text) = std::str::from_utf8(body) else {
+        return err_response("frame payload is not UTF-8", &[]);
+    };
+    let req = match Request::parse(text) {
+        Ok(req) => req,
+        Err(e) => return err_response(&e, &[]),
+    };
+    match panic::catch_unwind(AssertUnwindSafe(|| store.apply(&req))) {
+        Ok(reply) => reply,
+        Err(_) => match req.session() {
+            Some(id) => {
+                store.drop_session(id);
+                err_response(
+                    "internal error: the session panicked and was closed",
+                    &[("session", id.to_string())],
+                )
+            }
+            None => err_response("internal error: the request panicked", &[]),
+        },
+    }
+}
+
 /// A running daemon. Dropping it (or calling [`Server::shutdown`])
 /// stops the accept loop; connection threads die with their peers.
 pub struct Server {
@@ -73,14 +101,7 @@ impl Server {
         thread::spawn(move || {
             let mut store = Store::new(session_cfg);
             while let Ok(job) = rx.recv() {
-                let reply = match std::str::from_utf8(&job.body) {
-                    Err(_) => err_response("frame payload is not UTF-8", &[]),
-                    Ok(text) => match Request::parse(text) {
-                        Err(e) => err_response(&e, &[]),
-                        Ok(req) => store.apply(&req),
-                    },
-                };
-                let _ = job.reply.send(reply);
+                let _ = job.reply.send(handle(&mut store, &job.body));
             }
         });
         let stop = Arc::new(AtomicBool::new(false));
@@ -298,6 +319,69 @@ pub fn smoke() -> io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Two doorbell sessions, interleaved: each `(session, request)` pair
+    /// is applied through [`handle`], with session `panic_in`'s requests
+    /// panicking inside the store.
+    fn interleaved(panic_in: Option<u64>) -> Vec<(u64, String)> {
+        let create = format!(
+            r#"{{"verb": "create", "model": {}, "setup": {}, "seed": 42}}"#,
+            json_str(SMOKE_MODEL),
+            json_str(SMOKE_SETUP)
+        );
+        let mut store = Store::new(SessionCfg::default());
+        store.panic_in = panic_in;
+        let mut replies = Vec::new();
+        for id in [1, 2] {
+            replies.push((id, handle(&mut store, create.as_bytes())));
+        }
+        let requests = [
+            (1, r#"{"verb": "step", "session": 1, "max_steps": 2}"#),
+            (2, r#"{"verb": "step", "session": 2, "max_steps": 2}"#),
+            (1, r#"{"verb": "step", "session": 1}"#),
+            (
+                2,
+                r#"{"verb": "stimulate", "session": 2, "inst": 0, "event": "Press", "time": 2000}"#,
+            ),
+            (2, r#"{"verb": "step", "session": 2}"#),
+            (1, r#"{"verb": "trace", "session": 1}"#),
+            (2, r#"{"verb": "trace", "session": 2}"#),
+            (2, r#"{"verb": "stats", "session": 2}"#),
+            (2, r#"{"verb": "close", "session": 2}"#),
+        ];
+        for (id, req) in requests {
+            replies.push((id, handle(&mut store, req.as_bytes())));
+        }
+        replies
+    }
+
+    #[test]
+    fn a_panicking_session_is_dropped_and_the_others_are_untouched() {
+        let plain = interleaved(None);
+        let panicked = interleaved(Some(1));
+        let of = |run: &[(u64, String)], id| {
+            run.iter()
+                .filter(|(s, _)| *s == id)
+                .map(|(_, r)| r.clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(of(&plain, 2), of(&panicked, 2));
+        assert!(of(&plain, 2).iter().all(|r| r.starts_with("{\"ok\": true")));
+        let first = of(&panicked, 1);
+        assert!(
+            first[0].starts_with("{\"ok\": true, \"session\": 1"),
+            "{}",
+            first[0]
+        );
+        assert_eq!(
+            first[1],
+            "{\"ok\": false, \"error\": \"internal error: the session panicked and was closed\", \"session\": 1}"
+        );
+        assert!(
+            first[2..].iter().all(|r| r.contains("no session 1")),
+            "{first:?}"
+        );
+    }
 
     #[test]
     fn both_ends_turn_nagle_off() {

@@ -137,6 +137,20 @@ fn json_to_value(v: json::Value) -> Result<Value, String> {
 }
 
 impl Request {
+    /// The session the request names, if any.
+    pub fn session(&self) -> Option<u64> {
+        match self {
+            Request::Ping | Request::Create { .. } => None,
+            Request::Stimulate { session, .. }
+            | Request::Step { session, .. }
+            | Request::Snapshot { session }
+            | Request::Restore { session, .. }
+            | Request::TraceFrom { session, .. }
+            | Request::Stats { session }
+            | Request::Close { session } => Some(*session),
+        }
+    }
+
     /// Parses one request frame.
     ///
     /// # Errors

@@ -7,26 +7,25 @@
 //! only clock: idle eviction is defined in ticks, never wall time, so
 //! the daemon's observable behaviour stays deterministic.
 //!
-//! Two lifetime tricks make the table possible:
+//! Two design choices make the table possible:
 //!
-//! * [`Simulation`] borrows its domain, so every distinct model text is
-//!   parsed once, leaked to `&'static Domain` and compiled once into a
-//!   shared [`Program`] (cached by content: a hash hit also needs equal
-//!   text — re-creating sessions on the same model costs nothing). Every
-//!   `create`, `restore` and spool revival of that model runs the one
-//!   program.
+//! * Every distinct model text is parsed once and compiled once into a
+//!   shared [`Program`] that owns its domain ([`Program::owned`]), cached
+//!   by content: a hash hit also needs equal text. Every `create`,
+//!   `restore` and spool revival of that model runs the one program. The
+//!   cache keeps a model while a live or spooled session holds it, plus
+//!   the [`IDLE_MODELS`] most recently used idle ones.
 //! * The store lives on the daemon's single manager thread. A
 //!   [`Simulation`] is `Send`, but one owner applying requests in order
 //!   is what keeps transcripts deterministic. Evicted sessions become
 //!   snapshot files on disk and are revived by `restore` on their next
 //!   touch.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use xtuml_core::ids::InstId;
-use xtuml_core::model::Domain;
 use xtuml_exec::{Program, SchedPolicy, Simulation};
 use xtuml_lang::parse_domain;
 use xtuml_lang::stim;
@@ -77,26 +76,38 @@ struct Slot {
     last_used: u64,
 }
 
-/// A loaded model: its text, which makes a cache hit exact, and its
-/// compiled program.
+/// Compiled models the cache keeps although no session runs them, so a
+/// client that closes every session and creates again on the same model
+/// recompiles nothing.
+pub const IDLE_MODELS: usize = 8;
+
+/// A loaded model: the FNV-1a hash of its text, the text itself, which
+/// makes a cache hit exact, its compiled program, and the tick it was
+/// last seen in use.
 struct Loaded {
+    hash: u64,
     text: Box<str>,
     program: Arc<Program<'static>>,
+    last_used: u64,
 }
 
 /// The session table. One instance per daemon, owned by the manager
 /// thread.
 pub struct Store {
     cfg: SessionCfg,
-    /// Loaded models by the FNV-1a hash of their text. FNV collisions
-    /// can be crafted, so a hit also needs equal text: a colliding text
-    /// must never pick the program another tenant's `create` runs.
-    models: HashMap<u64, Vec<Loaded>>,
+    /// Loaded models, found by the FNV-1a hash of their text. FNV
+    /// collisions can be crafted, so a hit also needs equal text: a
+    /// colliding text must never pick the program another tenant's
+    /// `create` runs.
+    models: Vec<Loaded>,
     sessions: BTreeMap<u64, Slot>,
     next_id: u64,
     tick: u64,
     /// Sessions evicted to disk over the store's lifetime (stats).
     pub evictions: u64,
+    /// A session whose next request panics, to test panic isolation.
+    #[cfg(test)]
+    pub(crate) panic_in: Option<u64>,
 }
 
 fn fnv(text: &str) -> u64 {
@@ -113,11 +124,13 @@ impl Store {
     pub fn new(cfg: SessionCfg) -> Store {
         Store {
             cfg,
-            models: HashMap::new(),
+            models: Vec::new(),
             sessions: BTreeMap::new(),
             next_id: 1,
             tick: 0,
             evictions: 0,
+            #[cfg(test)]
+            panic_in: None,
         }
     }
 
@@ -130,22 +143,61 @@ impl Store {
     }
 
     fn program_for(&mut self, model: &str) -> Result<Arc<Program<'static>>, String> {
-        let key = fnv(model);
-        let bucket = self.models.get(&key).map_or(&[][..], Vec::as_slice);
-        if let Some(loaded) = bucket.iter().find(|m| &*m.text == model) {
+        let hash = fnv(model);
+        let hit = self
+            .models
+            .iter_mut()
+            .find(|m| m.hash == hash && *m.text == *model);
+        if let Some(loaded) = hit {
+            loaded.last_used = self.tick;
             return Ok(Arc::clone(&loaded.program));
         }
         let domain = parse_domain(model).map_err(|e| format!("model does not parse: {e}"))?;
-        // Sessions borrow their domain for the daemon's whole life; one
-        // leak per distinct model text is the price of a borrow-based
-        // simulator behind a 'static session table.
-        let leaked: &'static Domain = Box::leak(Box::new(domain));
-        let program = Arc::new(Program::new(leaked));
-        self.models.entry(key).or_default().push(Loaded {
+        let program = Arc::new(Program::owned(domain));
+        self.models.push(Loaded {
+            hash,
             text: model.into(),
             program: Arc::clone(&program),
+            last_used: self.tick,
         });
         Ok(program)
+    }
+
+    /// Frees the least recently used idle models beyond [`IDLE_MODELS`].
+    /// A model is idle when the cache holds the only reference to its
+    /// program, i.e. no live or spooled session runs it; a model in use
+    /// counts as used now.
+    fn trim_models(&mut self) {
+        let idle = |m: &Loaded| Arc::strong_count(&m.program) == 1;
+        for m in self.models.iter_mut().filter(|m| !idle(m)) {
+            m.last_used = self.tick;
+        }
+        while self.models.iter().filter(|m| idle(m)).count() > IDLE_MODELS {
+            let idle_models = self.models.iter().enumerate().filter(|(_, m)| idle(m));
+            let (oldest, _) = idle_models
+                .min_by_key(|(_, m)| m.last_used)
+                .expect("more idle models than the cap");
+            self.models.swap_remove(oldest);
+        }
+    }
+
+    /// Removes session `id` and its spool file; `false` if it does not
+    /// exist.
+    fn remove_session(&mut self, id: u64) -> bool {
+        let Some(slot) = self.sessions.remove(&id) else {
+            return false;
+        };
+        if let SlotState::Spooled(path) = slot.state {
+            let _ = std::fs::remove_file(path);
+        }
+        true
+    }
+
+    /// Drops session `id` after a request on it panicked: its state may
+    /// be torn, so it is not kept, and its model may become idle.
+    pub(crate) fn drop_session(&mut self, id: u64) {
+        self.remove_session(id);
+        self.trim_models();
     }
 
     fn spool_path(&self, id: u64) -> PathBuf {
@@ -215,6 +267,10 @@ impl Store {
             return err_response(&format!("no session {id}"), &[]);
         };
         slot.last_used = self.tick;
+        #[cfg(test)]
+        if self.panic_in == Some(id) {
+            panic!("injected panic in session {id}");
+        }
         let Slot {
             state,
             handles,
@@ -234,6 +290,10 @@ impl Store {
         self.tick += 1;
         let reply = self.dispatch(req);
         self.evict_idle();
+        // Only these two verbs change which models a session runs.
+        if matches!(req, Request::Create { .. } | Request::Close { .. }) {
+            self.trim_models();
+        }
         reply
     }
 
@@ -384,13 +444,11 @@ impl Store {
                 })
             }
             Request::Close { session } => {
-                let Some(slot) = self.sessions.remove(session) else {
-                    return err_response(&format!("no session {session}"), &[]);
-                };
-                if let SlotState::Spooled(path) = slot.state {
-                    let _ = std::fs::remove_file(path);
+                if self.remove_session(*session) {
+                    ok_response(&[])
+                } else {
+                    err_response(&format!("no session {session}"), &[])
                 }
-                ok_response(&[])
             }
         }
     }
@@ -448,15 +506,13 @@ mod tests {
     #[test]
     fn a_colliding_model_text_does_not_choose_the_program() {
         let mut store = Store::new(SessionCfg::default());
-        let foreign: &'static Domain = Box::leak(Box::new(pipeline_domain(2).unwrap()));
-        store
-            .models
-            .entry(fnv(SMOKE_MODEL))
-            .or_default()
-            .push(Loaded {
-                text: print_domain(foreign).into(),
-                program: Arc::new(Program::new(foreign)),
-            });
+        let foreign = pipeline_domain(2).unwrap();
+        store.models.push(Loaded {
+            hash: fnv(SMOKE_MODEL),
+            text: print_domain(&foreign).into(),
+            program: Arc::new(Program::owned(foreign)),
+            last_used: 0,
+        });
         let create = Request::Create {
             model: SMOKE_MODEL.to_owned(),
             setup: SMOKE_SETUP.to_owned(),
@@ -467,7 +523,7 @@ mod tests {
         assert!(reply.starts_with("{\"ok\": true"), "{reply}");
         let session = &store.sessions[&1];
         assert_eq!(session.program.domain().name, "Doorbell");
-        assert_eq!(store.models[&fnv(SMOKE_MODEL)].len(), 2);
+        assert_eq!(store.models.len(), 2);
         // The second tenant of the same text shares the first's program.
         store.apply(&create);
         assert!(Arc::ptr_eq(

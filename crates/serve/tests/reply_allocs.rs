@@ -5,9 +5,12 @@
 //! carries one rendered line per record, so a cost paid per byte or per
 //! line shows up as thousands of allocations. A `restore` and a repeated
 //! `create` of a loaded model reuse the model's compiled program, so
-//! rebuilding it would show up as hundreds. Every request is applied
-//! here in process, straight through [`Store::apply`], under a global
-//! allocator that counts the calling thread's allocations.
+//! rebuilding it would show up as hundreds. A model no session runs any
+//! more is freed once more than [`IDLE_MODELS`] such models are cached,
+//! so the bytes the store retains stop growing with the number of
+//! distinct model texts. Every request is applied here in process,
+//! straight through [`Store::apply`], under a global allocator that
+//! counts the calling thread's allocations and live bytes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,45 +18,54 @@ use std::cell::Cell;
 use xtuml_core::builder::pipeline_domain;
 use xtuml_lang::print_domain;
 use xtuml_serve::daemon::{SMOKE_MODEL, SMOKE_SETUP};
+use xtuml_serve::session::IDLE_MODELS;
 use xtuml_serve::{Request, SessionCfg, Store};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting `alloc`, `alloc_zeroed` and `realloc`
-/// calls per thread.
+/// calls and the live bytes they leave, per thread.
 struct Counting;
 
-fn count() {
-    // During thread teardown the counter may be gone; skip it then.
+/// Adds one allocation that changed this thread's live bytes by `grow`.
+fn count(grow: i64) {
+    // During thread teardown the counters may be gone; skip them then.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    track(grow);
+}
+
+fn track(grow: i64) {
+    let _ = LIVE.try_with(|n| n.set(n.get() + grow));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; counting touches only a
-// const-initialised thread-local and never allocates.
+// which upholds the `GlobalAlloc` contract; counting touches only
+// const-initialised thread-locals and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         // SAFETY: the caller's guarantees for `layout` pass through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as i64));
         // SAFETY: `ptr` came from this allocator, i.e. from `System`,
         // with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from `System` with `layout`; the caller
         // guarantees `new_size` is valid for it.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -69,6 +81,11 @@ fn allocs_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// The bytes this thread has allocated and not freed.
+fn live_bytes() -> i64 {
+    LIVE.with(Cell::get)
 }
 
 fn number(reply: &str, key: &str) -> f64 {
@@ -177,5 +194,55 @@ fn a_repeated_doorbell_create_stays_within_its_allocation_count() {
     store.apply(&create);
     let (created, allocs) = allocs_in(|| store.apply(&create));
     assert_eq!(number(&created, "session"), 2.0, "{created}");
+    assert!(allocs <= 22, "a doorbell create took {allocs} allocations");
+}
+
+fn doorbell_create(model: String) -> Request {
+    Request::Create {
+        model,
+        setup: SMOKE_SETUP.to_owned(),
+        seed: 7,
+        fuel: None,
+    }
+}
+
+#[test]
+fn distinct_model_texts_do_not_grow_the_store() {
+    // Doorbell renamed `Doorbell000` to `Doorbell199`: distinct texts of
+    // one length, so every model retains the same bytes.
+    let churn = |store: &mut Store, models: std::ops::Range<usize>| {
+        for k in models {
+            let model = SMOKE_MODEL.replacen("Doorbell", &format!("Doorbell{k:03}"), 1);
+            let created = store.apply(&doorbell_create(model));
+            let session = number(&created, "session") as u64;
+            let closed = store.apply(&Request::Close { session });
+            assert_eq!(closed, "{\"ok\": true}");
+        }
+    };
+    let base = live_bytes();
+    let mut store = Store::new(SessionCfg::default());
+    churn(&mut store, 0..IDLE_MODELS + 1);
+    let early = live_bytes() - base;
+    churn(&mut store, IDLE_MODELS + 1..200);
+    let late = live_bytes() - base;
+    assert!(
+        late <= early,
+        "the store retains {late} bytes after 200 models, {early} after {}",
+        IDLE_MODELS + 1
+    );
+}
+
+#[test]
+fn a_create_after_every_session_closed_is_still_a_cache_hit() {
+    let create = doorbell_create(SMOKE_MODEL.to_owned());
+    let mut store = Store::new(SessionCfg::default());
+    store.apply(&create);
+    store.apply(&create);
+    for session in [1, 2] {
+        let closed = store.apply(&Request::Close { session });
+        assert_eq!(closed, "{\"ok\": true}");
+    }
+    let (created, allocs) = allocs_in(|| store.apply(&create));
+    assert_eq!(number(&created, "session"), 3.0, "{created}");
     assert!(allocs <= 22, "a doorbell create took {allocs} allocations");
 }
