@@ -153,7 +153,9 @@ cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 #   over its 4000 seeds, so its averages depend on how far it got (the
 #   fuzz-smoke cmp above pins fuzz determinism instead);
 # - the serve workloads' `allocs_per_op`: two clients interleave on the
-#   daemon, which moves it by up to 0.1%;
+#   daemon, which moves it by up to 0.1%; its exact guard is
+#   crates/serve/tests/round_trip_allocs.rs (one client, one served
+#   doorbell session's allocations), run by the `-p xtuml-serve` step;
 # - `serve.request_bytes` and `serve.reply_bytes`: they spread each
 #   session's create, trace and close frames over its step cycles, so a
 #   window that ends mid-session moves them (17518.625 at 1 s against

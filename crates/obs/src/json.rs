@@ -185,53 +185,72 @@ impl<'a> Parser<'a> {
         Ok(Value::Num(self.src[start..self.pos].to_owned()))
     }
 
+    /// Reads a string literal. Runs of unescaped text are copied whole;
+    /// a string without escapes is one exact-size copy.
     fn string(&mut self) -> Result<String, String> {
         self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
+        let rest = &self.src.as_bytes()[self.pos..];
+        // Pre-scan to the closing quote, skipping the byte after each
+        // `\`: the literal's length bounds its unescaped length.
+        let (mut end, mut escaped) = (0, false);
+        while let Some(&b) = rest.get(end) {
+            match b {
+                b'"' => break,
+                b'\\' => {
+                    escaped = true;
+                    end += 2;
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .src
-                                .as_bytes()
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogate pairs are not needed for our own
-                            // documents; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let c = self.src[self.pos..].chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                _ => end += 1,
             }
+        }
+        if !escaped && end < rest.len() {
+            let out = self.src[self.pos..self.pos + end].to_owned();
+            self.pos += end + 1;
+            return Ok(out);
+        }
+        let mut out = String::with_capacity(end.min(rest.len()));
+        loop {
+            // `"` and `\` are ASCII, so a run ends on a char boundary.
+            let run = self.src.as_bytes()[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\');
+            let Some(run) = run else {
+                self.pos = self.src.len();
+                return Err(self.err("unterminated string"));
+            };
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run;
+            if self.peek() == Some(b'"') {
+                self.pos += 1;
+                return Ok(out);
+            }
+            self.pos += 1;
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let hex = self
+                        .src
+                        .as_bytes()
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or_else(|| self.err("truncated \\u escape"))?;
+                    let hex = std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
+                    let code =
+                        u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+                    // Surrogate pairs are not needed for our own
+                    // documents; map lone surrogates to U+FFFD.
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                    self.pos += 4;
+                }
+                _ => return Err(self.err("bad escape")),
+            }
+            self.pos += 1;
         }
     }
 
@@ -370,10 +389,41 @@ mod tests {
     }
 
     #[test]
+    fn escapes_at_either_end_of_a_string_decode() {
+        let v = parse(r#"["\tab\n", "\u00e9x\"", "\\", "", "x\/"]"#).unwrap();
+        let strs: Vec<_> = v.as_arr().unwrap().iter().map(Value::as_str).collect();
+        assert_eq!(
+            strs,
+            [
+                Some("\tab\n"),
+                Some("\u{e9}x\""),
+                Some("\\"),
+                Some(""),
+                Some("x/")
+            ]
+        );
+    }
+
+    #[test]
+    fn string_errors_report_their_byte_position() {
+        for (doc, want) in [
+            ("\"abc", "at byte 4: unterminated string"),
+            ("[\"a\u{e9}", "at byte 5: unterminated string"),
+            ("\"a\\nbc", "at byte 6: unterminated string"),
+            ("{\"ab", "at byte 4: unterminated string"),
+            ("\"abc\\", "at byte 5: bad escape"),
+            ("\"a\\nb\\", "at byte 6: bad escape"),
+            ("\"a\\qb\"", "at byte 3: bad escape"),
+            ("\"a\\u00", "at byte 3: truncated \\u escape"),
+        ] {
+            assert_eq!(parse(doc), Err(want.to_owned()), "{doc:?}");
+        }
+    }
+
+    #[test]
     fn a_one_megabyte_string_parses_in_linear_time() {
-        // One legal serve frame can carry a string this long, and the
-        // daemon's single manager thread parses it while every other
-        // session waits.
+        // One legal serve frame can carry a string this long, and a
+        // daemon connection thread parses it before applying the request.
         let text = "abc\u{e9}\u{1f600}".repeat(1 << 17);
         assert!(text.len() > 1 << 20);
         let doc = format!("[\"{text}\"]");

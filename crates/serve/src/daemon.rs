@@ -1,20 +1,17 @@
-//! The TCP daemon: accept loop, per-connection reader threads, and one
-//! manager thread that owns the session table.
-//!
-//! Concurrency lives at the edges: each connection gets a cheap thread
-//! that reads frames and forwards them as jobs, and a single manager
-//! thread applies every request in arrival order against the
-//! [`Store`]. [`Simulation`](xtuml_exec::Simulation) is `Send`, so
-//! sessions could move between threads; the single owner is kept on
-//! purpose — that serialization is what makes a multi-tenant transcript
-//! deterministic enough to diff byte-for-byte in the smoke test.
+//! The TCP daemon: an accept loop, and one thread per connection that
+//! decodes each request frame and applies it to the one [`Store`] under
+//! a lock, so a request crosses no other thread. One client's requests
+//! apply in the order it sent them, which keeps its transcript
+//! deterministic (the smoke test diffs one byte-for-byte); different
+//! clients' requests apply in lock order. At most
+//! [`SessionCfg::max_conns`] connections are served at once; one more
+//! gets an error frame and is closed.
 
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 
 use crate::frame::{read_frame, write_frame, MAX_FRAME};
@@ -44,23 +41,22 @@ impl Default for ServeConfig {
     }
 }
 
-struct Job {
-    body: Vec<u8>,
-    reply: mpsc::Sender<String>,
-}
-
-/// Decodes one request frame, applies it and renders the reply. A panic
-/// while applying the request becomes an error reply and drops only the
-/// session the request named: the manager thread, and with it every
-/// other session, lives on.
-fn handle(store: &mut Store, body: &[u8]) -> String {
-    let Ok(text) = std::str::from_utf8(body) else {
-        return err_response("frame payload is not UTF-8", &[]);
+/// Decodes one request frame, then applies it under the store's lock
+/// and renders the reply. The frame is dropped once decoded, before the
+/// lock is taken. A panic while applying the request becomes an error
+/// reply and drops only the session the request named; it is caught
+/// before the lock guard unwinds, so the lock is never poisoned.
+fn handle(store: &Mutex<Store>, body: Vec<u8>) -> String {
+    let req = {
+        let Ok(text) = String::from_utf8(body) else {
+            return err_response("frame payload is not UTF-8", &[]);
+        };
+        match Request::parse(&text) {
+            Ok(req) => req,
+            Err(e) => return err_response(&e, &[]),
+        }
     };
-    let req = match Request::parse(text) {
-        Ok(req) => req,
-        Err(e) => return err_response(&e, &[]),
-    };
+    let mut store = store.lock().unwrap_or_else(PoisonError::into_inner);
     match panic::catch_unwind(AssertUnwindSafe(|| store.apply(&req))) {
         Ok(reply) => reply,
         Err(_) => match req.session() {
@@ -81,12 +77,12 @@ fn handle(store: &mut Store, body: &[u8]) -> String {
 pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    jobs: Option<mpsc::Sender<Job>>,
     accept: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds loopback and spawns the accept + manager threads.
+    /// Binds loopback and spawns the accept thread, which spawns one
+    /// thread per connection.
     ///
     /// # Errors
     ///
@@ -94,33 +90,32 @@ impl Server {
     pub fn start(cfg: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
         let addr = listener.local_addr()?;
-        let (tx, rx) = mpsc::channel::<Job>();
-        let session_cfg = cfg.session;
-        // The manager: sole owner of every Simulation. Exits when the
-        // last job sender (server handle + connection threads) is gone.
-        thread::spawn(move || {
-            let mut store = Store::new(session_cfg);
-            while let Ok(job) = rx.recv() {
-                let _ = job.reply.send(handle(&mut store, &job.body));
-            }
-        });
+        let max_conns = cfg.session.max_conns;
+        let store = Arc::new(Mutex::new(Store::new(cfg.session)));
         let stop = Arc::new(AtomicBool::new(false));
         let accept_stop = Arc::clone(&stop);
-        let accept_tx = tx.clone();
         let accept = thread::spawn(move || {
             for conn in listener.incoming() {
                 if accept_stop.load(Ordering::SeqCst) {
                     break;
                 }
                 let Ok(stream) = conn else { continue };
-                let jobs = accept_tx.clone();
-                thread::spawn(move || serve_conn(stream, &jobs));
+                // Each connection thread holds a clone of the store's
+                // `Arc` until it exits, even by panic; this loop holds
+                // the other count and is the only one to add clones.
+                if Arc::strong_count(&store) > max_conns {
+                    let max = [("max_conns", max_conns.to_string())];
+                    let refusal = err_response("connection limit reached", &max);
+                    let _ = write_frame(&mut BufWriter::new(&stream), refusal.as_bytes());
+                    continue;
+                }
+                let store = Arc::clone(&store);
+                thread::spawn(move || serve_conn(stream, &store));
             }
         });
         Ok(Server {
             addr,
             stop,
-            jobs: Some(tx),
             accept: Some(accept),
         })
     }
@@ -130,8 +125,9 @@ impl Server {
         self.addr
     }
 
-    /// Stops accepting connections and releases the manager's job
-    /// queue. Established connections finish on their own.
+    /// Stops accepting connections. Established connections finish on
+    /// their own, and the session table is freed when the last of them
+    /// ends.
     pub fn shutdown(mut self) {
         self.stop_now();
     }
@@ -145,7 +141,6 @@ impl Server {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        self.jobs = None;
     }
 }
 
@@ -166,7 +161,7 @@ fn buffered(stream: TcpStream) -> io::Result<(BufReader<TcpStream>, BufWriter<Tc
     Ok((BufReader::new(read_half), BufWriter::new(stream)))
 }
 
-fn serve_conn(stream: TcpStream, jobs: &mpsc::Sender<Job>) {
+fn serve_conn(stream: TcpStream, store: &Mutex<Store>) {
     let Ok((mut reader, mut writer)) = buffered(stream) else {
         return;
     };
@@ -174,11 +169,7 @@ fn serve_conn(stream: TcpStream, jobs: &mpsc::Sender<Job>) {
         match read_frame(&mut reader, MAX_FRAME) {
             Ok(None) => break,
             Ok(Some(body)) => {
-                let (rtx, rrx) = mpsc::channel();
-                if jobs.send(Job { body, reply: rtx }).is_err() {
-                    break;
-                }
-                let Ok(reply) = rrx.recv() else { break };
+                let reply = handle(store, body);
                 if write_frame(&mut writer, reply.as_bytes()).is_err() {
                     break;
                 }
@@ -321,8 +312,9 @@ mod tests {
     use super::*;
 
     /// Two doorbell sessions, interleaved: each `(session, request)` pair
-    /// is applied through [`handle`], with session `panic_in`'s requests
-    /// panicking inside the store.
+    /// is applied through the locked [`handle`], with session
+    /// `panic_in`'s requests panicking inside the store. A panic must
+    /// leave the lock unpoisoned.
     fn interleaved(panic_in: Option<u64>) -> Vec<(u64, String)> {
         let create = format!(
             r#"{{"verb": "create", "model": {}, "setup": {}, "seed": 42}}"#,
@@ -331,9 +323,10 @@ mod tests {
         );
         let mut store = Store::new(SessionCfg::default());
         store.panic_in = panic_in;
+        let store = Mutex::new(store);
         let mut replies = Vec::new();
         for id in [1, 2] {
-            replies.push((id, handle(&mut store, create.as_bytes())));
+            replies.push((id, handle(&store, create.clone().into_bytes())));
         }
         let requests = [
             (1, r#"{"verb": "step", "session": 1, "max_steps": 2}"#),
@@ -350,7 +343,8 @@ mod tests {
             (2, r#"{"verb": "close", "session": 2}"#),
         ];
         for (id, req) in requests {
-            replies.push((id, handle(&mut store, req.as_bytes())));
+            replies.push((id, handle(&store, req.as_bytes().to_vec())));
+            assert!(!store.is_poisoned(), "a panic poisoned the store's lock");
         }
         replies
     }

@@ -9,7 +9,8 @@
 //! * [`session`] — the session table: per-session seeds, fuel budgets,
 //!   backpressure on full stimulus queues, and idle eviction that spools
 //!   snapshots to disk.
-//! * [`daemon`] — the accept/manager thread split, a blocking
+//! * [`daemon`] — the accept loop and its connection threads, which
+//!   apply requests under one lock on the [`Store`], a blocking
 //!   [`Client`], and the golden [`smoke`] transcript.
 //!
 //! Everything is `std`-only; the protocol reuses the JSON parser from

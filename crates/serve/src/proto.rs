@@ -260,13 +260,19 @@ pub(crate) fn push_json_str(out: &mut String, s: &str) {
 
 /// Lower-hex encoding of arbitrary bytes.
 pub fn to_hex(bytes: &[u8]) -> String {
+    let mut out = String::new();
+    push_hex(&mut out, bytes);
+    out
+}
+
+/// Appends the lower-hex encoding of `bytes` to `out`.
+pub(crate) fn push_hex(out: &mut String, bytes: &[u8]) {
     const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(bytes.len() * 2);
+    out.reserve(bytes.len() * 2);
     for &b in bytes {
         out.push(char::from(DIGITS[usize::from(b >> 4)]));
         out.push(char::from(DIGITS[usize::from(b & 0xf)]));
     }
-    out
 }
 
 /// Decodes lower- or upper-hex.

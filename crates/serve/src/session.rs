@@ -2,8 +2,8 @@
 //!
 //! A session is one [`Simulation`] plus its fuel budget and instance
 //! handles; the store owns every session and applies one request at a
-//! time (requests arrive serialized through the daemon's manager
-//! thread). A logical *tick* — one per applied request — is the store's
+//! time (the daemon's connection threads apply requests under one
+//! lock). A logical *tick* — one per applied request — is the store's
 //! only clock: idle eviction is defined in ticks, never wall time, so
 //! the daemon's observable behaviour stays deterministic.
 //!
@@ -15,11 +15,12 @@
 //!   `restore` and spool revival of that model runs the one program. The
 //!   cache keeps a model while a live or spooled session holds it, plus
 //!   the [`IDLE_MODELS`] most recently used idle ones.
-//! * The store lives on the daemon's single manager thread. A
-//!   [`Simulation`] is `Send`, but one owner applying requests in order
-//!   is what keeps transcripts deterministic. Evicted sessions become
-//!   snapshot files on disk and are revived by `restore` on their next
-//!   touch.
+//! * The store sits behind one lock in the daemon. Each connection
+//!   thread decodes its request outside the lock and applies it inside,
+//!   so one request runs at a time and each client's requests run in the
+//!   order it sent them, which keeps its transcript deterministic.
+//!   Evicted sessions become snapshot files on disk and are revived by
+//!   `restore` on their next touch.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -31,7 +32,7 @@ use xtuml_lang::parse_domain;
 use xtuml_lang::stim;
 use xtuml_obs::{Counter, Recorder};
 
-use crate::proto::{err_response, from_hex, json_str, ok_response, push_json_str, to_hex, Request};
+use crate::proto::{err_response, from_hex, ok_response, push_hex, push_json_str, Request};
 
 /// Tunable per-daemon session limits.
 #[derive(Debug, Clone)]
@@ -48,6 +49,9 @@ pub struct SessionCfg {
     pub idle_evict: u64,
     /// Directory for spooled snapshots of evicted sessions.
     pub spool: PathBuf,
+    /// Maximum live client connections; the daemon answers one past it
+    /// with an error frame and closes it. Each connection is a thread.
+    pub max_conns: usize,
 }
 
 impl Default for SessionCfg {
@@ -58,6 +62,7 @@ impl Default for SessionCfg {
             fuel: 1_000_000,
             idle_evict: 0,
             spool: std::env::temp_dir().join("xtuml-serve-spool"),
+            max_conns: 256,
         }
     }
 }
@@ -91,8 +96,8 @@ struct Loaded {
     last_used: u64,
 }
 
-/// The session table. One instance per daemon, owned by the manager
-/// thread.
+/// The session table. One instance per daemon, behind the lock its
+/// connection threads share.
 pub struct Store {
     cfg: SessionCfg,
     /// Loaded models, found by the FNV-1a hash of their text. FNV
@@ -313,7 +318,9 @@ impl Store {
                 args,
                 time,
             } => {
-                let (inst, event, args, time) = (*inst, event.clone(), args.clone(), *time);
+                // `args` is cloned because the request is borrowed; it
+                // allocates nothing when empty, as it is for most events.
+                let (inst, time) = (*inst, *time);
                 self.with_live_sim(*session, |sim, handles, _, _, cfg| {
                     let pending = sim.pending_stimuli();
                     if pending >= cfg.queue_cap {
@@ -329,7 +336,7 @@ impl Store {
                         return err_response(&format!("no instance handle {inst}"), &[]);
                     };
                     let time = time.unwrap_or_else(|| sim.now());
-                    match sim.inject(time, handle, &event, args) {
+                    match sim.inject(time, handle, event, args.clone()) {
                         Ok(()) => ok_response(&[("pending", sim.pending_stimuli().to_string())]),
                         Err(e) => err_response(&e.to_string(), &[]),
                     }
@@ -365,11 +372,16 @@ impl Store {
                 })
             }
             Request::Snapshot { session } => self.with_live_sim(*session, |sim, _, _, _, _| {
+                // The hex goes straight into the quoted field, and the
+                // raw bytes are freed before the reply is rendered.
                 let bytes = sim.snapshot();
-                ok_response(&[
-                    ("len", bytes.len().to_string()),
-                    ("bytes", json_str(&to_hex(&bytes))),
-                ])
+                let len = bytes.len().to_string();
+                let mut hex = String::with_capacity(2 * bytes.len() + 2);
+                hex.push('"');
+                push_hex(&mut hex, &bytes);
+                hex.push('"');
+                drop(bytes);
+                ok_response(&[("len", len), ("bytes", hex)])
             }),
             Request::Restore { session, hex } => {
                 // Revive + lookup first so domain is known; then replace.

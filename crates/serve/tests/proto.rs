@@ -5,13 +5,15 @@
 //! oversized frames, explicit backpressure when a session queue fills,
 //! fuel exhaustion, idle eviction round-trips, and session isolation —
 //! two sessions with the same seed produce identical traces no matter
-//! how a third tenant's requests interleave between them.
+//! how a third tenant's requests interleave between them, or how
+//! concurrent clients' requests interleave — and the connection cap.
 
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
-use xtuml_serve::{frame, Client, ServeConfig, Server, SessionCfg, MAX_FRAME};
+use xtuml_serve::{frame, Client, Request, ServeConfig, Server, SessionCfg, Store, MAX_FRAME};
 
 const MODEL: &str = "domain Tiny;\n\
     actor OUT { signal out(v: int); }\n\
@@ -368,5 +370,112 @@ fn trace_from_any_index_is_the_tail_of_the_full_trace() {
             &all[from..],
             "trace from {from}"
         );
+    }
+}
+
+/// The doorbell session every concurrent client drives: create with
+/// `seed`, one more `Press`, step to quiescence, then the trace. Returns
+/// the trace reply and closes the session.
+fn doorbell_session(seed: u64, mut send: impl FnMut(&str) -> String) -> String {
+    use xtuml_serve::daemon::{SMOKE_MODEL, SMOKE_SETUP};
+    use xtuml_serve::proto::json_str;
+
+    let create = format!(
+        r#"{{"verb": "create", "model": {}, "setup": {}, "seed": {seed}}}"#,
+        json_str(SMOKE_MODEL),
+        json_str(SMOKE_SETUP)
+    );
+    let created = parsed(&send(&create));
+    let id = get(&created, "session").as_num().expect("session id");
+    let stim = format!(
+        r#"{{"verb": "stimulate", "session": {id}, "inst": 0, "event": "Press", "time": {}}}"#,
+        2000 + seed
+    );
+    assert!(send(&stim).starts_with(r#"{"ok": true"#));
+    assert!(send(&format!(r#"{{"verb": "step", "session": {id}}}"#)).contains("quiescent"));
+    let trace = send(&format!(r#"{{"verb": "trace", "session": {id}}}"#));
+    assert_eq!(
+        send(&format!(r#"{{"verb": "close", "session": {id}}}"#)),
+        r#"{"ok": true}"#
+    );
+    trace
+}
+
+#[test]
+fn concurrent_clients_get_the_replies_of_an_in_process_store() {
+    const CLIENTS: u64 = 4;
+    const SESSIONS: u64 = 25;
+    let mut store = Store::new(SessionCfg::default());
+    let want: Vec<String> = (0..CLIENTS * SESSIONS)
+        .map(|seed| {
+            doorbell_session(seed, |body| {
+                store.apply(&Request::parse(body).expect("the request parses"))
+            })
+        })
+        .collect();
+
+    let (server, _idle) = start(SessionCfg::default());
+    let got: Vec<Vec<String>> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let addr = server.addr();
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect");
+                    (c * SESSIONS..(c + 1) * SESSIONS)
+                        .map(|seed| {
+                            doorbell_session(seed, |body| client.request(body).expect("reply"))
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        clients.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let got: Vec<String> = got.into_iter().flatten().collect();
+    assert_eq!(got.len(), want.len());
+    for (seed, (got, want)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(got, want, "seed {seed}");
+    }
+    assert_ne!(want[0], want[1], "distinct seeds give distinct traces");
+}
+
+#[test]
+fn a_connection_past_the_cap_gets_one_error_frame_then_eof() {
+    const PING: &str = r#"{"verb": "ping"}"#;
+    const REFUSED: &str = r#"{"ok": false, "error": "connection limit reached", "max_conns": 2}"#;
+    let cfg = SessionCfg {
+        max_conns: 2,
+        ..SessionCfg::default()
+    };
+    let (server, mut first) = start(cfg);
+    let mut second = Client::connect(server.addr()).expect("connect");
+    // A reply on each means both connection threads are running.
+    assert_eq!(first.request(PING).unwrap(), r#"{"ok": true}"#);
+    assert_eq!(second.request(PING).unwrap(), r#"{"ok": true}"#);
+
+    let third = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = std::io::BufReader::new(third);
+    let reply = frame::read_frame(&mut reader, MAX_FRAME)
+        .unwrap()
+        .expect("the refusal frame");
+    assert_eq!(std::str::from_utf8(&reply).unwrap(), REFUSED);
+    assert!(frame::read_frame(&mut reader, MAX_FRAME).unwrap().is_none());
+    assert_eq!(first.request(PING).unwrap(), r#"{"ok": true}"#);
+
+    // The slot frees when the dropped client's thread sees EOF and
+    // exits; until then a new client is still refused.
+    drop(second);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let mut fourth = Client::connect(server.addr()).expect("connect");
+        match fourth.request(PING) {
+            Ok(reply) if reply == r#"{"ok": true}"# => break,
+            Ok(reply) => assert_eq!(reply, REFUSED),
+            // A refused client that already sent its request may see a
+            // reset instead of the refusal frame.
+            Err(_) => {}
+        }
+        assert!(Instant::now() < deadline, "no slot freed within 10 s");
+        std::thread::sleep(Duration::from_millis(10));
     }
 }

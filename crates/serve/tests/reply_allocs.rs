@@ -8,7 +8,8 @@
 //! rebuilding it would show up as hundreds. A model no session runs any
 //! more is freed once more than [`IDLE_MODELS`] such models are cached,
 //! so the bytes the store retains stop growing with the number of
-//! distinct model texts. Every request is applied here in process,
+//! distinct model texts. Decoding a request copies each JSON string
+//! once, whatever its length. Every request is applied here in process,
 //! straight through [`Store::apply`], under a global allocator that
 //! counts the calling thread's allocations and live bytes.
 
@@ -18,6 +19,7 @@ use std::cell::Cell;
 use xtuml_core::builder::pipeline_domain;
 use xtuml_lang::print_domain;
 use xtuml_serve::daemon::{SMOKE_MODEL, SMOKE_SETUP};
+use xtuml_serve::proto::json_str;
 use xtuml_serve::session::IDLE_MODELS;
 use xtuml_serve::{Request, SessionCfg, Store};
 
@@ -245,4 +247,39 @@ fn a_create_after_every_session_closed_is_still_a_cache_hit() {
     let (created, allocs) = allocs_in(|| store.apply(&create));
     assert_eq!(number(&created, "session"), 3.0, "{created}");
     assert!(allocs <= 22, "a doorbell create took {allocs} allocations");
+}
+
+#[test]
+fn decoding_a_request_copies_each_string_once() {
+    // A string's allocations must not grow with its length: the doorbell
+    // model is ~1 KiB of text and the restore's hex over 8 KiB.
+    let create = format!(
+        r#"{{"verb": "create", "model": {}, "setup": {}, "seed": 42}}"#,
+        json_str(SMOKE_MODEL),
+        json_str(SMOKE_SETUP)
+    );
+    let (parsed, allocs) = allocs_in(|| Request::parse(&create));
+    assert!(matches!(parsed, Ok(Request::Create { .. })), "{parsed:?}");
+    assert!(
+        allocs <= 10,
+        "decoding a doorbell create took {allocs} allocations"
+    );
+
+    let mut store = Store::new(SessionCfg::default());
+    store.apply(&pipeline_create(128));
+    store.apply(&Request::Step {
+        session: 1,
+        max_steps: None,
+    });
+    let snapshot = store.apply(&Request::Snapshot { session: 1 });
+    let doc = xtuml_obs::json::parse(&snapshot).expect("snapshot reply is JSON");
+    let hex = doc
+        .get("bytes")
+        .and_then(|v| v.as_str())
+        .expect("hex bytes");
+    assert!(hex.len() >= 8192, "{} hex digits", hex.len());
+    let restore = format!(r#"{{"verb": "restore", "session": 1, "bytes": "{hex}"}}"#);
+    let (parsed, allocs) = allocs_in(|| Request::parse(&restore));
+    assert!(matches!(parsed, Ok(Request::Restore { .. })), "{parsed:?}");
+    assert!(allocs <= 8, "decoding a restore took {allocs} allocations");
 }

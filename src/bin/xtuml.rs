@@ -21,7 +21,7 @@ fn usage() -> String {
      \x20 xtuml fuzz      [--seeds N] [--start S] [--jobs J] [--shrink] [--corpus DIR]\n\
      \x20                 [--checkpoint] [--metrics out.jsonl]\n\
      \x20 xtuml serve     [--port P] [--sessions N] [--queue-cap N] [--fuel N]\n\
-     \x20                 [--idle-evict N] [--spool DIR] [--smoke]\n"
+     \x20                 [--idle-evict N] [--spool DIR] [--max-conns N] [--smoke]\n"
         .to_owned()
 }
 
@@ -399,6 +399,13 @@ fn real_main() -> Result<(), String> {
                     "--spool" => {
                         opts.spool =
                             Some(rest.next().ok_or("--spool takes a directory")?.to_owned());
+                    }
+                    "--max-conns" => {
+                        opts.max_conns = rest
+                            .next()
+                            .and_then(|n| n.parse().ok())
+                            .filter(|&n| n >= 1)
+                            .ok_or("--max-conns takes a count (>= 1)")?;
                     }
                     "--smoke" => opts.smoke = true,
                     flag => return Err(format!("unknown flag `{flag}`\n{}", usage())),

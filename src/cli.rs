@@ -765,6 +765,9 @@ pub struct ServeOptions {
     pub idle_evict: u64,
     /// Spool directory for evicted sessions (`--spool DIR`).
     pub spool: Option<String>,
+    /// Maximum live client connections (`--max-conns N`); one past it
+    /// gets an error frame and is closed.
+    pub max_conns: usize,
     /// Run the deterministic smoke transcript instead of serving
     /// (`--smoke`): in-process server, golden request/response log on
     /// stdout, exit.
@@ -780,6 +783,7 @@ impl Default for ServeOptions {
             fuel: 1_000_000,
             idle_evict: 0,
             spool: None,
+            max_conns: 256,
             smoke: false,
         }
     }
@@ -804,6 +808,7 @@ pub fn cmd_serve(opts: &ServeOptions) -> Result<String, CliError> {
         queue_cap: opts.queue_cap,
         fuel: opts.fuel,
         idle_evict: opts.idle_evict,
+        max_conns: opts.max_conns,
         ..xtuml_serve::SessionCfg::default()
     };
     if let Some(dir) = &opts.spool {
