@@ -133,8 +133,11 @@ cargo test -q --release -p xtuml-serve
 
 # Model-load allocation gate: loading doorbell allocates about once per
 # name the model keeps, and a loaded domain retains no spare vector
-# capacity (counted in the optimised build the benchmark measures).
+# capacity; compiling it builds one bytecode form per action, lowered
+# straight from the parsed blocks, with no tree built and dropped on the
+# way (both counted in the optimised build the benchmark measures).
 cargo test -q --release -p xtuml-lang --test parse_allocs
+cargo test -q --release -p xtuml-exec --test load_allocs
 
 # Benchmark smoke: perfbench's own test runs all six workloads at tiny
 # sizes through their output checks, so a workload that no longer builds,

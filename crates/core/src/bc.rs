@@ -1,21 +1,26 @@
-//! Register-based bytecode for compiled actions, and the VM that runs
-//! them: the workspace's one action executor.
+//! Register-based bytecode for state actions, and the VM that runs them:
+//! the workspace's one action executor.
 //!
-//! This module lowers each [`CAction`] of a [`CompiledProgram`] into a
-//! contiguous instruction stream executed by a `match`-threaded dispatch
-//! loop ([`run_bc`]). Registers are the frame slots (parameters, then locals)
-//! plus compiler temporaries above them, so the VM reuses the caller's
-//! recycled `Vec<Option<Value>>` frame.
+//! [`BcProgram::new`] lowers every event-reachable state action of a
+//! domain straight from its parsed [`Block`] into a contiguous
+//! instruction stream executed by a `match`-threaded dispatch loop
+//! ([`run_bc`]). Names resolve as the lowering emits: variables and event
+//! parameters become frame slots (parameters first, positionally; locals
+//! at their first textual binding), and attributes, associations,
+//! classes, events and actors become their typed ids, resolved against
+//! the best-known static class of each expression. Registers are the
+//! frame slots plus compiler temporaries above them, so the VM reuses the
+//! caller's recycled `Vec<Option<Value>>` frame.
 //!
-//! The lowering is **semantics-exact**: an action burns the fuel of its
-//! slot-resolved IR — one unit per statement and per expression node — in
-//! the same order relative to every fallible check and every host effect
-//! as a direct walk of that IR, so error identity (fuel exhaustion vs
-//! unbound slot vs runtime error) is preserved at exact fuel boundaries.
-//! Burns are merged into an instruction's entry `fuel` only when nothing
-//! fallible or effectful separates them; otherwise fused handlers burn
-//! internally between their checks. The unit tests hold the VM to a
-//! test-only tree walker of the IR at every fuel level.
+//! The lowering is **semantics-exact**: an action burns one fuel unit per
+//! statement and per expression node, in the same order relative to every
+//! fallible check and every host effect as a direct walk of the block, so
+//! error identity (fuel exhaustion vs unbound slot vs runtime error) is
+//! preserved at exact fuel boundaries. Burns are merged into an
+//! instruction's entry `fuel` only when nothing fallible or effectful
+//! separates them; otherwise fused handlers burn internally between their
+//! checks. The unit tests hold the VM to a test-only tree walker of the
+//! AST at every fuel level.
 //!
 //! **Superinstructions** collapse the dominant traffic shapes measured on
 //! the pipeline/doorbell workloads: `self.a = self.a op <lit>`
@@ -26,22 +31,24 @@
 //! [`Op::SendFirstTo`]) that elides the per-dispatch `Vec` materialisation
 //! and dedup of the navigation.
 //!
-//! A construct that cannot be encoded (a frame needing more than
-//! `u16::MAX` registers, or a pool outgrowing the 16-bit operands) is a
-//! model error: [`BcProgram::new`] stores it as diagnostic X0016
-//! (`bc-unsupported`) in that action's entry, and executors raise it when
-//! the pair is dispatched, exactly like a block that failed to compile.
+//! A block with a name that does not resolve keeps that error, raised
+//! when — and only when — its pair is dispatched. A construct that cannot
+//! be encoded (a frame needing more than `u16::MAX` registers, or a pool
+//! outgrowing the 16-bit operands) is a model error too: [`BcProgram::new`]
+//! stores it as diagnostic X0016 (`bc-unsupported`) in that action's
+//! entry, raised the same way.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use crate::code::{CAction, CExpr, CStmt, CompiledProgram, FrameLayout, Slot};
+use crate::action::{Block, Expr, GenTarget, LValue, Stmt};
 use crate::diag::Code;
 use crate::error::{CoreError, Result};
 use crate::ids::{ActorId, AssocId, AttrId, ClassId, EventId, InstId, StateId};
 use crate::interp::{ActionHost, ExecCtx, Outcome};
-use crate::model::Domain;
-use crate::value::{apply_binop, apply_unop, BinOp, UnOp, Value};
+use crate::model::{Domain, TransitionTarget};
+use crate::value::{apply_binop, apply_unop, BinOp, DataType, UnOp, Value};
 
 /// Bytecode operations. Operand conventions per variant are documented as
 /// `a`/`b`/`c` (`u16`) and `d` (`i32`: relative jump displacement or a
@@ -232,61 +239,113 @@ impl BcAction {
     }
 }
 
+/// Index of a variable or parameter in the execution frame.
+pub type Slot = usize;
+
+/// The frame layout of a lowered action: which name lives in which slot.
+///
+/// Event parameters occupy slots `0..params()` positionally (matching the
+/// argument order of the triggering event); locals follow in
+/// first-textual-binding order.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct FrameLayout {
+    names: Vec<String>,
+    params: usize,
+}
+
+impl FrameLayout {
+    /// Total number of slots (parameters + locals).
+    pub fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    /// True if the frame holds no slots at all.
+    pub fn is_empty(&self) -> bool {
+        self.names.is_empty()
+    }
+
+    /// Number of event-parameter slots (always the first slots).
+    pub fn params(&self) -> usize {
+        self.params
+    }
+
+    /// The name bound to a slot.
+    pub fn name(&self, slot: Slot) -> &str {
+        &self.names[slot]
+    }
+
+    /// Finds the slot of a local variable or parameter by name (locals
+    /// shadow parameters).
+    pub fn slot(&self, name: &str) -> Option<Slot> {
+        // Search locals first, then parameters.
+        self.names[self.params..]
+            .iter()
+            .position(|n| n == name)
+            .map(|i| i + self.params)
+            .or_else(|| self.names[..self.params].iter().position(|n| n == name))
+    }
+}
+
 #[derive(Debug, Clone, Default)]
 struct BcClass {
     n_events: usize,
     entries: Vec<Option<Result<Arc<BcAction>>>>,
 }
 
-/// All lowered actions of a domain, indexed like
-/// [`CompiledProgram`]:
-/// `state * n_events + event` per class.
+/// All lowered actions of a domain, keyed by `(class, entry state,
+/// triggering event)` and indexed `state * n_events + event` per class.
+///
+/// Only `(state, event)` pairs reachable through a transition are
+/// lowered: a state's entry action runs exactly when an event drives a
+/// transition into it (creation enters the initial state silently), and
+/// the frame layout depends on the triggering event's parameters.
 #[derive(Debug, Clone, Default)]
 pub struct BcProgram {
     classes: Vec<BcClass>,
 }
 
 impl BcProgram {
-    /// Lowers every compiled action of `program`. Construction is
-    /// infallible, like [`CompiledProgram::new`]: a pair whose block failed
-    /// to compile keeps that error, and a pair the lowering cannot encode
-    /// stores an X0016 error naming the action and the reason. Either is
-    /// raised when — and only when — the pair is dispatched.
+    /// Lowers every event-reachable state action of `domain`.
+    /// Construction is infallible: a pair whose block has a name that
+    /// does not resolve keeps that error, and a pair the lowering cannot
+    /// encode stores an X0016 error naming the action and the reason.
+    /// Either is raised when — and only when — the pair is dispatched.
     ///
     /// `const_attrs` are the whole-model constant-attribute facts of the
     /// effect analysis ([`ShardPlan::const_attrs`](crate::effects::ShardPlan::const_attrs)):
     /// an attribute written nowhere always holds its declared default, so
     /// `self.attr` reads of it lower to `Op::Const`.
-    pub fn new(
-        domain: &Domain,
-        program: &CompiledProgram,
-        const_attrs: &BTreeSet<(ClassId, AttrId)>,
-    ) -> BcProgram {
-        let empty = BTreeMap::new();
+    pub fn new(domain: &Domain, const_attrs: &BTreeSet<(ClassId, AttrId)>) -> BcProgram {
         let folds = const_fold_maps(domain, const_attrs);
-        let classes = program
+        let classes = domain
             .classes
             .iter()
+            .zip(&folds)
             .enumerate()
-            .map(|(ci, cc)| {
-                let consts = folds.get(ci).unwrap_or(&empty);
-                let entries = cc
-                    .actions
-                    .iter()
-                    .enumerate()
-                    .map(|(idx, slot)| {
-                        Some(match slot.as_ref()? {
-                            Ok(action) => lower_action_with(action, consts)
-                                .map(Arc::new)
-                                .map_err(|why| unsupported(domain, ci, idx, cc.n_events, &why)),
-                            Err(e) => Err(e.clone()),
-                        })
-                    })
-                    .collect();
-                BcClass {
-                    n_events: cc.n_events,
-                    entries,
+            .map(|(ci, (class, consts))| {
+                let Some(machine) = class.state_machine.as_ref() else {
+                    return BcClass::default();
+                };
+                let n_events = class.events.len();
+                let mut entries = vec![None; machine.states.len() * n_events];
+                for t in &machine.transitions {
+                    let TransitionTarget::To(state) = t.target else {
+                        continue;
+                    };
+                    let idx = state.index() * n_events + t.event.index();
+                    if entries[idx].is_none() {
+                        let params = &class.events[t.event.index()].params;
+                        let block = &machine.state(state).action;
+                        let self_class = ClassId::new(ci as u32);
+                        entries[idx] = Some(
+                            lower_block(domain, self_class, params, block, consts).and_then(|r| {
+                                r.map(Arc::new)
+                                    .map_err(|why| unsupported(domain, ci, idx, n_events, &why))
+                            }),
+                        );
+                    }
                 }
+                BcClass { n_events, entries }
             })
             .collect();
         BcProgram { classes }
@@ -297,7 +356,8 @@ impl BcProgram {
     ///
     /// # Errors
     ///
-    /// Returns the compile or X0016 lowering error recorded for the pair.
+    /// Returns the resolution or X0016 lowering error recorded for the
+    /// pair.
     #[inline]
     pub fn entry(
         &self,
@@ -376,12 +436,6 @@ fn const_fold_maps(
 
 // -- lowering --------------------------------------------------------------
 
-type LRes<T> = std::result::Result<T, String>;
-
-fn u16_of(x: usize, what: &str) -> LRes<u16> {
-    u16::try_from(x).map_err(|_| format!("{what} index {x} exceeds the u16 operand limit"))
-}
-
 struct LoopCtx {
     /// Instruction index `continue` jumps back to.
     continue_to: usize,
@@ -389,7 +443,32 @@ struct LoopCtx {
     breaks: Vec<usize>,
 }
 
-struct Lower {
+struct Lower<'a> {
+    domain: &'a Domain,
+    /// Class whose state machine owns the action (static type of `self`).
+    self_class: ClassId,
+    /// Slot names; `0..params` are event parameters. Filled once the
+    /// scan has found every local.
+    names: Vec<String>,
+    params: usize,
+    /// Slot of every local of the block, by name (see [`Lower::scan`]).
+    locals: BTreeMap<&'a str, Slot>,
+    /// Best-known static type per slot bound so far (`None` once a slot
+    /// is rebound with a different type — only possible in unvalidated
+    /// blocks). A local is in scope once its slot is below `types.len()`:
+    /// locals are bound in slot order.
+    types: Vec<Option<DataType>>,
+    /// Stack of candidate classes for nested `where` clauses.
+    selected: Vec<ClassId>,
+    /// Read count per local (slot minus `params`) over the whole block
+    /// (peephole legality).
+    reads: Vec<u32>,
+    /// Declared defaults of provably-const `self` attributes; `None` when
+    /// there are none or the block contains a `delete` (a read after
+    /// deleting `self` must still raise, exactly as the walker does).
+    fold: Option<&'a BTreeMap<AttrId, Value>>,
+    /// Count of self-attribute reads folded to constants.
+    folds: u32,
     code: Vec<Instr>,
     consts: Vec<Value>,
     payloads: Vec<Arc<[Value]>>,
@@ -401,172 +480,84 @@ struct Lower {
     /// Register-file high-water mark.
     high: usize,
     loops: Vec<LoopCtx>,
-    /// Read count per slot over the whole action (peephole legality).
-    reads: Vec<u32>,
-    /// Declared defaults of provably-const `self` attributes; empty when
-    /// the action contains a `delete` (a read after deleting `self` must
-    /// still raise, exactly as the walker does).
-    fold: BTreeMap<AttrId, Value>,
-    /// Count of self-attribute reads folded to constants.
-    folds: u32,
+    /// The first operand that overflowed its 16-bit field. Lowering goes
+    /// on past it, so a name that fails to resolve later in the block
+    /// still takes precedence.
+    overflow: Option<String>,
 }
 
-/// Lowers one compiled action to bytecode.
+/// Lowers one action block, run with `self` of class `self_class` and
+/// the triggering event's positional `params`, folding `self` reads of
+/// the attributes in `const_attrs` (the action class's provably-const
+/// attributes and their declared defaults) to constants at the same fuel
+/// as the `AttrSelf` fast path.
 ///
 /// # Errors
 ///
-/// Returns a human-readable reason when the action cannot be encoded
-/// (operand-width overflow); [`BcProgram::new`] turns it into an X0016
-/// error for that action.
-pub fn lower_action(action: &CAction) -> LRes<BcAction> {
-    lower_action_with(action, &BTreeMap::new())
-}
-
-/// Like [`lower_action`], with whole-model constant-attribute facts from
-/// the effect analysis (see [`ShardPlan::const_attrs`](crate::effects::ShardPlan::const_attrs)).
-///
-/// `const_attrs` maps attributes of the action's `self` class to their
-/// declared defaults, restricted to attributes written nowhere in the
-/// model. Reads of those attributes through `self` lower to [`Op::Const`]
-/// at the same fuel as the `AttrSelf` fast path — fuel-neutral and
-/// walker-exact. The fold is disabled wholesale when the action contains
-/// a `delete`: a `self.attr` read after deleting `self` must still raise.
-///
-/// # Errors
-///
-/// Same failure modes as [`lower_action`].
-pub fn lower_action_with(
-    action: &CAction,
+/// The outer error is the first name the lowering meets that does not
+/// resolve ([`CoreError::Unresolved`]), or a statically detectable misuse
+/// ([`CoreError::Runtime`]: arity mismatches, navigating to the wrong
+/// class, `after` on actor signals). The inner error is the reason a
+/// block that resolves cannot be encoded (operand-width overflow), which
+/// [`BcProgram::new`] turns into an X0016 error for that action.
+pub(crate) fn lower_block(
+    domain: &Domain,
+    self_class: ClassId,
+    params: &[(String, DataType)],
+    block: &Block,
     const_attrs: &BTreeMap<AttrId, Value>,
-) -> LRes<BcAction> {
-    let slots = action.layout.len();
-    let mut reads = vec![0u32; slots];
-    count_stmt_reads(&action.code, &mut reads);
-    let fold = if const_attrs.is_empty() || stmts_contain_delete(&action.code) {
-        BTreeMap::new()
-    } else {
-        const_attrs.clone()
-    };
+) -> Result<Result<BcAction, String>> {
     let mut lw = Lower {
+        domain,
+        self_class,
+        names: Vec::new(),
+        params: params.len(),
+        locals: BTreeMap::new(),
+        types: params.iter().map(|(_, t)| Some(*t)).collect(),
+        selected: Vec::new(),
+        reads: Vec::new(),
+        fold: Some(const_attrs).filter(|c| !c.is_empty()),
+        folds: 0,
         code: Vec::new(),
         consts: Vec::new(),
         payloads: Vec::new(),
         bridges: Vec::new(),
-        next_temp: slots,
-        floor: slots,
-        high: slots,
+        next_temp: 0,
+        floor: 0,
+        high: 0,
         loops: Vec::new(),
-        reads,
-        fold,
-        folds: 0,
+        overflow: None,
     };
+    lw.scan(block);
+    let slots = lw.params + lw.locals.len();
+    // Sized once: the layout lives as long as the program does.
+    lw.names.reserve_exact(slots);
+    lw.names.extend(params.iter().map(|(n, _)| n.clone()));
+    lw.names.resize(slots, String::new());
+    for (name, &slot) in &lw.locals {
+        lw.names[slot] = (*name).to_owned();
+    }
+    (lw.next_temp, lw.floor, lw.high) = (slots, slots, slots);
     // Every slot must itself be addressable.
-    u16_of(slots, "frame slot")?;
-    lw.stmt_list(&action.code, 1)?;
+    lw.u16(slots, "frame slot");
+    lw.stmt_list(&block.stmts, 1)?;
     lw.emit(Op::Halt, 0, 0, 0, 0, 0);
-    Ok(BcAction {
+    if let Some(why) = lw.overflow {
+        return Ok(Err(why));
+    }
+    Ok(Ok(BcAction {
         code: lw.code,
         consts: lw.consts,
         payloads: lw.payloads,
         bridges: lw.bridges,
         n_regs: lw.high,
-        self_class: action.self_class,
-        layout: action.layout.clone(),
+        self_class,
+        layout: FrameLayout {
+            names: lw.names,
+            params: lw.params,
+        },
         const_folds: lw.folds,
-    })
-}
-
-/// Whether any (possibly nested) statement is a `delete`.
-fn stmts_contain_delete(stmts: &[CStmt]) -> bool {
-    stmts.iter().any(|s| match s {
-        CStmt::Delete { .. } => true,
-        CStmt::If { arms, otherwise } => {
-            arms.iter().any(|(_, body)| stmts_contain_delete(body))
-                || otherwise.as_deref().is_some_and(stmts_contain_delete)
-        }
-        CStmt::While { body, .. } | CStmt::ForEach { body, .. } => stmts_contain_delete(body),
-        _ => false,
-    })
-}
-
-fn count_expr_reads(e: &CExpr, reads: &mut [u32]) {
-    match e {
-        CExpr::Slot(s) => reads[*s] += 1,
-        CExpr::Lit(_) | CExpr::SelfRef | CExpr::Selected => {}
-        CExpr::Attr(b, _) => count_expr_reads(b, reads),
-        CExpr::Nav { base, .. } => count_expr_reads(base, reads),
-        CExpr::Unary(_, x) => count_expr_reads(x, reads),
-        CExpr::Binary(_, a, b) => {
-            count_expr_reads(a, reads);
-            count_expr_reads(b, reads);
-        }
-        CExpr::Bridge { args, .. } => {
-            for a in args {
-                count_expr_reads(a, reads);
-            }
-        }
-    }
-}
-
-fn count_stmt_reads(stmts: &[CStmt], reads: &mut [u32]) {
-    for s in stmts {
-        match s {
-            CStmt::AssignSlot { expr, .. } | CStmt::Delete { expr } | CStmt::ExprStmt(expr) => {
-                count_expr_reads(expr, reads);
-            }
-            CStmt::AssignAttr { base, expr, .. } => {
-                count_expr_reads(expr, reads);
-                count_expr_reads(base, reads);
-            }
-            CStmt::Create { .. } | CStmt::Cancel { .. } => {}
-            CStmt::SelectAny { filter, .. } | CStmt::SelectMany { filter, .. } => {
-                if let Some(f) = filter {
-                    count_expr_reads(f, reads);
-                }
-            }
-            CStmt::Relate { a, b, .. } | CStmt::Unrelate { a, b, .. } => {
-                count_expr_reads(a, reads);
-                count_expr_reads(b, reads);
-            }
-            CStmt::GenInst {
-                args,
-                target,
-                delay,
-                ..
-            } => {
-                for a in args {
-                    count_expr_reads(a, reads);
-                }
-                count_expr_reads(target, reads);
-                if let Some(d) = delay {
-                    count_expr_reads(d, reads);
-                }
-            }
-            CStmt::GenActor { args, .. } => {
-                for a in args {
-                    count_expr_reads(a, reads);
-                }
-            }
-            CStmt::If { arms, otherwise } => {
-                for (c, body) in arms {
-                    count_expr_reads(c, reads);
-                    count_stmt_reads(body, reads);
-                }
-                if let Some(body) = otherwise {
-                    count_stmt_reads(body, reads);
-                }
-            }
-            CStmt::While { cond, body } => {
-                count_expr_reads(cond, reads);
-                count_stmt_reads(body, reads);
-            }
-            CStmt::ForEach { set, body, .. } => {
-                count_expr_reads(set, reads);
-                count_stmt_reads(body, reads);
-            }
-            CStmt::Break | CStmt::Continue | CStmt::Return => {}
-        }
-    }
+    }))
 }
 
 /// Packs a binop code and an event index into the `d` operand of the
@@ -652,7 +643,335 @@ fn id_d(idx: usize) -> i32 {
     idx as u32 as i32
 }
 
-impl Lower {
+/// Whether `e` reads a frame slot: a variable or an event parameter.
+fn is_slot(e: &Expr) -> bool {
+    matches!(e, Expr::Var(_) | Expr::Param(_))
+}
+
+/// The static type of `any(e)` for `e` of type `ty`, which is also the
+/// type a `foreach` binds for each element.
+fn any_type(ty: Option<DataType>) -> Option<DataType> {
+    ty.and_then(DataType::class).map(DataType::Inst)
+}
+
+/// The dominant computed-payload shape: exactly one argument of the
+/// form `slot binop literal` (profile: every pipeline, ring, and fan-out
+/// hop forwards a counter this way). Returns the pieces the fused send
+/// ops need, or `None` to take the generic path.
+fn fused_send_arg(args: &[Expr]) -> Option<(&Expr, &Value, BinOp)> {
+    match args {
+        [Expr::Binary(op, a, b)] if is_slot(a) => match &**b {
+            Expr::Lit(v) => Some((a, v, *op)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+fn all_lit(args: &[Expr]) -> bool {
+    args.iter().all(|a| matches!(a, Expr::Lit(_)))
+}
+
+/// The targets the fused send ops address directly.
+enum SendTo<'e> {
+    /// `self`.
+    SelfInst,
+    /// A variable or parameter.
+    Slot(&'e Expr),
+    /// `any(..)` of a variable or parameter.
+    Any(&'e Expr),
+}
+
+impl SendTo<'_> {
+    fn of(target: &Expr) -> Option<SendTo<'_>> {
+        match target {
+            Expr::SelfRef => Some(SendTo::SelfInst),
+            Expr::Unary(UnOp::Any, e) if is_slot(e) => Some(SendTo::Any(e)),
+            _ if is_slot(target) => Some(SendTo::Slot(target)),
+            _ => None,
+        }
+    }
+}
+
+fn check_arity(params: &[(String, DataType)], got: usize, event: &str) -> Result<()> {
+    if params.len() != got {
+        return Err(CoreError::runtime(format!(
+            "event `{event}` takes {} argument(s), got {got}",
+            params.len()
+        )));
+    }
+    Ok(())
+}
+
+fn resolve_attr(domain: &Domain, class: ClassId, name: &str) -> Result<AttrId> {
+    domain
+        .class(class)
+        .attr_id(name)
+        .ok_or_else(|| CoreError::Unresolved {
+            kind: "attribute",
+            name: format!("{}.{name}", domain.class(class).name),
+        })
+}
+
+fn resolve_event(domain: &Domain, class: ClassId, name: &str) -> Result<EventId> {
+    domain
+        .class(class)
+        .event_id(name)
+        .ok_or_else(|| CoreError::Unresolved {
+            kind: "event",
+            name: format!("{}.{name}", domain.class(class).name),
+        })
+}
+
+impl<'a> Lower<'a> {
+    // -- scope -------------------------------------------------------------
+
+    /// Gives every local a slot at its first textual binding and counts
+    /// each local's reads, before anything is emitted: temporaries sit
+    /// above the last slot, and the navigation peephole needs whole-block
+    /// read counts. Emission binds in the same order, so the two agree.
+    /// A `delete` anywhere turns the const-attribute fold off.
+    fn scan(&mut self, block: &'a Block) {
+        for stmt in &block.stmts {
+            match stmt {
+                Stmt::Assign { lhs, expr, .. } => {
+                    self.scan_expr(expr);
+                    match lhs {
+                        LValue::Var(name) => self.declare(name),
+                        LValue::Attr(base, _) => self.scan_expr(base),
+                    }
+                }
+                Stmt::Create { var, .. } => self.declare(var),
+                Stmt::Delete { expr, .. } => {
+                    self.fold = None;
+                    self.scan_expr(expr);
+                }
+                Stmt::SelectAny { var, filter, .. } | Stmt::SelectMany { var, filter, .. } => {
+                    if let Some(f) = filter {
+                        self.scan_expr(f);
+                    }
+                    self.declare(var);
+                }
+                Stmt::Relate { a, b, .. } | Stmt::Unrelate { a, b, .. } => {
+                    self.scan_expr(a);
+                    self.scan_expr(b);
+                }
+                Stmt::Generate {
+                    args,
+                    target,
+                    delay,
+                    ..
+                } => {
+                    args.iter().for_each(|a| self.scan_expr(a));
+                    // A bare name that is no local yet is an actor, not a
+                    // read: `scan_expr` counts only declared locals.
+                    if let GenTarget::Inst(e) = target {
+                        self.scan_expr(e);
+                    }
+                    if let Some(d) = delay {
+                        self.scan_expr(d);
+                    }
+                }
+                Stmt::If {
+                    arms, otherwise, ..
+                } => {
+                    for (cond, body) in arms {
+                        self.scan_expr(cond);
+                        self.scan(body);
+                    }
+                    if let Some(body) = otherwise {
+                        self.scan(body);
+                    }
+                }
+                Stmt::While { cond, body, .. } => {
+                    self.scan_expr(cond);
+                    self.scan(body);
+                }
+                Stmt::ForEach { var, set, body, .. } => {
+                    self.scan_expr(set);
+                    self.declare(var);
+                    self.scan(body);
+                }
+                Stmt::ExprStmt { expr, .. } => self.scan_expr(expr),
+                Stmt::Cancel { .. }
+                | Stmt::Break { .. }
+                | Stmt::Continue { .. }
+                | Stmt::Return { .. } => {}
+            }
+        }
+    }
+
+    fn scan_expr(&mut self, e: &Expr) {
+        match e {
+            Expr::Var(name) => {
+                if let Some(&slot) = self.locals.get(name.as_str()) {
+                    self.reads[slot - self.params] += 1;
+                }
+            }
+            Expr::Attr(base, _) | Expr::Nav(base, ..) | Expr::Unary(_, base) => {
+                self.scan_expr(base);
+            }
+            Expr::Binary(_, a, b) => {
+                self.scan_expr(a);
+                self.scan_expr(b);
+            }
+            Expr::BridgeCall(_, _, args) => args.iter().for_each(|a| self.scan_expr(a)),
+            Expr::Lit(_) | Expr::SelfRef | Expr::Selected | Expr::Param(_) => {}
+        }
+    }
+
+    fn declare(&mut self, name: &'a str) {
+        if let Entry::Vacant(e) = self.locals.entry(name) {
+            e.insert(self.params + self.reads.len());
+            self.reads.push(0);
+        }
+    }
+
+    /// Finds a local variable's slot, if it is bound at this point of the
+    /// block (parameters are not visible as bare variables: they live in
+    /// a separate namespace).
+    fn local(&self, name: &str) -> Option<Slot> {
+        self.locals
+            .get(name)
+            .copied()
+            .filter(|&slot| slot < self.types.len())
+    }
+
+    /// Binds a local, bringing its slot into scope at its first binding.
+    fn bind(&mut self, name: &str, ty: Option<DataType>) -> Slot {
+        let slot = self.locals[name];
+        match self.types.get_mut(slot) {
+            Some(known) if *known != ty => *known = None,
+            Some(_) => {}
+            None => self.types.push(ty),
+        }
+        slot
+    }
+
+    /// Resolves a variable or parameter read to its slot.
+    fn slot(&self, e: &Expr) -> Result<Slot> {
+        match e {
+            Expr::Var(name) => self
+                .local(name)
+                .ok_or_else(|| CoreError::unresolved("variable", name.clone())),
+            Expr::Param(name) => self.names[..self.params]
+                .iter()
+                .position(|n| n == name)
+                .ok_or_else(|| CoreError::unresolved("event parameter", name.clone())),
+            _ => unreachable!("only variables and parameters read slots"),
+        }
+    }
+
+    fn class_of(&self, ty: Option<DataType>, e: &Expr) -> Result<ClassId> {
+        ty.and_then(DataType::class).ok_or_else(|| {
+            CoreError::runtime(format!(
+                "cannot statically resolve the class of `{e}` (expected an instance-typed \
+                 expression)"
+            ))
+        })
+    }
+
+    /// Resolves `base -> class[assoc]`, given the static type of `base`,
+    /// to the association and the class reached.
+    fn nav(
+        &self,
+        base_ty: Option<DataType>,
+        base: &Expr,
+        class: &str,
+        assoc: &str,
+    ) -> Result<(AssocId, ClassId)> {
+        let assoc_id = self.domain.assoc_id(assoc)?;
+        let want = self.domain.class_id(class)?;
+        let src = self.class_of(base_ty, base)?;
+        let target = self.domain.nav_target(assoc_id, src)?;
+        if target != want {
+            return Err(CoreError::runtime(format!(
+                "association {assoc} from {} reaches {}, not {class}",
+                self.domain.class(src).name,
+                self.domain.class(target).name,
+            )));
+        }
+        Ok((assoc_id, want))
+    }
+
+    /// Resolves `event` against the static class `ty` of a send's
+    /// `target` and checks the argument count.
+    fn inst_event(
+        &self,
+        ty: Option<DataType>,
+        target: &Expr,
+        event: &str,
+        nargs: usize,
+    ) -> Result<EventId> {
+        let class = self.class_of(ty, target)?;
+        let ev = resolve_event(self.domain, class, event)?;
+        check_arity(
+            &self.domain.class(class).events[ev.index()].params,
+            nargs,
+            event,
+        )?;
+        Ok(ev)
+    }
+
+    /// Resolves a fused send's target: its register operand (`0` for
+    /// `self`) and the event it receives.
+    fn send_target(
+        &mut self,
+        to: &SendTo,
+        target: &Expr,
+        event: &str,
+        nargs: usize,
+    ) -> Result<(u16, EventId)> {
+        let (reg, ty) = match to {
+            SendTo::SelfInst => (0, Some(DataType::Inst(self.self_class))),
+            SendTo::Slot(e) => {
+                let s = self.slot(e)?;
+                (self.slot16(s), self.types[s])
+            }
+            SendTo::Any(e) => {
+                let s = self.slot(e)?;
+                (self.slot16(s), any_type(self.types[s]))
+            }
+        };
+        Ok((reg, self.inst_event(ty, target, event, nargs)?))
+    }
+
+    /// Resolves an actor send: the actor and its event, checking that the
+    /// send is not delayed and the argument count.
+    fn actor_event(
+        &self,
+        actor: &str,
+        event: &str,
+        nargs: usize,
+        delayed: bool,
+    ) -> Result<(ActorId, EventId)> {
+        let actor = self.domain.actor_id(actor)?;
+        if delayed {
+            return Err(CoreError::runtime(
+                "`after` is only valid for instance-directed signals",
+            ));
+        }
+        let decl = self.domain.actor(actor);
+        let ev = decl
+            .event_id(event)
+            .ok_or_else(|| CoreError::unresolved("actor event", event))?;
+        check_arity(&decl.events[ev.index()].params, nargs, event)?;
+        Ok((actor, ev))
+    }
+
+    // -- emission ----------------------------------------------------------
+
+    /// `x` as a 16-bit operand. An overflow is recorded (the first one
+    /// becomes the X0016 reason) and lowering goes on with a truncated
+    /// operand that is never executed.
+    fn u16(&mut self, x: usize, what: &str) -> u16 {
+        u16::try_from(x).unwrap_or_else(|_| {
+            self.overflow
+                .get_or_insert_with(|| format!("{what} index {x} exceeds the u16 operand limit"));
+            x as u16
+        })
+    }
+
     fn emit(&mut self, op: Op, a: u16, b: u16, c: u16, d: i32, fuel: u32) -> usize {
         self.code.push(Instr {
             op,
@@ -676,16 +995,16 @@ impl Lower {
         (target as i64 - site as i64 - 1) as i32
     }
 
-    fn temp(&mut self) -> LRes<u16> {
+    fn temp(&mut self) -> u16 {
         let r = self.next_temp;
         self.next_temp += 1;
         if self.next_temp > self.high {
             self.high = self.next_temp;
         }
-        u16_of(r, "register")
+        self.u16(r, "register")
     }
 
-    fn const_idx(&mut self, v: &Value) -> LRes<u16> {
+    fn const_idx(&mut self, v: &Value) -> u16 {
         let idx = match self.consts.iter().position(|c| c == v) {
             Some(i) => i,
             None => {
@@ -693,14 +1012,14 @@ impl Lower {
                 self.consts.len() - 1
             }
         };
-        u16_of(idx, "constant")
+        self.u16(idx, "constant")
     }
 
-    fn payload_idx(&mut self, args: &[CExpr]) -> LRes<u16> {
+    fn payload_idx(&mut self, args: &[Expr]) -> u16 {
         let vals: Vec<Value> = args
             .iter()
             .map(|a| match a {
-                CExpr::Lit(v) => v.clone(),
+                Expr::Lit(v) => v.clone(),
                 _ => unreachable!("payload pooling requires literal args"),
             })
             .collect();
@@ -711,11 +1030,11 @@ impl Lower {
                 self.payloads.len() - 1
             }
         };
-        u16_of(idx, "payload")
+        self.u16(idx, "payload")
     }
 
-    fn bridge_idx(&mut self, actor: ActorId, func: &str) -> LRes<usize> {
-        let idx = match self
+    fn bridge_idx(&mut self, actor: ActorId, func: &str) -> usize {
+        match self
             .bridges
             .iter()
             .position(|(a, f)| *a == actor && f == func)
@@ -725,20 +1044,19 @@ impl Lower {
                 self.bridges.push((actor, func.to_owned()));
                 self.bridges.len() - 1
             }
-        };
-        Ok(idx)
+        }
     }
 
-    fn slot16(&self, s: Slot) -> LRes<u16> {
-        u16_of(s, "frame slot")
+    fn slot16(&mut self, s: Slot) -> u16 {
+        self.u16(s, "frame slot")
     }
 
-    fn assoc16(&self, a: AssocId) -> LRes<u16> {
-        u16_of(a.index(), "association")
+    fn assoc16(&mut self, a: AssocId) -> u16 {
+        self.u16(a.index(), "association")
     }
 
-    fn actor16(&self, a: ActorId) -> LRes<u16> {
-        u16_of(a.index(), "actor")
+    fn actor16(&mut self, a: ActorId) -> u16 {
+        self.u16(a.index(), "actor")
     }
 
     // -- statements --------------------------------------------------------
@@ -746,7 +1064,7 @@ impl Lower {
     /// Lowers a statement list; the first statement's entry burn is
     /// `first_pending` (2 inside a `while` body, where the iteration burn
     /// is merged in; 1 everywhere else).
-    fn stmt_list(&mut self, stmts: &[CStmt], first_pending: u32) -> LRes<()> {
+    fn stmt_list(&mut self, stmts: &[Stmt], first_pending: u32) -> Result<()> {
         let mut i = 0;
         while i < stmts.len() {
             let pending = if i == 0 { first_pending } else { 1 };
@@ -765,268 +1083,242 @@ impl Lower {
     /// nowhere else lowers to [`Op::NavFirst`] + [`Op::SendFirstTo`],
     /// skipping the set materialisation and dedup entirely (only the
     /// first link matters, and dedup cannot change the first element).
-    fn try_nav_first(&mut self, s1: &CStmt, s2: &CStmt, pending: u32) -> LRes<bool> {
-        let CStmt::AssignSlot {
-            slot,
-            expr:
-                CExpr::Nav {
-                    base,
-                    assoc,
-                    target,
-                },
+    fn try_nav_first(&mut self, s1: &Stmt, s2: &Stmt, pending: u32) -> Result<bool> {
+        let Stmt::Assign {
+            lhs: LValue::Var(var),
+            expr: Expr::Nav(base, class, assoc),
+            ..
         } = s1
         else {
             return Ok(false);
         };
-        if !matches!(base.as_ref(), CExpr::SelfRef) {
+        if !matches!(**base, Expr::SelfRef) {
             return Ok(false);
         }
-        let CStmt::GenInst {
+        let Stmt::Generate {
             event,
             args,
-            target: gen_target,
+            target: GenTarget::Inst(target),
             delay: None,
+            ..
         } = s2
         else {
             return Ok(false);
         };
-        let CExpr::Unary(UnOp::Any, any_operand) = gen_target else {
+        let Expr::Unary(UnOp::Any, operand) = target else {
             return Ok(false);
         };
-        let CExpr::Slot(read_slot) = any_operand.as_ref() else {
-            return Ok(false);
-        };
-        if read_slot != slot || self.reads[*slot] != 1 {
+        if !matches!(&**operand, Expr::Var(read) if read == var)
+            || self.reads[self.locals[var.as_str()] - self.params] != 1
+        {
             return Ok(false);
         }
+        let self_ty = Some(DataType::Inst(self.self_class));
+        let (assoc, want) = self.nav(self_ty, base, class, assoc)?;
+        self.bind(var, Some(DataType::Set(want)));
         self.next_temp = self.floor;
-        let nav_tmp = self.temp()?;
-        let assoc16 = self.assoc16(*assoc)?;
+        let nav_tmp = self.temp();
+        let assoc16 = self.assoc16(assoc);
         // s1: stmt burn (pending) + Nav node + SelfRef node.
         self.emit(
             Op::NavFirst,
             nav_tmp,
             assoc16,
             0,
-            id_d(target.index()),
+            id_d(want.index()),
             pending + 2,
         );
         // s2: args first (carrying the stmt burn), then the fused send.
         // A single `slot binop lit` argument fuses the whole statement
         // into one instruction; fuel 3 = the BinSC loop burn it replaces
         // (stmt 1 + Binary + lhs-Slot), the rest burned in the handler.
-        if let Some((sa, lit, op)) = Self::fused_send_arg(args) {
-            if let Some(d) = pack_op_event(op, *event) {
-                let s16 = self.slot16(sa)?;
-                let c = self.const_idx(lit)?;
+        let to = SendTo::Any(operand);
+        if let Some((a, lit, op)) = fused_send_arg(args) {
+            let sa = self.slot(a)?;
+            let (_, ev) = self.send_target(&to, target, event, args.len())?;
+            if let Some(d) = pack_op_event(op, ev) {
+                let s16 = self.slot16(sa);
+                let c = self.const_idx(lit);
                 self.emit(Op::SendFirstOpC, nav_tmp, s16, c, d, 1 + 2);
                 return Ok(true);
             }
         }
         let n = args.len();
-        let block = self.arg_block(args, 1)?;
+        let block = self.arg_block(args, 1, 0)?;
+        let (_, ev) = self.send_target(&to, target, event, n)?;
         let send_fuel = if n == 0 { 1 + 2 } else { 2 };
-        self.emit(
-            Op::SendFirstTo,
-            nav_tmp,
-            block,
-            u16_of(n, "argument count")?,
-            id_d(event.index()),
-            send_fuel,
-        );
+        let n16 = self.u16(n, "argument count");
+        let ev = id_d(ev.index());
+        self.emit(Op::SendFirstTo, nav_tmp, block, n16, ev, send_fuel);
         Ok(true)
     }
 
-    /// Allocates a contiguous register block and lowers `args` into it.
-    /// The first argument's first instruction carries `pending`.
-    fn arg_block(&mut self, args: &[CExpr], pending: u32) -> LRes<u16> {
+    /// Allocates a contiguous register block for `args` and `extra`
+    /// registers after them, and lowers `args` into it. The first
+    /// argument's first instruction carries `pending`.
+    fn arg_block(&mut self, args: &[Expr], pending: u32, extra: usize) -> Result<u16> {
         let base = self.next_temp;
-        self.next_temp += args.len();
+        self.next_temp += args.len() + extra;
         if self.next_temp > self.high {
             self.high = self.next_temp;
         }
-        let base16 = u16_of(base, "register")?;
-        u16_of(self.next_temp, "register")?;
+        let base16 = self.u16(base, "register");
+        self.u16(self.next_temp, "register");
         for (i, a) in args.iter().enumerate() {
             let p = if i == 0 { pending } else { 0 };
-            self.expr(a, p, u16_of(base + i, "register")?)?;
+            let r = self.u16(base + i, "register");
+            self.expr(a, p, r)?;
         }
         Ok(base16)
     }
 
-    fn all_lit(args: &[CExpr]) -> bool {
-        args.iter().all(|a| matches!(a, CExpr::Lit(_)))
-    }
-
-    /// The dominant computed-payload shape: exactly one argument of the
-    /// form `slot binop literal` (profile: every pipeline, ring, and
-    /// fan-out hop forwards a counter this way). Returns the pieces the
-    /// fused send ops need, or `None` to take the generic path.
-    fn fused_send_arg(args: &[CExpr]) -> Option<(usize, &Value, BinOp)> {
-        if let [CExpr::Binary(op, a, b)] = args {
-            if let (CExpr::Slot(sa), CExpr::Lit(v)) = (a.as_ref(), b.as_ref()) {
-                return Some((*sa, v, *op));
-            }
-        }
-        None
-    }
-
-    fn stmt(&mut self, stmt: &CStmt, pending: u32) -> LRes<()> {
+    fn stmt(&mut self, stmt: &Stmt, pending: u32) -> Result<()> {
         self.next_temp = self.floor;
         match stmt {
-            CStmt::AssignSlot { slot, expr } => {
-                let dst = self.slot16(*slot)?;
-                self.expr(expr, pending, dst)
+            Stmt::Assign {
+                lhs: LValue::Var(name),
+                expr,
+                ..
+            } => {
+                let dst = self.slot16(self.locals[name.as_str()]);
+                let ty = self.expr(expr, pending, dst)?;
+                self.bind(name, ty);
             }
-            CStmt::AssignAttr { base, attr, expr } => self.assign_attr(base, *attr, expr, pending),
-            CStmt::Create { slot, class } => {
-                let dst = self.slot16(*slot)?;
+            Stmt::Assign {
+                lhs: LValue::Attr(base, attr),
+                expr,
+                ..
+            } => self.assign_attr(base, attr, expr, pending)?,
+            Stmt::Create { var, class, .. } => {
+                let class = self.domain.class_id(class)?;
+                let slot = self.bind(var, Some(DataType::Inst(class)));
+                let dst = self.slot16(slot);
                 self.emit(Op::CreateI, dst, 0, 0, id_d(class.index()), pending);
-                Ok(())
             }
-            CStmt::Delete { expr } => {
-                let r = self.temp()?;
+            Stmt::Delete { expr, .. } => {
+                let r = self.temp();
                 self.expr(expr, pending, r)?;
                 self.emit(Op::DeleteI, r, 0, 0, 0, 0);
-                Ok(())
             }
-            CStmt::SelectAny {
-                slot,
-                class,
-                filter,
-            } => {
-                let dst = self.slot16(*slot)?;
-                match filter {
-                    None => {
-                        self.emit(Op::SelAny, dst, 0, 0, id_d(class.index()), pending);
-                        Ok(())
-                    }
-                    Some(f) => self.select_filtered(dst, *class, f, pending, false),
-                }
+            Stmt::SelectAny {
+                var, class, filter, ..
+            } => self.select(var, class, filter.as_ref(), pending, false)?,
+            Stmt::SelectMany {
+                var, class, filter, ..
+            } => self.select(var, class, filter.as_ref(), pending, true)?,
+            Stmt::Relate { a, b, assoc, .. } => {
+                self.relate_like(Op::RelateI, a, b, assoc, pending)?;
             }
-            CStmt::SelectMany {
-                slot,
-                class,
-                filter,
-            } => {
-                let dst = self.slot16(*slot)?;
-                match filter {
-                    None => {
-                        self.emit(Op::SelMany, dst, 0, 0, id_d(class.index()), pending);
-                        Ok(())
-                    }
-                    Some(f) => self.select_filtered(dst, *class, f, pending, true),
-                }
+            Stmt::Unrelate { a, b, assoc, .. } => {
+                self.relate_like(Op::UnrelateI, a, b, assoc, pending)?;
             }
-            CStmt::Relate { a, b, assoc } => self.relate_like(Op::RelateI, a, b, *assoc, pending),
-            CStmt::Unrelate { a, b, assoc } => {
-                self.relate_like(Op::UnrelateI, a, b, *assoc, pending)
-            }
-            CStmt::GenInst {
+            Stmt::Generate {
                 event,
                 args,
                 target,
                 delay,
-            } => self.gen_inst(*event, args, target, delay.as_ref(), pending),
-            CStmt::GenActor { actor, event, args } => {
-                let n = u16_of(args.len(), "argument count")?;
-                let actor16 = self.actor16(*actor)?;
-                if Self::all_lit(args) {
-                    let payload = self.payload_idx(args)?;
-                    self.emit(
-                        Op::SendActorLit,
-                        actor16,
-                        payload,
-                        0,
-                        id_d(event.index()),
-                        pending + args.len() as u32,
-                    );
-                } else {
-                    let block = self.arg_block(args, pending)?;
-                    let fuel = if args.is_empty() { pending } else { 0 };
-                    self.emit(Op::SendActorR, actor16, block, n, id_d(event.index()), fuel);
+                ..
+            } => match target {
+                GenTarget::Actor(actor) => {
+                    self.gen_actor(actor, event, args, delay.is_some(), pending)?;
                 }
-                Ok(())
-            }
-            CStmt::Cancel { event } => {
+                // Actor fallback: a bare name that is not a bound local
+                // but names an actor is an actor send (the type checker's
+                // rule).
+                GenTarget::Inst(Expr::Var(name))
+                    if self.local(name).is_none() && self.domain.actor_id(name).is_ok() =>
+                {
+                    self.gen_actor(name, event, args, delay.is_some(), pending)?;
+                }
+                GenTarget::Inst(target) => {
+                    self.gen_inst(event, args, target, delay.as_ref(), pending)?;
+                }
+            },
+            Stmt::Cancel { event, .. } => {
+                let event = resolve_event(self.domain, self.self_class, event)?;
                 self.emit(Op::CancelI, 0, 0, 0, id_d(event.index()), pending);
-                Ok(())
             }
-            CStmt::If { arms, otherwise } => self.if_stmt(arms, otherwise.as_deref(), pending),
-            CStmt::While { cond, body } => self.while_stmt(cond, body, pending),
-            CStmt::ForEach { slot, set, body } => self.foreach_stmt(*slot, set, body, pending),
-            CStmt::Break => {
-                match self.loops.last_mut() {
-                    Some(_) => {
-                        let site = self.emit(Op::Jump, 0, 0, 0, 0, pending);
-                        self.loops
-                            .last_mut()
-                            .expect("loop context")
-                            .breaks
-                            .push(site);
-                    }
-                    None => {
-                        self.emit(Op::ErrBreak, 0, 0, 0, 0, pending);
-                    }
+            Stmt::If {
+                arms, otherwise, ..
+            } => self.if_stmt(arms, otherwise.as_ref(), pending)?,
+            Stmt::While { cond, body, .. } => self.while_stmt(cond, body, pending)?,
+            Stmt::ForEach { var, set, body, .. } => self.foreach_stmt(var, set, body, pending)?,
+            Stmt::Break { .. } => match self.loops.last() {
+                Some(_) => {
+                    let site = self.emit(Op::Jump, 0, 0, 0, 0, pending);
+                    self.loops
+                        .last_mut()
+                        .expect("loop context")
+                        .breaks
+                        .push(site);
                 }
-                Ok(())
-            }
-            CStmt::Continue => {
-                match self.loops.last() {
-                    Some(ctx) => {
-                        let target = ctx.continue_to;
-                        let site = self.emit(Op::Jump, 0, 0, 0, 0, pending);
-                        self.code[site].d = self.back_jump(site, target);
-                    }
-                    None => {
-                        self.emit(Op::ErrContinue, 0, 0, 0, 0, pending);
-                    }
+                None => {
+                    self.emit(Op::ErrBreak, 0, 0, 0, 0, pending);
                 }
-                Ok(())
-            }
-            CStmt::Return => {
+            },
+            Stmt::Continue { .. } => match self.loops.last() {
+                Some(ctx) => {
+                    let target = ctx.continue_to;
+                    let site = self.emit(Op::Jump, 0, 0, 0, 0, pending);
+                    self.code[site].d = self.back_jump(site, target);
+                }
+                None => {
+                    self.emit(Op::ErrContinue, 0, 0, 0, 0, pending);
+                }
+            },
+            Stmt::Return { .. } => {
                 self.emit(Op::Ret, 0, 0, 0, 0, pending);
-                Ok(())
             }
-            CStmt::ExprStmt(expr) => {
-                let r = self.temp()?;
-                self.expr(expr, pending, r)
+            Stmt::ExprStmt { expr, .. } => {
+                let r = self.temp();
+                self.expr(expr, pending, r)?;
             }
         }
+        Ok(())
     }
 
-    fn assign_attr(&mut self, base: &CExpr, attr: AttrId, expr: &CExpr, pending: u32) -> LRes<()> {
-        if matches!(base, CExpr::SelfRef) {
-            // Fusions on the dominant `self.a = ...` shape.
-            match expr {
-                CExpr::Lit(v) => {
-                    // stmt + Lit node + SelfRef base fast path.
-                    let c = self.const_idx(v)?;
-                    self.emit(
-                        Op::StAttrSelfConst,
-                        0,
-                        c,
-                        0,
-                        id_d(attr.index()),
-                        pending + 2,
-                    );
-                    return Ok(());
-                }
-                CExpr::Binary(op, lhs, rhs) => {
-                    if let (CExpr::Attr(ab, read_attr), CExpr::Lit(v)) =
-                        (lhs.as_ref(), rhs.as_ref())
-                    {
+    /// `base.attr = expr;` — the value is evaluated before the base.
+    fn assign_attr(&mut self, base: &Expr, attr: &str, expr: &Expr, pending: u32) -> Result<()> {
+        if !matches!(base, Expr::SelfRef) {
+            let rv = self.temp();
+            self.expr(expr, pending, rv)?;
+            let rb = self.temp();
+            let bty = self.expr(base, 0, rb)?;
+            let class = self.class_of(bty, base)?;
+            let attr = resolve_attr(self.domain, class, attr)?;
+            self.emit(Op::StAttrReg, rb, rv, 0, id_d(attr.index()), 0);
+            return Ok(());
+        }
+        // Fusions on the dominant `self.a = ...` shape.
+        match expr {
+            Expr::Lit(v) => {
+                // stmt + Lit node + SelfRef base fast path.
+                let attr = resolve_attr(self.domain, self.self_class, attr)?;
+                let c = self.const_idx(v);
+                self.emit(
+                    Op::StAttrSelfConst,
+                    0,
+                    c,
+                    0,
+                    id_d(attr.index()),
+                    pending + 2,
+                );
+                return Ok(());
+            }
+            Expr::Binary(op, lhs, rhs) => {
+                if let (Expr::Attr(ab, read), Expr::Lit(v)) = (&**lhs, &**rhs) {
+                    if matches!(**ab, Expr::SelfRef) {
+                        let read_attr = resolve_attr(self.domain, self.self_class, read)?;
+                        let attr = resolve_attr(self.domain, self.self_class, attr)?;
                         // When the read attribute is provably const, skip
                         // the fusion: the generic path below folds the
                         // read to a constant instead.
-                        if matches!(ab.as_ref(), CExpr::SelfRef)
-                            && !self.fold.contains_key(read_attr)
-                        {
+                        if !self.fold.is_some_and(|f| f.contains_key(&read_attr)) {
                             // stmt + Binary + Attr + inner SelfRef burns up
                             // front; Lit and base-SelfRef burns are internal
                             // (they follow fallible reads/applies).
-                            let ra = u16_of(read_attr.index(), "attribute")?;
-                            let c = self.const_idx(v)?;
+                            let ra = self.u16(read_attr.index(), "attribute");
+                            let c = self.const_idx(v);
                             self.emit(
                                 Op::SelfAttrOpConst,
                                 ra,
@@ -1039,148 +1331,149 @@ impl Lower {
                         }
                     }
                 }
-                _ => {}
             }
-            let rv = self.temp()?;
-            self.expr(expr, pending, rv)?;
-            self.emit(Op::StAttrSelf, 0, rv, 0, id_d(attr.index()), 1);
-            return Ok(());
+            _ => {}
         }
-        let rv = self.temp()?;
+        let rv = self.temp();
         self.expr(expr, pending, rv)?;
-        let rb = self.temp()?;
-        self.expr(base, 0, rb)?;
-        self.emit(Op::StAttrReg, rb, rv, 0, id_d(attr.index()), 0);
+        let attr = resolve_attr(self.domain, self.self_class, attr)?;
+        self.emit(Op::StAttrSelf, 0, rv, 0, id_d(attr.index()), 1);
         Ok(())
     }
 
-    fn relate_like(
+    fn select(
         &mut self,
-        op: Op,
-        a: &CExpr,
-        b: &CExpr,
-        assoc: AssocId,
+        var: &str,
+        class: &str,
+        filter: Option<&Expr>,
         pending: u32,
-    ) -> LRes<()> {
-        let ra = self.temp()?;
+        many: bool,
+    ) -> Result<()> {
+        let class = self.domain.class_id(class)?;
+        let dst = self.slot16(self.locals[var]);
+        match filter {
+            None => {
+                let op = if many { Op::SelMany } else { Op::SelAny };
+                self.emit(op, dst, 0, 0, id_d(class.index()), pending);
+            }
+            Some(f) => {
+                self.selected.push(class);
+                let lowered = self.select_filtered(dst, class, f, pending, many);
+                self.selected.pop();
+                lowered?;
+            }
+        }
+        let ty = if many {
+            DataType::Set(class)
+        } else {
+            DataType::Inst(class)
+        };
+        self.bind(var, Some(ty));
+        Ok(())
+    }
+
+    fn relate_like(&mut self, op: Op, a: &Expr, b: &Expr, assoc: &str, pending: u32) -> Result<()> {
+        let ra = self.temp();
         self.expr(a, pending, ra)?;
-        // The interpreter as_inst-checks `a` before evaluating `b`.
+        // The walker as_inst-checks `a` before evaluating `b`.
         self.emit(Op::CheckInst, ra, 0, 0, 0, 0);
-        let rb = self.temp()?;
+        let rb = self.temp();
         self.expr(b, 0, rb)?;
+        let assoc = self.domain.assoc_id(assoc)?;
         self.emit(op, ra, rb, 0, id_d(assoc.index()), 0);
         Ok(())
     }
 
+    /// `gen ev(args) to ACTOR;` — an observable output.
+    fn gen_actor(
+        &mut self,
+        actor: &str,
+        event: &str,
+        args: &[Expr],
+        delayed: bool,
+        pending: u32,
+    ) -> Result<()> {
+        let n = args.len();
+        let n16 = self.u16(n, "argument count");
+        if all_lit(args) {
+            let (actor, ev) = self.actor_event(actor, event, n, delayed)?;
+            let actor16 = self.actor16(actor);
+            let payload = self.payload_idx(args);
+            let (ev, fuel) = (id_d(ev.index()), pending + n as u32);
+            self.emit(Op::SendActorLit, actor16, payload, 0, ev, fuel);
+        } else {
+            let block = self.arg_block(args, pending, 0)?;
+            let (actor, ev) = self.actor_event(actor, event, n, delayed)?;
+            let actor16 = self.actor16(actor);
+            self.emit(Op::SendActorR, actor16, block, n16, id_d(ev.index()), 0);
+        }
+        Ok(())
+    }
+
+    /// `gen Ev(args) to target [after delay];`, the event resolved
+    /// against the target's static class.
     fn gen_inst(
         &mut self,
-        event: EventId,
-        args: &[CExpr],
-        target: &CExpr,
-        delay: Option<&CExpr>,
+        event: &str,
+        args: &[Expr],
+        target: &Expr,
+        delay: Option<&Expr>,
         pending: u32,
-    ) -> LRes<()> {
+    ) -> Result<()> {
         let n = args.len();
-        let n16 = u16_of(n, "argument count")?;
-        let ev = id_d(event.index());
-        if delay.is_none() && Self::all_lit(args) {
-            // Literal payload: pooled Arc shared straight into the queue.
-            let nfuel = n as u32;
-            match target {
-                CExpr::SelfRef => {
-                    let p = self.payload_idx(args)?;
-                    self.emit(Op::SendSelfLit, 0, p, 0, ev, pending + nfuel + 1);
-                    return Ok(());
-                }
-                CExpr::Slot(s) => {
-                    let p = self.payload_idx(args)?;
-                    let s16 = self.slot16(*s)?;
-                    self.emit(Op::SendSlotLit, s16, p, 0, ev, pending + nfuel + 1);
-                    return Ok(());
-                }
-                CExpr::Unary(UnOp::Any, operand) => {
-                    if let CExpr::Slot(s) = operand.as_ref() {
-                        let p = self.payload_idx(args)?;
-                        let s16 = self.slot16(*s)?;
-                        self.emit(Op::SendAnySlotLit, s16, p, 0, ev, pending + nfuel + 2);
-                        return Ok(());
-                    }
-                }
-                _ => {}
+        let n16 = self.u16(n, "argument count");
+        if let Some(to) = SendTo::of(target).filter(|_| delay.is_none()) {
+            if all_lit(args) {
+                // Literal payload: pooled Arc shared straight into the queue.
+                let (reg, ev) = self.send_target(&to, target, event, n)?;
+                let p = self.payload_idx(args);
+                let (op, nodes) = match to {
+                    SendTo::SelfInst => (Op::SendSelfLit, 1),
+                    SendTo::Slot(_) => (Op::SendSlotLit, 1),
+                    SendTo::Any(_) => (Op::SendAnySlotLit, 2),
+                };
+                let fuel = pending + n as u32 + nodes;
+                self.emit(op, reg, p, 0, id_d(ev.index()), fuel);
+                return Ok(());
             }
-        }
-        if delay.is_none() {
             // Single `slot binop lit` argument to a slot / any(slot)
             // target: fuse payload compute and send into one
             // instruction. Fuel `pending + 2` is the BinSC loop burn the
             // fusion replaces; the handler burns the rest in the same
             // order the unfused pair would.
-            if let Some((sa, lit, op)) = Self::fused_send_arg(args) {
-                if let Some(d) = pack_op_event(op, event) {
-                    match target {
-                        CExpr::Slot(s) => {
-                            let s16 = self.slot16(*s)?;
-                            let sa16 = self.slot16(sa)?;
-                            let c = self.const_idx(lit)?;
-                            self.emit(Op::SendSlotOpC, s16, sa16, c, d, pending + 2);
-                            return Ok(());
-                        }
-                        CExpr::Unary(UnOp::Any, operand) => {
-                            if let CExpr::Slot(s) = operand.as_ref() {
-                                let s16 = self.slot16(*s)?;
-                                let sa16 = self.slot16(sa)?;
-                                let c = self.const_idx(lit)?;
-                                self.emit(Op::SendAnyOpC, s16, sa16, c, d, pending + 2);
-                                return Ok(());
-                            }
-                        }
-                        _ => {}
+            if let Some((a, lit, op)) = fused_send_arg(args) {
+                let sa = self.slot(a)?;
+                if !matches!(to, SendTo::SelfInst) {
+                    let (reg, ev) = self.send_target(&to, target, event, n)?;
+                    if let Some(d) = pack_op_event(op, ev) {
+                        let fused = match to {
+                            SendTo::Slot(_) => Op::SendSlotOpC,
+                            _ => Op::SendAnyOpC,
+                        };
+                        let sa16 = self.slot16(sa);
+                        let c = self.const_idx(lit);
+                        self.emit(fused, reg, sa16, c, d, pending + 2);
+                        return Ok(());
                     }
                 }
             }
             // Computed args, fused common targets.
-            match target {
-                CExpr::SelfRef => {
-                    let block = self.arg_block(args, pending)?;
-                    let fuel = if n == 0 { pending + 1 } else { 1 };
-                    self.emit(Op::SendSelf, 0, block, n16, ev, fuel);
-                    return Ok(());
-                }
-                CExpr::Slot(s) => {
-                    let s16 = self.slot16(*s)?;
-                    let block = self.arg_block(args, pending)?;
-                    let fuel = if n == 0 { pending + 1 } else { 1 };
-                    self.emit(Op::SendSlot, s16, block, n16, ev, fuel);
-                    return Ok(());
-                }
-                CExpr::Unary(UnOp::Any, operand) => {
-                    if let CExpr::Slot(s) = operand.as_ref() {
-                        let s16 = self.slot16(*s)?;
-                        let block = self.arg_block(args, pending)?;
-                        let fuel = if n == 0 { pending + 2 } else { 2 };
-                        self.emit(Op::SendAnySlot, s16, block, n16, ev, fuel);
-                        return Ok(());
-                    }
-                }
-                _ => {}
-            }
+            let block = self.arg_block(args, pending, 0)?;
+            let (reg, ev) = self.send_target(&to, target, event, n)?;
+            let (op, fuel) = match to {
+                SendTo::SelfInst => (Op::SendSelf, 1),
+                SendTo::Slot(_) => (Op::SendSlot, 1),
+                SendTo::Any(_) => (Op::SendAnySlot, 2),
+            };
+            self.emit(op, reg, block, n16, id_d(ev.index()), fuel);
+            return Ok(());
         }
         // Generic path. Register layout: args at block..block+n, the delay
         // (when present) at block+n.
-        let base = self.next_temp;
-        let extra = usize::from(delay.is_some());
-        self.next_temp += n + extra;
-        if self.next_temp > self.high {
-            self.high = self.next_temp;
-        }
-        let block = u16_of(base, "register")?;
-        u16_of(self.next_temp, "register")?;
-        for (i, a) in args.iter().enumerate() {
-            let p = if i == 0 { pending } else { 0 };
-            self.expr(a, p, u16_of(base + i, "register")?)?;
-        }
-        let rt = self.temp()?;
-        self.expr(target, if n == 0 { pending } else { 0 }, rt)?;
+        let block = self.arg_block(args, pending, usize::from(delay.is_some()))?;
+        let rt = self.temp();
+        let ty = self.expr(target, if n == 0 { pending } else { 0 }, rt)?;
+        let ev = id_d(self.inst_event(ty, target, event, n)?.index());
         match delay {
             None => {
                 self.emit(Op::SendR, rt, block, n16, ev, 0);
@@ -1188,7 +1481,8 @@ impl Lower {
             Some(d) => {
                 // as_inst on the target precedes the delay evaluation.
                 self.emit(Op::CheckInst, rt, 0, 0, 0, 0);
-                self.expr(d, 0, u16_of(base + n, "register")?)?;
+                let rd = self.u16(usize::from(block) + n, "register");
+                self.expr(d, 0, rd)?;
                 self.emit(Op::SendDelayedR, rt, block, n16, ev, 0);
             }
         }
@@ -1197,48 +1491,47 @@ impl Lower {
 
     fn if_stmt(
         &mut self,
-        arms: &[(CExpr, Vec<CStmt>)],
-        otherwise: Option<&[CStmt]>,
+        arms: &[(Expr, Block)],
+        otherwise: Option<&Block>,
         pending: u32,
-    ) -> LRes<()> {
+    ) -> Result<()> {
         let mut end_sites = Vec::new();
         let mut p = pending;
         if arms.is_empty() && p > 0 {
             self.emit(Op::Fuel, 0, 0, 0, 0, p);
-            p = 0;
         }
         for (cond, body) in arms {
             let false_site = self.guard(cond, p)?;
             p = 0;
-            self.stmt_list(body, 1)?;
+            self.stmt_list(&body.stmts, 1)?;
             end_sites.push(self.emit(Op::Jump, 0, 0, 0, 0, 0));
             self.patch_here(false_site);
         }
         if let Some(body) = otherwise {
-            self.stmt_list(body, 1)?;
+            self.stmt_list(&body.stmts, 1)?;
         }
         for site in end_sites {
             self.patch_here(site);
         }
-        let _ = p;
         Ok(())
     }
 
     /// Lowers a condition and emits a jump-if-false, fusing slot/const
     /// comparisons. Returns the jump site to patch.
-    fn guard(&mut self, cond: &CExpr, pending: u32) -> LRes<usize> {
-        if let CExpr::Binary(op, lhs, rhs) = cond {
-            match (lhs.as_ref(), rhs.as_ref()) {
-                (CExpr::Slot(s), CExpr::Lit(v)) => {
-                    let s16 = self.slot16(*s)?;
-                    let c = self.const_idx(v)?;
+    fn guard(&mut self, cond: &Expr, pending: u32) -> Result<usize> {
+        if let Expr::Binary(op, lhs, rhs) = cond {
+            if is_slot(lhs) {
+                if let Expr::Lit(v) = &**rhs {
+                    let s = self.slot(lhs)?;
+                    let s16 = self.slot16(s);
+                    let c = self.const_idx(v);
                     // Binary + lhs-Slot nodes up front; the Lit burn is
                     // internal (it follows the fallible slot read).
                     return Ok(self.emit(Op::JmpSCFalse, s16, c, binop_code(*op), 0, pending + 2));
                 }
-                (CExpr::Slot(sa), CExpr::Slot(sb)) => {
-                    let a16 = self.slot16(*sa)?;
-                    let b16 = self.slot16(*sb)?;
+                if is_slot(rhs) {
+                    let (sa, sb) = (self.slot(lhs)?, self.slot(rhs)?);
+                    let (a16, b16) = (self.slot16(sa), self.slot16(sb));
                     return Ok(self.emit(
                         Op::JmpSSFalse,
                         a16,
@@ -1248,15 +1541,14 @@ impl Lower {
                         pending + 2,
                     ));
                 }
-                _ => {}
             }
         }
-        let rc = self.temp()?;
+        let rc = self.temp();
         self.expr(cond, pending, rc)?;
         Ok(self.emit(Op::JumpIfFalse, rc, 0, 0, 0, 0))
     }
 
-    fn while_stmt(&mut self, cond: &CExpr, body: &[CStmt], pending: u32) -> LRes<()> {
+    fn while_stmt(&mut self, cond: &Expr, body: &Block, pending: u32) -> Result<()> {
         // The statement burn fires once; the condition re-evaluates every
         // iteration, so its fuel cannot carry the entry burn.
         self.emit(Op::Fuel, 0, 0, 0, 0, pending);
@@ -1266,12 +1558,12 @@ impl Lower {
             continue_to: head,
             breaks: Vec::new(),
         });
-        if body.is_empty() {
+        if body.stmts.is_empty() {
             // Iteration burn with an empty body.
             self.emit(Op::Fuel, 0, 0, 0, 0, 1);
         } else {
             // Iteration burn merged into the first body statement.
-            self.stmt_list(body, 2)?;
+            self.stmt_list(&body.stmts, 2)?;
         }
         let back = self.emit(Op::Jump, 0, 0, 0, 0, 0);
         self.code[back].d = self.back_jump(back, head);
@@ -1283,12 +1575,13 @@ impl Lower {
         Ok(())
     }
 
-    fn foreach_stmt(&mut self, slot: Slot, set: &CExpr, body: &[CStmt], pending: u32) -> LRes<()> {
-        let dst = self.slot16(slot)?;
-        let rset = self.temp()?;
-        self.expr(set, pending, rset)?;
-        let ridx = self.temp()?;
-        let zero = self.const_idx(&Value::Int(0))?;
+    fn foreach_stmt(&mut self, var: &str, set: &Expr, body: &Block, pending: u32) -> Result<()> {
+        let dst = self.slot16(self.locals[var]);
+        let rset = self.temp();
+        let sty = self.expr(set, pending, rset)?;
+        self.bind(var, any_type(sty));
+        let ridx = self.temp();
+        let zero = self.const_idx(&Value::Int(0));
         self.emit(Op::Const, ridx, zero, 0, 0, 0);
         let head = self.code.len();
         let iter_site = self.emit(Op::ForIter, dst, rset, ridx, 0, 0);
@@ -1299,7 +1592,7 @@ impl Lower {
         // Loop state must survive the per-statement scratch reset.
         let saved_floor = self.floor;
         self.floor = self.next_temp;
-        self.stmt_list(body, 1)?;
+        self.stmt_list(&body.stmts, 1)?;
         self.floor = saved_floor;
         let back = self.emit(Op::Jump, 0, 0, 0, 0, 0);
         self.code[back].d = self.back_jump(back, head);
@@ -1315,16 +1608,16 @@ impl Lower {
         &mut self,
         dst: u16,
         class: ClassId,
-        filter: &CExpr,
+        filter: &Expr,
         pending: u32,
         many: bool,
-    ) -> LRes<()> {
+    ) -> Result<()> {
         // Candidate list, index and (for `many`) accumulator live in
         // adjacent temps; the loop ops address them via the base temp.
-        let rbase = self.temp()?;
-        let _ridx = self.temp()?;
+        let rbase = self.temp();
+        let _ridx = self.temp();
         if many {
-            let _racc = self.temp()?;
+            let _racc = self.temp();
         }
         let (init, iter, take) = if many {
             (Op::SelFInitM, Op::SelIterM, Op::SelTakeM)
@@ -1334,7 +1627,7 @@ impl Lower {
         self.emit(init, rbase, 0, 0, id_d(class.index()), pending);
         let head = self.code.len();
         let iter_site = self.emit(iter, dst, rbase, 0, 0, 0);
-        let rf = self.temp()?;
+        let rf = self.temp();
         self.expr(filter, 0, rf)?;
         let take_site = self.emit(take, dst, rf, rbase, 0, 0);
         self.code[take_site].d = self.back_jump(take_site, head);
@@ -1344,122 +1637,142 @@ impl Lower {
 
     // -- expressions -------------------------------------------------------
 
-    /// Lowers `e` into `dst`. `pending` is fuel owed from enclosing nodes,
+    /// Lowers `e` into `dst` and returns its best-known static type
+    /// (`None` when unknown or irrelevant: only instance and set classes
+    /// are ever consumed). `pending` is fuel owed from enclosing nodes,
     /// burned (together with this node's own unit) by the first emitted
     /// instruction.
-    fn expr(&mut self, e: &CExpr, pending: u32, dst: u16) -> LRes<()> {
+    fn expr(&mut self, e: &Expr, pending: u32, dst: u16) -> Result<Option<DataType>> {
         match e {
-            CExpr::Lit(v) => {
-                let c = self.const_idx(v)?;
+            Expr::Lit(v) => {
+                let c = self.const_idx(v);
                 self.emit(Op::Const, dst, c, 0, 0, pending + 1);
-                Ok(())
+                Ok(Some(v.data_type()))
             }
-            CExpr::Slot(s) => {
-                let s16 = self.slot16(*s)?;
+            Expr::Var(_) | Expr::Param(_) => {
+                let s = self.slot(e)?;
+                let s16 = self.slot16(s);
                 self.emit(Op::LoadSlot, dst, s16, 0, 0, pending + 1);
-                Ok(())
+                Ok(self.types[s])
             }
-            CExpr::SelfRef => {
+            Expr::SelfRef => {
                 self.emit(Op::LoadSelf, dst, 0, 0, 0, pending + 1);
-                Ok(())
+                Ok(Some(DataType::Inst(self.self_class)))
             }
-            CExpr::Selected => {
+            Expr::Selected => {
+                let class = *self.selected.last().ok_or_else(|| {
+                    CoreError::runtime("`selected` used outside a `where` clause")
+                })?;
                 self.emit(Op::LoadSelected, dst, 0, 0, 0, pending + 1);
-                Ok(())
+                Ok(Some(DataType::Inst(class)))
             }
-            CExpr::Attr(base, attr) => {
-                if matches!(base.as_ref(), CExpr::SelfRef) {
-                    if let Some(v) = self.fold.get(attr).cloned() {
+            Expr::Attr(base, name) => {
+                if matches!(**base, Expr::SelfRef) {
+                    let attr = resolve_attr(self.domain, self.self_class, name)?;
+                    let ty = self.domain.class(self.self_class).attribute(attr).ty;
+                    if let Some(v) = self.fold.and_then(|f| f.get(&attr)) {
                         // Effect-analysis fold: the attribute is written
                         // nowhere in the model, so the read always yields
                         // the declared default. Fuel matches AttrSelf.
-                        let c = self.const_idx(&v)?;
+                        let c = self.const_idx(v);
                         self.folds += 1;
                         self.emit(Op::Const, dst, c, 0, 0, pending + 2);
-                        return Ok(());
+                    } else {
+                        // Attr node + SelfRef fast-path burn.
+                        self.emit(Op::AttrSelf, dst, 0, 0, id_d(attr.index()), pending + 2);
                     }
-                    // Attr node + SelfRef fast-path burn.
-                    self.emit(Op::AttrSelf, dst, 0, 0, id_d(attr.index()), pending + 2);
-                    return Ok(());
+                    return Ok(Some(ty));
                 }
-                let rb = self.temp()?;
-                self.expr(base, pending + 1, rb)?;
+                let rb = self.temp();
+                let bty = self.expr(base, pending + 1, rb)?;
+                let class = self.class_of(bty, base)?;
+                let attr = resolve_attr(self.domain, class, name)?;
                 self.emit(Op::AttrReg, dst, rb, 0, id_d(attr.index()), 0);
-                Ok(())
+                Ok(Some(self.domain.class(class).attribute(attr).ty))
             }
-            CExpr::Nav {
-                base,
-                assoc,
-                target,
-            } => {
-                let a16 = self.assoc16(*assoc)?;
-                if matches!(base.as_ref(), CExpr::SelfRef) {
-                    self.emit(Op::NavSelf, dst, a16, 0, id_d(target.index()), pending + 2);
-                    return Ok(());
+            Expr::Nav(base, class, assoc) => {
+                if matches!(**base, Expr::SelfRef) {
+                    let self_ty = Some(DataType::Inst(self.self_class));
+                    let (assoc, want) = self.nav(self_ty, base, class, assoc)?;
+                    let a16 = self.assoc16(assoc);
+                    self.emit(Op::NavSelf, dst, a16, 0, id_d(want.index()), pending + 2);
+                    return Ok(Some(DataType::Set(want)));
                 }
-                let rb = self.temp()?;
-                self.expr(base, pending + 1, rb)?;
-                self.emit(Op::NavReg, dst, rb, a16, id_d(target.index()), 0);
-                Ok(())
+                let rb = self.temp();
+                let bty = self.expr(base, pending + 1, rb)?;
+                let (assoc, want) = self.nav(bty, base, class, assoc)?;
+                let a16 = self.assoc16(assoc);
+                self.emit(Op::NavReg, dst, rb, a16, id_d(want.index()), 0);
+                Ok(Some(DataType::Set(want)))
             }
-            CExpr::Unary(op, operand) => {
-                if let CExpr::Slot(s) = operand.as_ref() {
+            Expr::Unary(op, operand) => {
+                let ty = if is_slot(operand) {
                     // By-reference slot operand (no clone), matching the
-                    // interpreter's fast path.
-                    let s16 = self.slot16(*s)?;
+                    // walker's evaluation order.
+                    let s = self.slot(operand)?;
+                    let s16 = self.slot16(s);
                     self.emit(Op::UnarySlot, dst, s16, unop_code(*op), 0, pending + 2);
-                    return Ok(());
-                }
-                let rs = self.temp()?;
-                self.expr(operand, pending + 1, rs)?;
-                self.emit(Op::UnaryReg, dst, rs, unop_code(*op), 0, 0);
-                Ok(())
+                    self.types[s]
+                } else {
+                    let rs = self.temp();
+                    let ty = self.expr(operand, pending + 1, rs)?;
+                    self.emit(Op::UnaryReg, dst, rs, unop_code(*op), 0, 0);
+                    ty
+                };
+                // `any` is the only operator producing an instance type.
+                Ok(if *op == UnOp::Any { any_type(ty) } else { None })
             }
-            CExpr::Binary(op, a, b) => {
-                let opc = binop_code(*op);
-                match (a.as_ref(), b.as_ref()) {
-                    (CExpr::Slot(sa), CExpr::Lit(v)) => {
-                        let s16 = self.slot16(*sa)?;
-                        let c = self.const_idx(v)?;
+            Expr::Binary(op, a, b) => {
+                let opc = i32::from(binop_code(*op));
+                match (&**a, &**b) {
+                    (_, Expr::Lit(v)) if is_slot(a) => {
+                        let s = self.slot(a)?;
+                        let s16 = self.slot16(s);
+                        let c = self.const_idx(v);
                         // Binary + lhs-Slot nodes up front; the Lit burn is
                         // internal (after the fallible slot read).
-                        self.emit(Op::BinSC, dst, s16, c, i32::from(opc), pending + 2);
-                        Ok(())
+                        self.emit(Op::BinSC, dst, s16, c, opc, pending + 2);
                     }
-                    (CExpr::Lit(v), CExpr::Slot(sb)) => {
-                        let c = self.const_idx(v)?;
-                        let s16 = self.slot16(*sb)?;
+                    (Expr::Lit(v), _) if is_slot(b) => {
+                        let c = self.const_idx(v);
+                        let s = self.slot(b)?;
+                        let s16 = self.slot16(s);
                         // Binary + Lit + rhs-Slot nodes all up front:
                         // nothing fallible separates those three burns.
-                        self.emit(Op::BinCS, dst, c, s16, i32::from(opc), pending + 3);
-                        Ok(())
+                        self.emit(Op::BinCS, dst, c, s16, opc, pending + 3);
                     }
-                    (CExpr::Slot(sa), CExpr::Slot(sb)) => {
-                        let a16 = self.slot16(*sa)?;
-                        let b16 = self.slot16(*sb)?;
-                        self.emit(Op::BinSS, dst, a16, b16, i32::from(opc), pending + 2);
-                        Ok(())
+                    _ if is_slot(a) && is_slot(b) => {
+                        let (sa, sb) = (self.slot(a)?, self.slot(b)?);
+                        let (a16, b16) = (self.slot16(sa), self.slot16(sb));
+                        self.emit(Op::BinSS, dst, a16, b16, opc, pending + 2);
                     }
                     _ => {
-                        let ra = self.temp()?;
+                        let ra = self.temp();
                         self.expr(a, pending + 1, ra)?;
-                        let rb = self.temp()?;
+                        let rb = self.temp();
                         self.expr(b, 0, rb)?;
-                        self.emit(Op::BinRR, dst, ra, rb, i32::from(opc), 0);
-                        Ok(())
+                        self.emit(Op::BinRR, dst, ra, rb, opc, 0);
                     }
                 }
+                Ok(None)
             }
-            CExpr::Bridge { actor, func, args } => {
-                let idx = self.bridge_idx(*actor, func)?;
-                let n = u16_of(args.len(), "argument count")?;
+            Expr::BridgeCall(actor, func, args) => {
+                let actor = self.domain.actor_id(actor)?;
+                let ret = self
+                    .domain
+                    .actor(actor)
+                    .func(func)
+                    .ok_or_else(|| CoreError::unresolved("bridge function", func.clone()))?
+                    .ret;
+                let idx = id_d(self.bridge_idx(actor, func));
+                let n = self.u16(args.len(), "argument count");
                 if args.is_empty() {
-                    self.emit(Op::CallBridge, dst, 0, 0, id_d(idx), pending + 1);
-                    return Ok(());
+                    self.emit(Op::CallBridge, dst, 0, 0, idx, pending + 1);
+                } else {
+                    let block = self.arg_block(args, pending + 1, 0)?;
+                    self.emit(Op::CallBridge, dst, block, n, idx, 0);
                 }
-                let block = self.arg_block(args, pending + 1)?;
-                self.emit(Op::CallBridge, dst, block, n, id_d(idx), 0);
-                Ok(())
+                Ok(ret)
             }
         }
     }
@@ -1597,7 +1910,7 @@ fn set_item(frame: &[Option<Value>], r: usize, idx: usize) -> InstId {
 /// Executes a lowered action against `host`. The caller provides `ctx`
 /// with a frame sized to [`BcAction::n_regs`] and the parameter slots
 /// bound ([`ExecCtx::bind_args`]); `ctx.steps` counts one unit per
-/// statement and expression node of the source [`CAction`].
+/// statement and expression node of the source [`Block`].
 ///
 /// # Errors
 ///
@@ -2174,22 +2487,39 @@ pub fn disasm(domain: &Domain, program: &BcProgram) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::code::compile_block;
+    use crate::builder::{pipeline_domain, DomainBuilder};
     use crate::interp::DEFAULT_FUEL;
+    use crate::model::Multiplicity;
     use crate::parse::parse_block;
     use crate::testhost::{fresh, test_domain, Effects};
-    use crate::value::DataType;
-    use crate::walker::run_code;
+    use crate::walker::{run_block, Env};
+
+    /// Lowers `src` for `self` of the test domain's `Counter`, with no
+    /// const-attribute facts.
+    fn lower(src: &str, params: &[(String, DataType)]) -> BcAction {
+        lower_folded(src, params, &BTreeMap::new())
+    }
+
+    fn lower_folded(
+        src: &str,
+        params: &[(String, DataType)],
+        consts: &BTreeMap<AttrId, Value>,
+    ) -> BcAction {
+        let block = parse_block(src).unwrap();
+        lower_block(&test_domain(), ClassId::new(0), params, &block, consts)
+            .unwrap()
+            .expect("test actions fit the operand encoding")
+    }
 
     struct Sides {
-        interp: (Result<Outcome>, Effects, ExecCtx),
+        walker: (Result<Outcome>, Effects, ExecCtx, Env),
         vm: (Result<Outcome>, Effects, ExecCtx),
-        action: CAction,
+        layout: FrameLayout,
         peephole: bool,
     }
 
-    /// Runs `src` through the frame interpreter and the VM on identical
-    /// fresh hosts, with `fuel` and bound `args`.
+    /// Runs `src` through the walker and the VM on identical fresh hosts,
+    /// with `fuel` and bound `args`.
     fn run_both_with(src: &str, args: &[Value], fuel: u64) -> Sides {
         let params: Vec<(String, DataType)> = args
             .iter()
@@ -2205,20 +2535,28 @@ mod tests {
         args: &[Value],
         fuel: u64,
     ) -> Sides {
+        run_both_folded(src, params, args, fuel, &BTreeMap::new())
+    }
+
+    fn run_both_folded(
+        src: &str,
+        params: &[(String, DataType)],
+        args: &[Value],
+        fuel: u64,
+        consts: &BTreeMap<AttrId, Value>,
+    ) -> Sides {
         let block = parse_block(src).unwrap();
-        let domain = test_domain();
-        let action = compile_block(&domain, ClassId::new(0), params, &block).unwrap();
-        let bca = lower_action(&action).unwrap();
+        let bca = lower_folded(src, params, consts);
         // The NavFirst peephole deliberately leaves the elided set slot
         // unwritten in the VM frame; frames are discarded after dispatch in
         // production, so the difference is unobservable there.
         let peephole = bca.code.iter().any(|i| i.op == Op::NavFirst);
 
         let (mut h1, i1) = fresh();
-        let mut ctx1 = ExecCtx::new(i1, &action);
+        let mut ctx1 = ExecCtx::with_frame(i1, ClassId::new(0), Vec::new());
         ctx1.fuel = fuel;
-        ctx1.bind_args(args.to_vec());
-        let r1 = run_code(&mut h1, &mut ctx1, &action);
+        let mut env = Env::new(params, args);
+        let r1 = run_block(&mut h1, &mut ctx1, &mut env, &block);
 
         let (mut h2, i2) = fresh();
         let mut ctx2 = ExecCtx::with_frame(i2, bca.self_class, vec![None; bca.n_regs]);
@@ -2227,14 +2565,24 @@ mod tests {
         let r2 = run_bc(&mut h2, &mut ctx2, &bca);
 
         Sides {
-            interp: (r1, h1.fx, ctx1),
+            walker: (r1, h1.fx, ctx1, env),
             vm: (r2, h2.fx, ctx2),
-            action,
+            layout: bca.layout,
             peephole,
         }
     }
 
-    /// Asserts interpreter/VM agreement: outcome or error string, host
+    /// The walker's value for the VM's frame slot `slot`, found by the
+    /// slot's name: parameters positionally, locals by name.
+    fn walker_slot(env: &Env, layout: &FrameLayout, slot: Slot) -> Option<Value> {
+        if slot < layout.params() {
+            env.params[slot].1.clone()
+        } else {
+            env.locals.get(layout.name(slot)).cloned()
+        }
+    }
+
+    /// Asserts walker/VM agreement: outcome or error string, host
     /// effects, and (on success) steps and the named frame slots.
     fn assert_agree(src: &str, args: &[Value]) {
         let s = run_both_with(src, args, DEFAULT_FUEL);
@@ -2242,20 +2590,20 @@ mod tests {
     }
 
     fn check_sides(src: &str, s: &Sides, check_frames: bool) {
-        match (&s.interp.0, &s.vm.0) {
+        match (&s.walker.0, &s.vm.0) {
             (Ok(o1), Ok(o2)) => {
                 assert_eq!(o1, o2, "outcome mismatch for {src:?}");
                 assert_eq!(
-                    s.interp.2.steps, s.vm.2.steps,
+                    s.walker.2.steps, s.vm.2.steps,
                     "step-count mismatch for {src:?}"
                 );
                 if check_frames && !s.peephole {
-                    for slot in 0..s.action.layout.len() {
+                    for slot in 0..s.layout.len() {
                         assert_eq!(
-                            s.interp.2.frame[slot],
+                            walker_slot(&s.walker.3, &s.layout, slot),
                             s.vm.2.frame[slot],
                             "slot {slot} ({}) mismatch for {src:?}",
-                            s.action.layout.name(slot)
+                            s.layout.name(slot)
                         );
                     }
                 }
@@ -2263,9 +2611,9 @@ mod tests {
             (Err(e1), Err(e2)) => {
                 assert_eq!(e1.to_string(), e2.to_string(), "error mismatch for {src:?}");
             }
-            (r1, r2) => panic!("outcome divergence for {src:?}: interp={r1:?} vm={r2:?}"),
+            (r1, r2) => panic!("outcome divergence for {src:?}: walker={r1:?} vm={r2:?}"),
         }
-        assert_eq!(s.interp.1, s.vm.1, "host effects mismatch for {src:?}");
+        assert_eq!(s.walker.1, s.vm.1, "host effects mismatch for {src:?}");
     }
 
     /// Every fuel level from 0 to just past the full run must produce the
@@ -2273,16 +2621,16 @@ mod tests {
     fn assert_fuel_sweep(src: &str, args: &[Value]) {
         let full = run_both_with(src, args, DEFAULT_FUEL);
         check_sides(src, &full, true);
-        let steps = full.interp.2.steps;
+        let steps = full.walker.2.steps;
         for fuel in 0..=steps + 1 {
             let s = run_both_with(src, args, fuel);
-            match (&s.interp.0, &s.vm.0) {
+            match (&s.walker.0, &s.vm.0) {
                 (Ok(_), Ok(_)) | (Err(_), Err(_)) => {}
                 (r1, r2) => {
-                    panic!("fuel={fuel} outcome divergence for {src:?}: interp={r1:?} vm={r2:?}")
+                    panic!("fuel={fuel} outcome divergence for {src:?}: walker={r1:?} vm={r2:?}")
                 }
             }
-            if let (Err(e1), Err(e2)) = (&s.interp.0, &s.vm.0) {
+            if let (Err(e1), Err(e2)) = (&s.walker.0, &s.vm.0) {
                 assert_eq!(
                     e1.to_string(),
                     e2.to_string(),
@@ -2290,7 +2638,7 @@ mod tests {
                 );
             }
             assert_eq!(
-                s.interp.1, s.vm.1,
+                s.walker.1, s.vm.1,
                 "fuel={fuel} host effects mismatch for {src:?}"
             );
         }
@@ -2446,9 +2794,7 @@ mod tests {
 
     #[test]
     fn empty_action_lowers_to_halt() {
-        let block = parse_block("").unwrap();
-        let action = compile_block(&test_domain(), ClassId::new(0), &[], &block).unwrap();
-        let bca = lower_action(&action).unwrap();
+        let bca = lower("", &[]);
         assert_eq!(bca.code.len(), 1);
         assert_eq!(bca.code[0].op, Op::Halt);
         assert_agree("", &[]);
@@ -2456,12 +2802,7 @@ mod tests {
 
     #[test]
     fn superinstructions_are_selected() {
-        let domain = test_domain();
-        let lower = |src: &str| {
-            let block = parse_block(src).unwrap();
-            let action = compile_block(&domain, ClassId::new(0), &[], &block).unwrap();
-            lower_action(&action).unwrap()
-        };
+        let lower = |src: &str| lower(src, &[]);
         assert_eq!(
             lower("self.n = self.n + 1;").code[0].op,
             Op::SelfAttrOpConst
@@ -2497,11 +2838,10 @@ mod tests {
 
     #[test]
     fn literal_payloads_are_pooled() {
-        let domain = test_domain();
-        let block =
-            parse_block("gen Set(7) to self; gen Set(7) to self; gen Set(9) to self;").unwrap();
-        let action = compile_block(&domain, ClassId::new(0), &[], &block).unwrap();
-        let bca = lower_action(&action).unwrap();
+        let bca = lower(
+            "gen Set(7) to self; gen Set(7) to self; gen Set(9) to self;",
+            &[],
+        );
         assert_eq!(
             bca.payloads.len(),
             2,
@@ -2509,25 +2849,29 @@ mod tests {
         );
     }
 
-    #[test]
-    fn register_overflow_is_an_x0016_error_at_dispatch() {
-        // One local more than the 16-bit register operands can address.
+    /// A model whose one action binds a local more than the 16-bit
+    /// register operands can address.
+    fn wide_domain() -> Domain {
         let body: String = (0..=u16::MAX as usize)
             .map(|i| format!("v{i} = 0;\n"))
             .collect();
-        let mut b = crate::builder::DomainBuilder::new("wide");
+        let mut b = DomainBuilder::new("wide");
         b.class("C")
             .event("Go", &[])
             .state("S", &body)
             .initial("S")
             .transition("S", "Go", "S");
-        let domain = b.build().unwrap();
-        let program = crate::code::CompiledProgram::new(&domain);
-        let action = program
-            .action(ClassId::new(0), StateId::new(0), EventId::new(0))
-            .unwrap()
-            .unwrap();
-        let reason = lower_action(action).unwrap_err();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn register_overflow_is_an_x0016_error_at_dispatch() {
+        let domain = wide_domain();
+        let machine = domain.classes[0].state_machine.as_ref().unwrap();
+        let block = &machine.states[0].action;
+        let reason = lower_block(&domain, ClassId::new(0), &[], block, &BTreeMap::new())
+            .expect("every name resolves")
+            .unwrap_err();
         assert!(
             reason.contains("u16"),
             "reason should name the limit: {reason}"
@@ -2535,7 +2879,7 @@ mod tests {
 
         // The program keeps the pair, with the reason as its X0016 error.
         let consts = crate::effects::analyze(&domain).const_attrs;
-        let bc = BcProgram::new(&domain, &program, &consts);
+        let bc = BcProgram::new(&domain, &consts);
         assert_eq!(bc.vm_entries(), 0);
         let err = bc
             .entry(ClassId::new(0), StateId::new(0), EventId::new(0))
@@ -2549,14 +2893,37 @@ mod tests {
     }
 
     #[test]
+    fn a_name_that_fails_to_resolve_outranks_an_operand_overflow() {
+        // The overflow comes first in the block, the unknown name last:
+        // the pair keeps the resolution error, as it did when blocks were
+        // resolved before they were lowered.
+        let mut body: String = (0..=u16::MAX as usize)
+            .map(|i| format!("v{i} = 0;\n"))
+            .collect();
+        body.push_str("x = nope;\n");
+        let mut b = DomainBuilder::new("wide");
+        b.class("C")
+            .event("Go", &[])
+            .state("S", &body)
+            .initial("S")
+            .transition("S", "Go", "S");
+        let domain = b.build_unvalidated().unwrap();
+        let bc = BcProgram::new(&domain, &BTreeSet::new());
+        let err = bc
+            .entry(ClassId::new(0), StateId::new(0), EventId::new(0))
+            .expect("the pair has an entry")
+            .unwrap_err();
+        assert_eq!(err.to_string(), "unknown variable `nope`");
+    }
+
+    #[test]
     fn whole_program_lowering_and_entry_indexing() {
-        let domain = crate::builder::pipeline_domain(3).unwrap();
-        let program = crate::code::CompiledProgram::new(&domain);
+        let domain = pipeline_domain(3).unwrap();
         let consts = crate::effects::analyze(&domain).const_attrs;
-        let bc = BcProgram::new(&domain, &program, &consts);
+        let bc = BcProgram::new(&domain, &consts);
         assert_eq!(bc.errors().count(), 0);
         assert!(bc.vm_entries() > 0);
-        // Every compiled frame action has a VM entry at the same index.
+        // Exactly the pairs some transition enters have an entry.
         for (ci, class) in domain.classes.iter().enumerate() {
             let Some(machine) = class.state_machine.as_ref() else {
                 continue;
@@ -2566,11 +2933,13 @@ mod tests {
                     let cid = ClassId::new(ci as u32);
                     let sid = StateId::new(s as u32);
                     let eid = EventId::new(e as u32);
-                    let frames = program.action(cid, sid, eid);
-                    let vm = bc.entry(cid, sid, eid);
+                    let entered = machine
+                        .transitions
+                        .iter()
+                        .any(|t| t.event == eid && t.target == TransitionTarget::To(sid));
                     assert_eq!(
-                        frames.is_some(),
-                        vm.is_some(),
+                        entered,
+                        bc.entry(cid, sid, eid).is_some(),
                         "entry presence must match for ({ci},{s},{e})"
                     );
                 }
@@ -2580,10 +2949,9 @@ mod tests {
 
     #[test]
     fn disassembler_renders_annotated_stream() {
-        let domain = crate::builder::pipeline_domain(2).unwrap();
-        let program = crate::code::CompiledProgram::new(&domain);
+        let domain = pipeline_domain(2).unwrap();
         let consts = crate::effects::analyze(&domain).const_attrs;
-        let bc = BcProgram::new(&domain, &program, &consts);
+        let bc = BcProgram::new(&domain, &consts);
         let text = disasm(&domain, &bc);
         assert!(text.contains("Stage0"), "{text}");
         assert!(
@@ -2603,30 +2971,28 @@ mod tests {
     /// (as the effect analysis would for a never-written attribute),
     /// asserting exact agreement including step counts.
     fn assert_agree_folded(src: &str, expect_folds: u32) {
-        let block = parse_block(src).unwrap();
-        let domain = test_domain();
-        let action = compile_block(&domain, ClassId::new(0), &[], &block).unwrap();
         let mut consts = BTreeMap::new();
         consts.insert(AttrId::new(0), Value::Int(0)); // Counter.n default
-        let bca = lower_action_with(&action, &consts).unwrap();
-        assert_eq!(bca.const_folds, expect_folds, "fold count for {src:?}");
-
-        let (mut h1, i1) = fresh();
-        let mut ctx1 = ExecCtx::new(i1, &action);
-        ctx1.fuel = DEFAULT_FUEL;
-        let r1 = run_code(&mut h1, &mut ctx1, &action);
-
-        let (mut h2, i2) = fresh();
-        let mut ctx2 = ExecCtx::with_frame(i2, bca.self_class, vec![None; bca.n_regs]);
-        ctx2.fuel = DEFAULT_FUEL;
-        let r2 = run_bc(&mut h2, &mut ctx2, &bca);
-
-        assert_eq!(r1.unwrap(), r2.unwrap(), "outcome for {src:?}");
-        assert_eq!(ctx1.steps, ctx2.steps, "fuel-neutrality for {src:?}");
-        assert_eq!(h1.fx, h2.fx, "host effects for {src:?}");
-        for slot in 0..action.layout.len() {
+        assert_eq!(
+            lower_folded(src, &[], &consts).const_folds,
+            expect_folds,
+            "fold count for {src:?}"
+        );
+        let s = run_both_folded(src, &[], &[], DEFAULT_FUEL, &consts);
+        assert_eq!(
+            s.walker.0.as_ref().unwrap(),
+            s.vm.0.as_ref().unwrap(),
+            "outcome for {src:?}"
+        );
+        assert_eq!(
+            s.walker.2.steps, s.vm.2.steps,
+            "fuel-neutrality for {src:?}"
+        );
+        assert_eq!(s.walker.1, s.vm.1, "host effects for {src:?}");
+        for slot in 0..s.layout.len() {
             assert_eq!(
-                ctx1.frame[slot], ctx2.frame[slot],
+                walker_slot(&s.walker.3, &s.layout, slot),
+                s.vm.2.frame[slot],
                 "slot {slot} for {src:?}"
             );
         }
@@ -2638,12 +3004,9 @@ mod tests {
         assert_agree_folded("x = self.n + 1;\ny = self.n * 2;", 2);
         assert_agree_folded("gen done(self.n) to ENV;", 1);
         // The folded action must not read the attribute at runtime.
-        let block = parse_block("x = self.n;").unwrap();
-        let domain = test_domain();
-        let action = compile_block(&domain, ClassId::new(0), &[], &block).unwrap();
         let mut consts = BTreeMap::new();
         consts.insert(AttrId::new(0), Value::Int(0));
-        let bca = lower_action_with(&action, &consts).unwrap();
+        let bca = lower_folded("x = self.n;", &[], &consts);
         assert!(
             bca.code.iter().all(|i| i.op != Op::AttrSelf),
             "AttrSelf should be folded away"
@@ -2655,19 +3018,15 @@ mod tests {
     fn delete_in_action_disables_const_fold() {
         // A read after `delete self` must raise identically on both
         // sides, so the whole action opts out of folding.
-        let block = parse_block("delete self;\nx = self.n;").unwrap();
-        let domain = test_domain();
-        let action = compile_block(&domain, ClassId::new(0), &[], &block).unwrap();
         let mut consts = BTreeMap::new();
         consts.insert(AttrId::new(0), Value::Int(0));
-        let bca = lower_action_with(&action, &consts).unwrap();
+        let bca = lower_folded("delete self;\nx = self.n;", &[], &consts);
         assert_eq!(bca.const_folds, 0);
         assert!(bca.code.iter().any(|i| i.op == Op::AttrSelf));
     }
 
     #[test]
     fn whole_program_folds_effect_proven_const_attrs() {
-        use crate::builder::DomainBuilder;
         let mut b = DomainBuilder::new("cf");
         b.class("C")
             .attr_default("k", DataType::Int, Value::Int(7))
@@ -2677,12 +3036,111 @@ mod tests {
             .initial("S")
             .transition("S", "Go", "S");
         let domain = b.build().unwrap();
-        let program = crate::code::CompiledProgram::new(&domain);
         let consts = crate::effects::analyze(&domain).const_attrs;
-        let bc = BcProgram::new(&domain, &program, &consts);
+        let bc = BcProgram::new(&domain, &consts);
         assert_eq!(bc.errors().count(), 0);
         assert_eq!(bc.const_folds(), 1, "`k` is never written, `w` is");
         let text = disasm(&domain, &bc);
         assert!(text.contains("const-folds=1"), "{text}");
+    }
+
+    // -- name resolution ---------------------------------------------------
+
+    fn demo_domain() -> Domain {
+        let mut b = DomainBuilder::new("demo");
+        b.actor("OUT").event("done", &[("v", DataType::Int)]);
+        b.class("Lamp").attr("on", DataType::Bool);
+        b.class("Counter")
+            .attr("n", DataType::Int)
+            .event("Set", &[("v", DataType::Int)])
+            .state("Idle", "")
+            .state("Run", "self.n = rcvd.v; gen done(self.n) to OUT;")
+            .initial("Idle")
+            .transition("Idle", "Set", "Run")
+            .transition("Run", "Set", "Run");
+        b.association(
+            "R1",
+            "Counter",
+            Multiplicity::One,
+            "Lamp",
+            Multiplicity::Many,
+        );
+        b.build().unwrap()
+    }
+
+    /// Lowers `src` for `self` of the demo domain's `Counter`.
+    fn lower_demo(src: &str, params: &[(String, DataType)]) -> Result<BcAction> {
+        let d = demo_domain();
+        let counter = d.class_id("Counter").unwrap();
+        let block = parse_block(src).unwrap();
+        let lowered = lower_block(&d, counter, params, &block, &BTreeMap::new())?;
+        Ok(lowered.expect("test actions fit the operand encoding"))
+    }
+
+    #[test]
+    fn params_occupy_leading_slots() {
+        let params = [("v".to_owned(), DataType::Int)];
+        let a = lower_demo("x = rcvd.v; y = x + 1;", &params).unwrap();
+        assert_eq!(a.layout.params(), 1);
+        assert_eq!(a.layout.name(0), "v");
+        assert_eq!(a.layout.slot("x"), Some(1));
+        assert_eq!(a.layout.slot("y"), Some(2));
+        assert_eq!(a.layout.len(), 3);
+    }
+
+    #[test]
+    fn attrs_and_events_are_id_resolved() {
+        let d = demo_domain();
+        let counter = d.class(d.class_id("Counter").unwrap());
+        let a = lower_demo("self.n = self.n + 1; gen Set(self.n) to self;", &[]).unwrap();
+        let n = id_d(counter.attr_id("n").unwrap().index());
+        assert_eq!(a.code[0].op, Op::SelfAttrOpConst);
+        assert_eq!((i32::from(a.code[0].a), a.code[0].d), (n, n));
+        let send = a.code.iter().find(|i| i.op == Op::SendSelf).unwrap();
+        assert_eq!(send.d, id_d(counter.event_id("Set").unwrap().index()));
+    }
+
+    #[test]
+    fn unknown_names_fail_to_lower() {
+        for (src, err) in [
+            ("x = nope + 1;", "unknown variable `nope`"),
+            ("self.zzz = 1;", "unknown attribute `Counter.zzz`"),
+            ("gen Nope() to self;", "unknown event `Counter.Nope`"),
+            ("x = self -> Lamp[R99];", "unknown association `R99`"),
+        ] {
+            let got = lower_demo(src, &[]).unwrap_err();
+            assert_eq!(got.to_string(), err, "{src}");
+        }
+    }
+
+    #[test]
+    fn navigation_is_class_checked() {
+        let err = lower_demo("x = self -> Counter[R1];", &[]).unwrap_err();
+        assert!(err.to_string().contains("reaches"), "{err}");
+    }
+
+    #[test]
+    fn actor_fallback_matches_typecheck_rule() {
+        // OUT is not a local, so the generate resolves to the actor.
+        let a = lower_demo("gen done(1) to OUT;", &[]).unwrap();
+        assert_eq!(a.code[0].op, Op::SendActorLit);
+    }
+
+    #[test]
+    fn whole_domain_lowers_event_reachable_pairs() {
+        let d = pipeline_domain(3).unwrap();
+        let p = BcProgram::new(&d, &BTreeSet::new());
+        for k in 0..3u32 {
+            let class = d.class_id(&format!("Stage{k}")).unwrap();
+            let c = d.class(class);
+            let m = c.state_machine.as_ref().unwrap();
+            let fwd = m.state_id("Forwarding").unwrap();
+            let feed = c.event_id("Feed").unwrap();
+            let action = p.entry(class, fwd, feed).unwrap().unwrap();
+            assert_eq!(action.layout.params(), 1, "Feed carries one parameter");
+            // The initial state is never entered by an event.
+            let waiting = m.state_id("Waiting").unwrap();
+            assert!(p.entry(class, waiting, feed).is_none());
+        }
     }
 }

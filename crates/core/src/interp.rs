@@ -15,11 +15,10 @@
 //! transport semantics, which is exactly what the verification layer
 //! checks.
 //!
-//! Fuel is one unit per statement and per expression node of the
-//! slot-resolved IR (see [`code`](crate::code)), so every substrate's cost
-//! model sees the same step count for the same action.
+//! Fuel is one unit per statement and per expression node of the action
+//! block (see [`bc`](crate::bc)), so every substrate's cost model sees the
+//! same step count for the same action.
 
-use crate::code::CAction;
 use crate::error::{CoreError, Result};
 use crate::ids::{ActorId, AssocId, AttrId, ClassId, EventId, InstId};
 use crate::model::Domain;
@@ -208,7 +207,7 @@ pub const DEFAULT_FUEL: u64 = 1_000_000;
 pub struct ExecCtx {
     /// The instance whose state action is running.
     pub self_inst: InstId,
-    /// Static class of `self_inst` (from the compiled action).
+    /// Static class of `self_inst` (from the lowered action).
     pub self_class: ClassId,
     /// The execution frame: event parameters in the leading slots, locals
     /// after them. `None` marks a slot not yet assigned.
@@ -223,15 +222,10 @@ pub struct ExecCtx {
 }
 
 impl ExecCtx {
-    /// Creates a context sized for `action`, with all slots unassigned.
-    pub fn new(self_inst: InstId, action: &CAction) -> ExecCtx {
-        ExecCtx::with_frame(self_inst, action.self_class, vec![None; action.frame_len()])
-    }
-
     /// Creates a context over a caller-provided frame, allowing hot
     /// dispatch loops to reuse one frame allocation across steps. The
     /// frame must already be sized to the action's
-    /// [`frame_len`](CAction::frame_len).
+    /// [`n_regs`](crate::bc::BcAction::n_regs), with every slot unassigned.
     pub fn with_frame(
         self_inst: InstId,
         self_class: ClassId,
@@ -271,24 +265,24 @@ impl ExecCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bc::{lower_action, run_bc, BcAction};
-    use crate::code::compile_block;
+    use crate::bc::{lower_block, run_bc, BcAction};
     use crate::parse::parse_block;
     use crate::testhost::{fresh, TestHost};
     use crate::value::DataType;
+    use std::collections::BTreeMap;
 
-    /// A compiled-and-executed block plus its final frame, with name-based
+    /// A lowered-and-executed block plus its final frame, with name-based
     /// access for assertions.
     #[derive(Debug)]
     struct Run {
-        action: CAction,
+        bca: BcAction,
         ctx: ExecCtx,
     }
 
     impl Run {
         fn local(&self, name: &str) -> Value {
             let slot = self
-                .action
+                .bca
                 .layout
                 .slot(name)
                 .unwrap_or_else(|| panic!("no slot for `{name}`"));
@@ -298,18 +292,17 @@ mod tests {
         }
     }
 
-    /// Compiles `src` for `self_class` with event parameters `params` and
-    /// lowers it to bytecode, as the engines do at construction.
+    /// Lowers `src` to bytecode for `self_class` with event parameters
+    /// `params`, as the engines do at construction.
     fn lower(
         host: &TestHost,
         self_class: ClassId,
         params: &[(String, DataType)],
         src: &str,
-    ) -> Result<(CAction, BcAction)> {
+    ) -> Result<BcAction> {
         let block = parse_block(src).unwrap();
-        let action = compile_block(&host.domain, self_class, params, &block)?;
-        let bca = lower_action(&action).expect("test actions fit the operand encoding");
-        Ok((action, bca))
+        let lowered = lower_block(&host.domain, self_class, params, &block, &BTreeMap::new())?;
+        Ok(lowered.expect("test actions fit the operand encoding"))
     }
 
     /// A fresh context on a register file sized for `bca`.
@@ -319,10 +312,10 @@ mod tests {
 
     fn run(host: &mut TestHost, self_inst: InstId, src: &str) -> Result<Run> {
         let self_class = host.class_of(self_inst)?;
-        let (action, bca) = lower(host, self_class, &[], src)?;
+        let bca = lower(host, self_class, &[], src)?;
         let mut ctx = vm_ctx(self_inst, &bca);
         run_bc(host, &mut ctx, &bca)?;
-        Ok(Run { action, ctx })
+        Ok(Run { bca, ctx })
     }
 
     #[test]
@@ -462,7 +455,7 @@ mod tests {
     #[test]
     fn runaway_loop_exhausts_fuel() {
         let (mut h, i) = fresh();
-        let (_, bca) = lower(&h, ClassId::new(0), &[], "while (true) { x = 1; }").unwrap();
+        let bca = lower(&h, ClassId::new(0), &[], "while (true) { x = 1; }").unwrap();
         let mut ctx = vm_ctx(i, &bca);
         ctx.fuel = 1000;
         let err = run_bc(&mut h, &mut ctx, &bca).unwrap_err();
@@ -481,7 +474,7 @@ mod tests {
     fn event_params_via_rcvd() {
         let (mut h, i) = fresh();
         let params = [("v".to_owned(), DataType::Int)];
-        let (_, bca) = lower(&h, ClassId::new(0), &params, "self.n = rcvd.v * 2;").unwrap();
+        let bca = lower(&h, ClassId::new(0), &params, "self.n = rcvd.v * 2;").unwrap();
         let mut ctx = vm_ctx(i, &bca);
         ctx.bind_args([Value::Int(21)]);
         run_bc(&mut h, &mut ctx, &bca).unwrap();
@@ -492,7 +485,7 @@ mod tests {
     fn unbound_param_read_is_resolution_error() {
         let (mut h, i) = fresh();
         let params = [("v".to_owned(), DataType::Int)];
-        let (_, bca) = lower(&h, ClassId::new(0), &params, "self.n = rcvd.v * 2;").unwrap();
+        let bca = lower(&h, ClassId::new(0), &params, "self.n = rcvd.v * 2;").unwrap();
         // No arguments bound: the parameter slot stays empty.
         let mut ctx = vm_ctx(i, &bca);
         let err = run_bc(&mut h, &mut ctx, &bca).unwrap_err();
@@ -526,7 +519,7 @@ mod tests {
 
     #[test]
     fn use_before_assignment_is_a_runtime_resolution_error() {
-        // Flow-insensitive compilation allocates the slot, but reading it
+        // Flow-insensitive lowering allocates the slot, but reading it
         // before any assignment executed must still fail, as the
         // name-resolving evaluator did.
         let (mut h, i) = fresh();

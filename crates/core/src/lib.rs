@@ -17,7 +17,9 @@
 //!   *outside* the model ([`marks::MarkSet`]).
 //!
 //! The crate also provides the one action executor, the register bytecode
-//! VM ([`bc`]), and the host interface it runs against ([`interp`]): the
+//! VM ([`bc`]), which lowers each parsed action block straight to
+//! bytecode, resolving every name as it emits, and the host interface it
+//! runs against ([`interp`]): the
 //! same VM executes actions in the abstract model interpreter
 //! (`xtuml-exec`), in the generated-hardware substrate and in the
 //! generated-software substrate (`xtuml-mda`), which is how the paper's
@@ -45,7 +47,6 @@
 pub mod action;
 pub mod bc;
 pub mod builder;
-pub mod code;
 pub mod diag;
 pub mod effects;
 pub mod error;

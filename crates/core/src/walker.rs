@@ -1,17 +1,51 @@
-//! The compiled-frame walker: the tree-walking executor the bytecode VM
-//! replaced, kept as a test-only oracle.
+//! The reference walker: a tree-walking executor of the action AST, kept
+//! as a test-only oracle for the bytecode VM.
 //!
 //! Production code runs every action on [`run_bc`](crate::bc::run_bc).
 //! The VM's lowering is *semantics-exact* against this walker — the same
 //! outcome, error identity, host effects and step count at every fuel
 //! level — and the differential battery and fuel sweep in `bc`'s tests
 //! check that agreement action by action.
+//!
+//! The walker shares no resolver with the lowering it checks. It keeps
+//! variables by name, decides the `gen … to NAME` actor fallback by
+//! whether the name holds a value, and resolves attributes, events and
+//! navigation from the class that every instance reference and set
+//! carries at run time.
 
-use crate::code::{CAction, CExpr, CStmt, Slot};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use crate::action::{Block, Expr, GenTarget, LValue, Stmt};
 use crate::error::{CoreError, Result};
-use crate::ids::{ClassId, InstId};
+use crate::ids::{AttrId, ClassId, EventId, InstId};
 use crate::interp::{ActionHost, ExecCtx, Outcome};
-use crate::value::{apply_binop, apply_unop, Value};
+use crate::value::{apply_binop, apply_unop, DataType, Value};
+
+/// The walker's variables: event parameters, positionally, and locals,
+/// each in its own namespace as in the action language.
+#[derive(Debug)]
+pub(crate) struct Env {
+    /// `(name, value)` per declared parameter; `None` when unbound.
+    pub(crate) params: Vec<(String, Option<Value>)>,
+    /// Every local assigned so far.
+    pub(crate) locals: BTreeMap<String, Value>,
+}
+
+impl Env {
+    /// Binds `args` positionally to the declared `params`.
+    pub(crate) fn new(params: &[(String, DataType)], args: &[Value]) -> Env {
+        let params = params
+            .iter()
+            .enumerate()
+            .map(|(i, (name, _))| (name.clone(), args.get(i).cloned()))
+            .collect();
+        Env {
+            params,
+            locals: BTreeMap::new(),
+        }
+    }
+}
 
 /// Control-flow signal inside loops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,21 +56,24 @@ enum Flow {
     Returned,
 }
 
-/// Executes a compiled action to completion against `host`.
+/// Executes an action block to completion against `host`, with `self`
+/// and the fuel in `ctx` and the variables in `env`.
 ///
 /// Returns the outcome and leaves the accumulated step count in
-/// `ctx.steps` (the substrates' cost models read it).
+/// `ctx.steps`.
 ///
 /// # Errors
 ///
-/// Propagates runtime errors ([`CoreError::Runtime`]) and unbound-slot
-/// reads ([`CoreError::Unresolved`]) from the statements executed.
-pub fn run_code<H: ActionHost>(
+/// Propagates runtime errors ([`CoreError::Runtime`]) and reads of names
+/// that hold no value ([`CoreError::Unresolved`]) from the statements
+/// executed.
+pub(crate) fn run_block<H: ActionHost>(
     host: &mut H,
     ctx: &mut ExecCtx,
-    action: &CAction,
+    env: &mut Env,
+    block: &Block,
 ) -> Result<Outcome> {
-    match exec_stmts(host, ctx, action, &action.code)? {
+    match exec_block(host, ctx, env, block)? {
         Flow::Returned => Ok(Outcome::Returned),
         Flow::Broke | Flow::Continued => {
             Err(CoreError::runtime("`break`/`continue` outside of a loop"))
@@ -45,14 +82,14 @@ pub fn run_code<H: ActionHost>(
     }
 }
 
-fn exec_stmts<H: ActionHost>(
+fn exec_block<H: ActionHost>(
     host: &mut H,
     ctx: &mut ExecCtx,
-    action: &CAction,
-    stmts: &[CStmt],
+    env: &mut Env,
+    block: &Block,
 ) -> Result<Flow> {
-    for stmt in stmts {
-        match exec_stmt(host, ctx, action, stmt)? {
+    for stmt in &block.stmts {
+        match exec_stmt(host, ctx, env, stmt)? {
             Flow::Normal => {}
             other => return Ok(other),
         }
@@ -60,151 +97,180 @@ fn exec_stmts<H: ActionHost>(
     Ok(Flow::Normal)
 }
 
+/// The class and id of an instance reference; errors as
+/// [`Value::as_inst`].
+fn instance(v: &Value) -> Result<(ClassId, InstId)> {
+    let inst = v.as_inst()?;
+    match v {
+        Value::Inst(class, _) => Ok((*class, inst)),
+        _ => unreachable!("as_inst accepts only instance references"),
+    }
+}
+
+fn attr<H: ActionHost>(host: &H, class: ClassId, name: &str) -> Result<AttrId> {
+    let class = host.domain().class(class);
+    class
+        .attr_id(name)
+        .ok_or_else(|| CoreError::unresolved("attribute", format!("{}.{name}", class.name)))
+}
+
+fn event<H: ActionHost>(host: &H, class: ClassId, name: &str) -> Result<EventId> {
+    let class = host.domain().class(class);
+    class
+        .event_id(name)
+        .ok_or_else(|| CoreError::unresolved("event", format!("{}.{name}", class.name)))
+}
+
+fn eval_all<H: ActionHost>(
+    host: &mut H,
+    ctx: &mut ExecCtx,
+    env: &mut Env,
+    args: &[Expr],
+) -> Result<Vec<Value>> {
+    args.iter().map(|a| eval(host, ctx, env, a)).collect()
+}
+
 fn exec_stmt<H: ActionHost>(
     host: &mut H,
     ctx: &mut ExecCtx,
-    action: &CAction,
-    stmt: &CStmt,
+    env: &mut Env,
+    stmt: &Stmt,
 ) -> Result<Flow> {
     ctx.burn(1)?;
     match stmt {
-        CStmt::AssignSlot { slot, expr } => {
-            let v = eval(host, ctx, action, expr)?;
-            ctx.frame[*slot] = Some(v);
-            Ok(Flow::Normal)
+        Stmt::Assign { lhs, expr, .. } => {
+            let v = eval(host, ctx, env, expr)?;
+            match lhs {
+                LValue::Var(name) => {
+                    env.locals.insert(name.clone(), v);
+                }
+                LValue::Attr(base, name) => {
+                    let (class, inst) = instance(&eval(host, ctx, env, base)?)?;
+                    let attr = attr(host, class, name)?;
+                    host.attr_write(inst, attr, v)?;
+                }
+            }
         }
-        CStmt::AssignAttr { base, attr, expr } => {
-            let v = eval(host, ctx, action, expr)?;
-            // Same `self.x` fast path as `CExpr::Attr` in [`eval`].
-            let inst = if matches!(base, CExpr::SelfRef) {
-                ctx.burn(1)?;
-                ctx.self_inst
-            } else {
-                eval(host, ctx, action, base)?.as_inst()?
-            };
-            host.attr_write(inst, *attr, v)?;
-            Ok(Flow::Normal)
+        Stmt::Create { var, class, .. } => {
+            let class = host.domain().class_id(class)?;
+            let inst = host.create(class)?;
+            env.locals
+                .insert(var.clone(), Value::Inst(class, Some(inst)));
         }
-        CStmt::Create { slot, class } => {
-            let inst = host.create(*class)?;
-            ctx.frame[*slot] = Some(Value::Inst(*class, Some(inst)));
-            Ok(Flow::Normal)
-        }
-        CStmt::Delete { expr } => {
-            let inst = eval(host, ctx, action, expr)?.as_inst()?;
+        Stmt::Delete { expr, .. } => {
+            let inst = eval(host, ctx, env, expr)?.as_inst()?;
             host.delete(inst)?;
-            Ok(Flow::Normal)
         }
-        CStmt::SelectAny {
-            slot,
-            class,
-            filter,
+        Stmt::SelectAny {
+            var, class, filter, ..
         } => {
+            let class = host.domain().class_id(class)?;
             let picked = match filter {
                 None => {
-                    let first = host.first_instance_of(*class);
+                    let first = host.first_instance_of(class);
                     if first.is_some() {
                         ctx.burn(1)?;
                     }
                     first
                 }
-                Some(f) => select_first(host, ctx, action, *class, f)?,
+                Some(f) => select(host, ctx, env, class, f, true)?.pop(),
             };
-            ctx.frame[*slot] = Some(Value::Inst(*class, picked));
-            Ok(Flow::Normal)
+            env.locals.insert(var.clone(), Value::Inst(class, picked));
         }
-        CStmt::SelectMany {
-            slot,
-            class,
-            filter,
+        Stmt::SelectMany {
+            var, class, filter, ..
         } => {
+            let class = host.domain().class_id(class)?;
             let matched = match filter {
                 None => {
-                    let all = host.instances_of(*class);
+                    let all = host.instances_of(class);
                     ctx.burn(all.len() as u64)?;
                     all
                 }
-                Some(f) => select_filtered(host, ctx, action, *class, f)?,
+                Some(f) => select(host, ctx, env, class, f, false)?,
             };
-            ctx.frame[*slot] = Some(Value::Set(*class, matched));
-            Ok(Flow::Normal)
+            env.locals.insert(var.clone(), Value::Set(class, matched));
         }
-        CStmt::Relate { a, b, assoc } => {
-            let ia = eval(host, ctx, action, a)?.as_inst()?;
-            let ib = eval(host, ctx, action, b)?.as_inst()?;
-            host.relate(ia, ib, *assoc)?;
-            Ok(Flow::Normal)
+        Stmt::Relate { a, b, assoc, .. } | Stmt::Unrelate { a, b, assoc, .. } => {
+            let ia = eval(host, ctx, env, a)?.as_inst()?;
+            let ib = eval(host, ctx, env, b)?.as_inst()?;
+            let assoc = host.domain().assoc_id(assoc)?;
+            if matches!(stmt, Stmt::Relate { .. }) {
+                host.relate(ia, ib, assoc)?;
+            } else {
+                host.unrelate(ia, ib, assoc)?;
+            }
         }
-        CStmt::Unrelate { a, b, assoc } => {
-            let ia = eval(host, ctx, action, a)?.as_inst()?;
-            let ib = eval(host, ctx, action, b)?.as_inst()?;
-            host.unrelate(ia, ib, *assoc)?;
-            Ok(Flow::Normal)
-        }
-        CStmt::GenInst {
-            event,
+        Stmt::Generate {
+            event: ev,
             args,
             target,
             delay,
+            ..
         } => {
-            match delay {
-                None => {
-                    // Hot path: build the payload in a pooled buffer
-                    // (same recycling the bytecode VM's sends use), so
-                    // steady-state frame-interpreted sends allocate
-                    // nothing either.
-                    let payload = eval_payload(host, ctx, action, args)?;
-                    let to = eval(host, ctx, action, target)?.as_inst()?;
-                    host.send_arc(ctx.self_inst, to, *event, payload)?;
+            let actor = match target {
+                GenTarget::Actor(name) => Some(name),
+                GenTarget::Inst(Expr::Var(name))
+                    if !env.locals.contains_key(name) && host.domain().actor_id(name).is_ok() =>
+                {
+                    Some(name)
                 }
+                GenTarget::Inst(_) => None,
+            };
+            let vals = eval_all(host, ctx, env, args)?;
+            if let Some(name) = actor {
+                let actor = host.domain().actor_id(name)?;
+                let decl = host.domain().actor(actor);
+                let ev = decl
+                    .event_id(ev)
+                    .ok_or_else(|| CoreError::unresolved("actor event", ev.clone()))?;
+                host.send_actor_arc(ctx.self_inst, actor, ev, Arc::from(vals))?;
+                return Ok(Flow::Normal);
+            }
+            let GenTarget::Inst(target) = target else {
+                unreachable!("actor targets handled above");
+            };
+            let (class, to) = instance(&eval(host, ctx, env, target)?)?;
+            let ev = event(host, class, ev)?;
+            match delay {
+                None => host.send_arc(ctx.self_inst, to, ev, Arc::from(vals))?,
                 Some(d) => {
-                    let mut vals = Vec::with_capacity(args.len());
-                    for a in args {
-                        vals.push(eval(host, ctx, action, a)?);
-                    }
-                    let to = eval(host, ctx, action, target)?.as_inst()?;
-                    let ticks = eval(host, ctx, action, d)?.as_int()?;
+                    let ticks = eval(host, ctx, env, d)?.as_int()?;
                     if ticks < 0 {
                         return Err(CoreError::runtime("negative signal delay"));
                     }
-                    host.send_delayed(ctx.self_inst, to, *event, vals, ticks)?;
+                    host.send_delayed(ctx.self_inst, to, ev, vals, ticks)?;
                 }
             }
-            Ok(Flow::Normal)
         }
-        CStmt::GenActor { actor, event, args } => {
-            let payload = eval_payload(host, ctx, action, args)?;
-            host.send_actor_arc(ctx.self_inst, *actor, *event, payload)?;
-            Ok(Flow::Normal)
+        Stmt::Cancel { event: ev, .. } => {
+            let ev = event(host, ctx.self_class, ev)?;
+            host.cancel_delayed(ctx.self_inst, ev)?;
         }
-        CStmt::Cancel { event } => {
-            host.cancel_delayed(ctx.self_inst, *event)?;
-            Ok(Flow::Normal)
-        }
-        CStmt::If { arms, otherwise } => {
+        Stmt::If {
+            arms, otherwise, ..
+        } => {
             for (cond, body) in arms {
-                if eval(host, ctx, action, cond)?.as_bool()? {
-                    return exec_stmts(host, ctx, action, body);
+                if eval(host, ctx, env, cond)?.as_bool()? {
+                    return exec_block(host, ctx, env, body);
                 }
             }
             if let Some(body) = otherwise {
-                return exec_stmts(host, ctx, action, body);
+                return exec_block(host, ctx, env, body);
             }
-            Ok(Flow::Normal)
         }
-        CStmt::While { cond, body } => {
-            while eval(host, ctx, action, cond)?.as_bool()? {
+        Stmt::While { cond, body, .. } => {
+            while eval(host, ctx, env, cond)?.as_bool()? {
                 ctx.burn(1)?;
-                match exec_stmts(host, ctx, action, body)? {
+                match exec_block(host, ctx, env, body)? {
                     Flow::Broke => break,
                     Flow::Returned => return Ok(Flow::Returned),
                     Flow::Normal | Flow::Continued => {}
                 }
             }
-            Ok(Flow::Normal)
         }
-        CStmt::ForEach { slot, set, body } => {
-            let set_v = eval(host, ctx, action, set)?;
+        Stmt::ForEach { var, set, body, .. } => {
+            let set_v = eval(host, ctx, env, set)?;
             let Value::Set(class, items) = set_v else {
                 return Err(CoreError::runtime(format!(
                     "foreach needs a set, got {}",
@@ -213,196 +279,121 @@ fn exec_stmt<H: ActionHost>(
             };
             for item in items {
                 ctx.burn(1)?;
-                ctx.frame[*slot] = Some(Value::Inst(class, Some(item)));
-                match exec_stmts(host, ctx, action, body)? {
+                env.locals
+                    .insert(var.clone(), Value::Inst(class, Some(item)));
+                match exec_block(host, ctx, env, body)? {
                     Flow::Broke => break,
                     Flow::Returned => return Ok(Flow::Returned),
                     Flow::Normal | Flow::Continued => {}
                 }
             }
-            Ok(Flow::Normal)
         }
-        CStmt::Break => Ok(Flow::Broke),
-        CStmt::Continue => Ok(Flow::Continued),
-        CStmt::Return => Ok(Flow::Returned),
-        CStmt::ExprStmt(expr) => {
-            eval(host, ctx, action, expr)?;
-            Ok(Flow::Normal)
+        Stmt::Break { .. } => return Ok(Flow::Broke),
+        Stmt::Continue { .. } => return Ok(Flow::Continued),
+        Stmt::Return { .. } => return Ok(Flow::Returned),
+        Stmt::ExprStmt { expr, .. } => {
+            eval(host, ctx, env, expr)?;
         }
     }
+    Ok(Flow::Normal)
 }
 
-/// `select any … where f`: first candidate passing the filter.
-fn select_first<H: ActionHost>(
+/// The candidates of a filtered `select` that pass `filter`, in creation
+/// order; a `first` select stops at the first one.
+fn select<H: ActionHost>(
     host: &mut H,
     ctx: &mut ExecCtx,
-    action: &CAction,
+    env: &mut Env,
     class: ClassId,
-    filter: &CExpr,
-) -> Result<Option<InstId>> {
+    filter: &Expr,
+    first: bool,
+) -> Result<Vec<InstId>> {
+    let mut out = Vec::new();
     // The filter needs `&mut host`, so candidates must be materialised
     // before evaluation (the host cannot be borrowed while iterating it).
     for inst in host.instances_of(class) {
         ctx.burn(1)?;
         let saved = ctx.selected.replace(Value::Inst(class, Some(inst)));
-        let keep = eval(host, ctx, action, filter).and_then(|v| v.as_bool());
-        ctx.selected = saved;
-        if keep? {
-            return Ok(Some(inst));
-        }
-    }
-    Ok(None)
-}
-
-/// `select many … where f`: all candidates passing the filter.
-fn select_filtered<H: ActionHost>(
-    host: &mut H,
-    ctx: &mut ExecCtx,
-    action: &CAction,
-    class: ClassId,
-    filter: &CExpr,
-) -> Result<Vec<InstId>> {
-    let mut out = Vec::new();
-    for inst in host.instances_of(class) {
-        ctx.burn(1)?;
-        let saved = ctx.selected.replace(Value::Inst(class, Some(inst)));
-        let keep = eval(host, ctx, action, filter).and_then(|v| v.as_bool());
+        let keep = eval(host, ctx, env, filter).and_then(|v| v.as_bool());
         ctx.selected = saved;
         if keep? {
             out.push(inst);
+            if first {
+                break;
+            }
         }
     }
     Ok(out)
 }
 
-/// Evaluates send arguments into an `Arc<[Value]>` payload, reusing a
-/// uniquely-owned buffer from the host's payload pool when one of the
-/// right arity is available, and allocating otherwise. Argument
-/// evaluation order (and therefore burn/error order) matches the plain
-/// `Vec` path exactly.
-fn eval_payload<H: ActionHost>(
+/// Evaluates an expression.
+fn eval<H: ActionHost>(
     host: &mut H,
     ctx: &mut ExecCtx,
-    action: &CAction,
-    args: &[CExpr],
-) -> Result<std::sync::Arc<[Value]>> {
-    match host.take_payload(args.len()) {
-        Some(mut arc) => {
-            for (i, a) in args.iter().enumerate() {
-                let v = eval(host, ctx, action, a)?;
-                std::sync::Arc::get_mut(&mut arc).expect("pooled payloads are uniquely owned")[i] =
-                    v;
-            }
-            Ok(arc)
-        }
-        None => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval(host, ctx, action, a)?);
-            }
-            Ok(std::sync::Arc::from(vals))
-        }
-    }
-}
-
-fn unbound_slot(action: &CAction, slot: Slot) -> CoreError {
-    let kind = if slot < action.layout.params() {
-        "event parameter"
-    } else {
-        "variable"
-    };
-    CoreError::unresolved(kind, action.layout.name(slot).to_owned())
-}
-
-/// Evaluates a compiled expression.
-///
-/// # Errors
-///
-/// Propagates runtime and unbound-slot errors.
-pub fn eval<H: ActionHost>(
-    host: &mut H,
-    ctx: &mut ExecCtx,
-    action: &CAction,
-    expr: &CExpr,
+    env: &mut Env,
+    expr: &Expr,
 ) -> Result<Value> {
     ctx.burn(1)?;
     match expr {
-        CExpr::Lit(v) => Ok(v.clone()),
-        CExpr::Slot(slot) => ctx.frame[*slot]
-            .clone()
-            .ok_or_else(|| unbound_slot(action, *slot)),
-        CExpr::SelfRef => Ok(Value::Inst(ctx.self_class, Some(ctx.self_inst))),
-        CExpr::Selected => ctx
+        Expr::Lit(v) => Ok(v.clone()),
+        Expr::Var(name) => env
+            .locals
+            .get(name)
+            .cloned()
+            .ok_or_else(|| CoreError::unresolved("variable", name.clone())),
+        Expr::Param(name) => env
+            .params
+            .iter()
+            .find(|(n, _)| n == name)
+            .and_then(|(_, v)| v.clone())
+            .ok_or_else(|| CoreError::unresolved("event parameter", name.clone())),
+        Expr::SelfRef => Ok(Value::Inst(ctx.self_class, Some(ctx.self_inst))),
+        Expr::Selected => ctx
             .selected
             .clone()
             .ok_or_else(|| CoreError::runtime("`selected` used outside a `where` clause")),
-        CExpr::Attr(base, attr) => {
-            // `self.x` is the dominant shape: burn the base node's step
-            // without materialising a `Value::Inst` round trip.
-            let inst = if matches!(base.as_ref(), CExpr::SelfRef) {
-                ctx.burn(1)?;
-                ctx.self_inst
-            } else {
-                eval(host, ctx, action, base)?.as_inst()?
-            };
-            host.attr_read(inst, *attr)
+        Expr::Attr(base, name) => {
+            let (class, inst) = instance(&eval(host, ctx, env, base)?)?;
+            let attr = attr(host, class, name)?;
+            host.attr_read(inst, attr)
         }
-        CExpr::Nav {
-            base,
-            assoc,
-            target,
-        } => {
-            let base_v = eval(host, ctx, action, base)?;
-            let mut out: Vec<InstId> = Vec::new();
-            let mut visit = |src: InstId, host: &H| {
-                host.related_each(src, *assoc, &mut |t| {
-                    if !out.contains(&t) {
-                        out.push(t);
-                    }
-                })
-            };
-            match base_v {
-                Value::Inst(_, Some(i)) => visit(i, host)?,
-                Value::Inst(_, None) => {}
-                Value::Set(_, items) => {
-                    for src in items {
-                        visit(src, host)?;
-                    }
-                }
+        Expr::Nav(base, _, assoc) => {
+            let base_v = eval(host, ctx, env, base)?;
+            let (src, sources) = match &base_v {
+                Value::Inst(class, inst) => (*class, inst.as_slice()),
+                Value::Set(class, items) => (*class, items.as_slice()),
                 other => {
                     return Err(CoreError::runtime(format!(
                         "cannot navigate from {}",
                         other.data_type()
                     )))
                 }
+            };
+            let assoc = host.domain().assoc_id(assoc)?;
+            let target = host.domain().nav_target(assoc, src)?;
+            let mut out: Vec<InstId> = Vec::new();
+            for &src in sources {
+                host.related_each(src, assoc, &mut |t| {
+                    if !out.contains(&t) {
+                        out.push(t);
+                    }
+                })?;
             }
-            Ok(Value::Set(*target, out))
+            Ok(Value::Set(target, out))
         }
-        CExpr::Unary(op, e) => {
-            // Slot operands are read by reference: `any(set)` must not
-            // clone the whole set to pick one element. Burn the step the
-            // slot read would have burned.
-            if let CExpr::Slot(slot) = e.as_ref() {
-                ctx.burn(1)?;
-                let v = ctx.frame[*slot]
-                    .as_ref()
-                    .ok_or_else(|| unbound_slot(action, *slot))?;
-                return apply_unop(*op, v);
-            }
-            let v = eval(host, ctx, action, e)?;
+        Expr::Unary(op, e) => {
+            let v = eval(host, ctx, env, e)?;
             apply_unop(*op, &v)
         }
-        CExpr::Binary(op, a, b) => {
-            let va = eval(host, ctx, action, a)?;
-            let vb = eval(host, ctx, action, b)?;
+        Expr::Binary(op, a, b) => {
+            let va = eval(host, ctx, env, a)?;
+            let vb = eval(host, ctx, env, b)?;
             apply_binop(*op, &va, &vb)
         }
-        CExpr::Bridge { actor, func, args } => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval(host, ctx, action, a)?);
-            }
-            host.bridge_call(*actor, func, vals)
+        Expr::BridgeCall(actor, func, args) => {
+            let actor = host.domain().actor_id(actor)?;
+            let vals = eval_all(host, ctx, env, args)?;
+            host.bridge_call(actor, func, vals)
         }
     }
 }

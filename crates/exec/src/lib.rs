@@ -21,7 +21,7 @@
 //! *only* so experiment E5 can demonstrate that ablating either rule
 //! produces causality violations.
 //!
-//! A model is compiled once per load into a [`Program`]: compiled actions,
+//! A model is compiled once per load into a [`Program`]: the actions'
 //! bytecode, dispatch slots and the whole-model effect analysis. Every
 //! engine that runs the model shares it through an `Arc`
 //! ([`Simulation::with_program`], [`ShardedSimulation::with_program`]);

@@ -1,14 +1,12 @@
 //! The one compiled form of a loaded model.
 //!
 //! A [`Program`] is everything the engines derive from a [`Domain`]
-//! before the first signal: the actions' bytecode ([`BcProgram`]), the
-//! whole-model effect analysis ([`ShardPlan`]) and the dispatch slots
-//! that join the dense transition tables to the bytecode. The
-//! [`CompiledProgram`] it is lowered from is dropped once the slots are
-//! resolved: nothing reads it after lowering, and keeping it alive costs
-//! every short run its allocations. It is built once per model load and
-//! shared read-only
-//! through an `Arc` by every [`Simulation`](crate::Simulation) and
+//! before the first signal: the actions' bytecode ([`BcProgram`], lowered
+//! straight from the parsed blocks), the whole-model effect analysis
+//! ([`ShardPlan`]) and the dispatch slots, one dense table that joins
+//! every state machine transition to its bytecode. It is built once per
+//! model load and shared read-only through an `Arc` by every
+//! [`Simulation`](crate::Simulation) and
 //! [`ShardedSimulation`](crate::ShardedSimulation) that runs the model,
 //! by the model compiler's partition cores, and across threads by shard
 //! workers. Nothing that runs mutates it: the two values computed on
@@ -18,7 +16,6 @@
 use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 use xtuml_core::bc::{BcAction, BcProgram};
-use xtuml_core::code::CompiledProgram;
 use xtuml_core::effects::{self, ShardPlan};
 use xtuml_core::error::{CoreError, Result};
 use xtuml_core::ids::{ClassId, EventId, StateId};
@@ -68,13 +65,10 @@ impl ClassSlots {
 }
 
 /// Resolves every `(class, state, event)` to its dispatch slot, per
-/// class (`None` for passive classes). Decided once here, not
-/// re-discovered per signal.
-fn resolve_slots(
-    domain: &Domain,
-    program: &CompiledProgram,
-    bc: &BcProgram,
-) -> Vec<Option<ClassSlots>> {
+/// class (`None` for passive classes), from the state machines'
+/// transitions: a pair no transition names can't happen. Decided once
+/// here, not re-discovered per signal.
+fn resolve_slots(domain: &Domain, bc: &BcProgram) -> Vec<Option<ClassSlots>> {
     domain
         .classes
         .iter()
@@ -83,26 +77,23 @@ fn resolve_slots(
             let class = ClassId::new(ci as u32);
             let machine = c.state_machine.as_ref()?;
             let n_events = c.events.len();
-            let mut slots = Vec::with_capacity(machine.states.len() * n_events);
-            for s in 0..machine.states.len() {
-                for e in 0..n_events {
-                    let (state, event) = (StateId::new(s as u32), EventId::new(e as u32));
-                    slots.push(match program.target(class, state, event) {
-                        TransitionTarget::To(to) => {
-                            let exec = match bc.entry(class, to, event) {
-                                Some(Ok(a)) if a.is_nop() => Exec::Nop,
-                                Some(Ok(a)) => Exec::Vm(Arc::clone(a)),
-                                Some(Err(e)) => Exec::Fail(Box::new(e)),
-                                None => Exec::Fail(Box::new(CoreError::runtime(
-                                    "internal: dispatched pair has no compiled action",
-                                ))),
-                            };
-                            Slot::Run { to, exec }
-                        }
-                        TransitionTarget::Ignore => Slot::Ignore,
-                        TransitionTarget::CantHappen => Slot::CantHappen,
-                    });
-                }
+            let mut slots = vec![Slot::CantHappen; machine.states.len() * n_events];
+            for t in &machine.transitions {
+                slots[t.from.index() * n_events + t.event.index()] = match t.target {
+                    TransitionTarget::To(to) => {
+                        let exec = match bc.entry(class, to, t.event) {
+                            Some(Ok(a)) if a.is_nop() => Exec::Nop,
+                            Some(Ok(a)) => Exec::Vm(Arc::clone(a)),
+                            Some(Err(e)) => Exec::Fail(Box::new(e)),
+                            None => Exec::Fail(Box::new(CoreError::runtime(
+                                "internal: dispatched pair has no compiled action",
+                            ))),
+                        };
+                        Slot::Run { to, exec }
+                    }
+                    TransitionTarget::Ignore => Slot::Ignore,
+                    TransitionTarget::CantHappen => Slot::CantHappen,
+                };
             }
             Some(ClassSlots { n_events, slots })
         })
@@ -186,20 +177,19 @@ impl std::fmt::Debug for Program<'_> {
 }
 
 impl<'d> Program<'d> {
-    /// Compiles `domain`: one compile, one effect-analysis walk, one
-    /// bytecode lowering (folding the plan's constant attributes), one
-    /// slot resolution. Infallible, like [`CompiledProgram::new`]: a
-    /// pair that failed to compile or lower raises its error when, and
-    /// only when, it is dispatched.
+    /// Compiles `domain`: one effect-analysis walk, one bytecode
+    /// lowering (folding the plan's constant attributes), one slot
+    /// resolution. Infallible, like [`BcProgram::new`]: a pair whose
+    /// block failed to resolve or lower raises its error when, and only
+    /// when, it is dispatched.
     pub fn new(domain: &'d Domain) -> Program<'d> {
         Program::build(Cow::Borrowed(domain))
     }
 
     fn build(domain: Cow<'d, Domain>) -> Program<'d> {
-        let compiled = CompiledProgram::new(&domain);
         let plan = effects::analyze(&domain);
-        let bc = BcProgram::new(&domain, &compiled, &plan.const_attrs);
-        let slots = resolve_slots(&domain, &compiled, &bc);
+        let bc = BcProgram::new(&domain, &plan.const_attrs);
+        let slots = resolve_slots(&domain, &bc);
         Program {
             domain,
             bc,
